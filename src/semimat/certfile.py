@@ -16,7 +16,7 @@ from .errors import ParseError
 from .matcat import Morphism
 
 FORMAT_MAGIC = "semimat-certificate"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def _matrix_text(m: Morphism) -> str:

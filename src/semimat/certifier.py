@@ -18,39 +18,38 @@ Two branches:
   coefficients makes the combination X upper triangular with nonzero
   diagonal: invertible, exactly.
 
-``certify`` performs and records every verification step; a failing step
-is a hard error, since the mathematics guarantees success.
-``verify_certificate`` re-derives every claim from raw data and is happy
-to return a negative report for tampered certificates.
+There is one check path.  ``certify`` only builds the data, then runs
+the same branch checks ``verify_certificate`` runs, on the hom-set it
+already enumerated, and records their results; a failing check is a hard
+error, since the mathematics guarantees success.  ``verify_certificate``
+re-derives every claim from raw data, requires the recorded checks to be
+exactly the branch's list, all passing, and is happy to return a
+negative report for tampered certificates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .domination import (ActionMatrix, action_matrix, assemble_witness,
-                         linear_combination, nonvanishing_coefficients)
-from .errors import CapExceededError, FingerprintError, InternalCheckError
-from .linalg import determinant
-from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, compose,
-                     dominates, entry_vector, enumerate_hom,
-                     from_entry_vector, identity)
+from .domination import ActionMatrix, action_matrix, assemble_witness
+from .errors import FingerprintError, InternalCheckError
+from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
+                     compose, dominates, enumerate_hom, identity,
+                     power_exceeds)
 from .semiring import Semiring, natural_order, table_hash
 
 DEFAULT_COLUMN_CAP = 4096
 
 PAD_CHECK_NAMES = ("pad-product-identity", "identity-action-is-identity")
 CONSTRUCT_CHECK_NAMES = (
+    "factor-products",
+    "v-counts",
     "fixed-points",
     "inflation",
-    "factor-products",
-    "v-within-bound",
-    "action-rows-functional",
     "actions-upper-triangular",
-    "b-diagonal-ones",
-    "column-sums-nonzero",
+    "x-diagonal-matches",
     "x-upper-triangular",
     "x-diagonal-nonzero",
     "det-routes-agree",
@@ -212,8 +211,9 @@ class Certificate:
 
     ``order`` is the enumerated Hom(d, x) as row-major entry vectors; in
     the construct branch, ``blocks``/``coefficients`` align with it
-    positionally.  ``checks`` records the named outcome of every
-    verification step performed at build time.
+    positionally.  ``checks`` records the results of the branch's checks
+    at build time, named and ordered as PAD_CHECK_NAMES or
+    CONSTRUCT_CHECK_NAMES.
     """
 
     semiring_size: int
@@ -229,10 +229,6 @@ class Certificate:
     x_diagonal: tuple[Fraction, ...]
     det_x: Fraction | None
     checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def checks_dict(self) -> dict[str, bool]:
-        return dict(self.checks)
 
 
 @dataclass(frozen=True)
@@ -253,69 +249,51 @@ class VerificationReport:
 def certify(sr: Semiring, d: int, x: int,
             cap_hom: int = DEFAULT_HOM_CAP,
             cap_cols: int = DEFAULT_COLUMN_CAP) -> Certificate:
-    """Build and fully check a domination certificate for (d, x) against y = n^d.
+    """Build a domination certificate for (d, x) against y = n^d and check it.
 
-    Raises CapExceededError when |Hom(d, x)| exceeds ``cap_hom`` or n^d
-    exceeds ``cap_cols``, and InternalCheckError if any recorded check
-    fails (the construction always succeeds on a valid semiring, so
-    failure means a bug, never a mathematical negative).  Assumes the
-    semiring passed ``verify_axioms``.
+    The checks are those ``verify_certificate`` runs, on the hom-set
+    enumerated here, and the certificate records their results.  Raises
+    CapExceededError when |Hom(d, x)| exceeds ``cap_hom`` or n^d exceeds
+    ``cap_cols``, and InternalCheckError if any check fails (the
+    construction always succeeds on a valid semiring, so failure means a
+    bug, never a mathematical negative).  Assumes the semiring passed
+    ``verify_axioms``.
     """
     if d < 0 or x < 0:
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
-    y = sr.size ** d
-    if y > cap_cols:
-        raise CapExceededError(f"n^d = {y} exceeds column cap {cap_cols}", size=y)
+    y = capped_power(sr.size, d, cap_cols, "n^d")
     hom = enumerate_hom(sr, d, x, cap_hom)
-    m = hom.size
-    order = tuple(entry_vector(f) for f in hom.morphisms)
-    base = dict(semiring_size=sr.size, semiring_hash=table_hash(sr), d=d, x=x, y=y, order=order)
+    base = dict(semiring_size=sr.size, semiring_hash=table_hash(sr), d=d, x=x, y=y,
+                order=tuple(vec for _, vec in hom.order_keys), checks=())
 
     if x <= y:
-        fact = pad_identity(sr, x, y)
-        checks = (
-            ("pad-product-identity", fact.product(sr) == identity(sr, x)),
-            ("identity-action-is-identity", action_matrix(sr, identity(sr, x), hom).is_identity()),
-        )
-        cert = Certificate(branch="pad", pad=fact, blocks=(), coefficients=(),
-                           x_diagonal=(), det_x=None, checks=checks, **base)
+        cert = Certificate(branch="pad", pad=pad_identity(sr, x, y), blocks=(),
+                           coefficients=(), x_diagonal=(), det_x=None, **base)
     else:
         blocks = []
         for f in hom.morphisms:
             s = column_preorder(sr, f)
             fact = factor_through(sr, s, y)
             blocks.append(CertBlock(s=s, factor=fact, v=fact.width))
-        s_by_f = {f: blk.s for f, blk in zip(hom.morphisms, blocks)}
-        prop = verify_preorder_map(sr, hom, s_by_f)
-        mats = [action_matrix(sr, blk.s, hom) for blk in blocks]
-        b_table = [[1 if mat.targets[g] == g else 0 for g in range(m)] for mat in mats]
-        coeffs = nonvanishing_coefficients(b_table)
-        _, witness = assemble_witness(mats, coeffs)
-        checks = (
-            ("fixed-points", prop.fixed_point_failure is None),
-            ("inflation", prop.inflation_failure is None),
-            ("factor-products", all(blk.factor.product(sr) == blk.s for blk in blocks)),
-            ("v-within-bound", all(blk.v <= y for blk in blocks)),
-            ("action-rows-functional", all(len(mat.targets) == m for mat in mats)),
-            ("actions-upper-triangular", all(mat.is_upper_triangular() for mat in mats)),
-            ("b-diagonal-ones", all(b_table[i][i] == 1 for i in range(m))),
-            ("column-sums-nonzero",
-             all(sum((coeffs[i] for i in range(m) if b_table[i][g]), Fraction(0)) != 0
-                 for g in range(m))),
-            ("x-upper-triangular", witness.triangular),
-            ("x-diagonal-nonzero", witness.diagonal_nonzero),
-            ("det-routes-agree", witness.det_by_diagonal == witness.det_by_elimination),
-            ("det-nonzero", witness.det_by_elimination != 0),
-        )
+        # On the 0/1 fixed-point table, whose diagonal is one, the greedy
+        # induction of nonvanishing_coefficients never forbids 1, so every
+        # coefficient is one.  X is upper triangular by construction, so
+        # det is the diagonal product; elimination runs in the checks.
+        diagonal = tuple(Fraction(sum(compose(sr, g, blk.s) == g for blk in blocks))
+                         for g in hom.morphisms)
+        det = Fraction(1)
+        for v in diagonal:
+            det *= v
         cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
-                           coefficients=tuple(coeffs), x_diagonal=witness.diagonal,
-                           det_x=witness.det_by_elimination, checks=checks, **base)
-    failed = [name for name, ok in cert.checks if not ok]
+                           coefficients=(Fraction(1),) * hom.size, x_diagonal=diagonal,
+                           det_x=det, **base)
+    checks = _branch_checks(sr, cert, hom)
+    failed = [name for name, ok in checks if not ok]
     if failed:
         raise InternalCheckError(
             "certification checks failed: " + ", ".join(failed)
             + " (this is a bug in the tool, not a mathematical negative)")
-    return cert
+    return replace(cert, checks=checks)
 
 
 def verify_certificate(sr: Semiring, cert: Certificate,
@@ -323,26 +301,31 @@ def verify_certificate(sr: Semiring, cert: Certificate,
     """Re-derive every claim of a certificate with fresh computation.
 
     Raises FingerprintError when the certificate does not belong to
-    ``sr``.  All mathematical re-checks (products, s-properties,
-    triangularity, diagonal, determinant by both routes) run against the
-    certificate's own stored order; an extra check requires that order to
-    be the canonical enumeration, which pins down byte-level determinism.
+    ``sr``.  Structural checks pin y, the order, the branch, the recorded
+    check list and the layout; the branch's checks then run through the
+    same function ``certify`` records them with, against the canonical
+    enumeration of Hom(d, x).
     """
     if cert.semiring_size != sr.size or cert.semiring_hash != table_hash(sr):
         raise FingerprintError(
             f"certificate fingerprint ({cert.semiring_size}, {cert.semiring_hash[:12]}...) "
             f"does not match the semiring ({sr.size}, {table_hash(sr)[:12]}...)")
-    checks: list[tuple[str, bool]] = []
-    y = sr.size ** cert.d
+    n, y = sr.size, cert.y
+    # decided without forming n^d when n^d > y; on a mismatch d is
+    # unbounded (Hom(d, 0) alone has d rows), so nothing else runs
+    if power_exceeds(n, cert.d, y) or n ** cert.d != y:
+        return VerificationReport(checks=(("y-matches", False),))
+    checks = [("y-matches", True)]
     hom = enumerate_hom(sr, cert.d, cert.x, cap_hom)
     m = hom.size
-    canonical = tuple(entry_vector(f) for f in hom.morphisms)
-    checks.append(("y-matches", cert.y == y))
+    canonical = tuple(vec for _, vec in hom.order_keys)
     checks.append(("order-canonical", cert.order == canonical))
     checks.append(("branch-matches-bound",
                    cert.branch in ("pad", "construct")
                    and (cert.branch == "pad") == (cert.x <= y)))
-    checks.append(("recorded-checks-pass", all(ok for _, ok in cert.checks)))
+    expected = PAD_CHECK_NAMES if cert.branch == "pad" else CONSTRUCT_CHECK_NAMES
+    checks.append(("recorded-checks-match",
+                   cert.checks == tuple((name, True) for name in expected)))
 
     # the stored order must at least be the right hom-set for anything
     # downstream to make sense; bail out early when it is not
@@ -352,73 +335,73 @@ def verify_certificate(sr: Semiring, cert: Certificate,
     checks.append(("order-complete", usable))
     if not usable:
         return VerificationReport(checks=tuple(checks))
-    stored = tuple(from_entry_vector(cert.d, cert.x, vec) for vec in cert.order)
-    positions = {f: i for i, f in enumerate(stored)}
 
     if cert.branch == "pad":
         layout = (cert.pad is not None and not cert.blocks and not cert.coefficients
                   and not cert.x_diagonal and cert.det_x is None
-                  and cert.pad.source == cert.x and cert.pad.target == cert.y
+                  and cert.pad.source == cert.x and cert.pad.target == y
                   and _entries_in_range(sr, cert.pad.left)
                   and _entries_in_range(sr, cert.pad.right))
-        checks.append(("layout", layout))
-        if not layout:
-            return VerificationReport(checks=tuple(checks))
-        checks.append(("pad-product-identity", cert.pad.product(sr) == identity(sr, cert.x)))
-        ident_targets = tuple(positions[compose(sr, g, identity(sr, cert.x))] for g in stored)
-        checks.append(("identity-action-is-identity",
-                       all(t == i for i, t in enumerate(ident_targets))))
-        return VerificationReport(checks=tuple(checks))
-
-    layout = (cert.pad is None and len(cert.blocks) == m
-              and len(cert.coefficients) == m and len(cert.x_diagonal) == m
-              and cert.det_x is not None
-              and all(blk.s.src == cert.x and blk.s.dst == cert.x for blk in cert.blocks)
-              and all(blk.factor.source == cert.x and blk.factor.target == cert.y
-                      for blk in cert.blocks)
-              and all(_entries_in_range(sr, blk.s)
-                      and _entries_in_range(sr, blk.factor.left)
-                      and _entries_in_range(sr, blk.factor.right)
-                      for blk in cert.blocks))
+    else:
+        layout = (cert.pad is None and len(cert.blocks) == m
+                  and len(cert.coefficients) == m and len(cert.x_diagonal) == m
+                  and cert.det_x is not None
+                  and all(blk.s.src == cert.x and blk.s.dst == cert.x for blk in cert.blocks)
+                  and all(blk.factor.source == cert.x and blk.factor.target == y
+                          for blk in cert.blocks)
+                  and all(_entries_in_range(sr, blk.s)
+                          and _entries_in_range(sr, blk.factor.left)
+                          and _entries_in_range(sr, blk.factor.right)
+                          for blk in cert.blocks))
     checks.append(("layout", layout))
     if not layout:
         return VerificationReport(checks=tuple(checks))
+    return VerificationReport(checks=tuple(checks) + _branch_checks(sr, cert, hom))
 
-    blocks = cert.blocks
-    checks.append(("factor-products",
-                   all(blk.factor.product(sr) == blk.s for blk in blocks)))
-    checks.append(("v-counts",
-                   all(blk.v == blk.factor.width == _distinct_column_count(blk.s)
-                       and blk.v <= cert.y for blk in blocks)))
-    checks.append(("fixed-points",
-                   all(compose(sr, f, blk.s) == f for f, blk in zip(stored, blocks))))
-    checks.append(("inflation",
-                   all(dominates(sr, h, compose(sr, h, blk.s))
-                       for blk in blocks for h in stored)))
-    mats = [ActionMatrix(dim=m, targets=tuple(positions[compose(sr, g, blk.s)] for g in stored))
-            for blk in blocks]
-    checks.append(("action-rows-functional", all(len(mat.targets) == m for mat in mats)))
-    checks.append(("actions-upper-triangular", all(mat.is_upper_triangular() for mat in mats)))
-    b_table = [[1 if mat.targets[g] == g else 0 for g in range(m)] for mat in mats]
-    checks.append(("b-diagonal-ones", all(b_table[i][i] == 1 for i in range(m))))
-    checks.append(("column-sums-nonzero",
-                   all(sum((cert.coefficients[i] for i in range(m) if b_table[i][g]),
-                           Fraction(0)) != 0 for g in range(m))))
-    x_matrix = linear_combination(mats, cert.coefficients)
-    diag = tuple(x_matrix[i][i] for i in range(m))
-    checks.append(("x-diagonal-matches", diag == cert.x_diagonal))
-    triangular = all(x_matrix[i][j] == 0 for i in range(m) for j in range(i))
-    checks.append(("x-upper-triangular", triangular))
-    checks.append(("x-diagonal-nonzero", all(v != 0 for v in diag)))
-    det_elim = determinant(x_matrix)
-    det_diag: Fraction | None = None
-    if triangular:
-        det_diag = Fraction(1)
-        for v in diag:
-            det_diag *= v
-    checks.append(("det-matches", det_elim == cert.det_x and det_diag == cert.det_x))
-    checks.append(("det-nonzero", det_elim != 0))
-    return VerificationReport(checks=tuple(checks))
+
+def _branch_checks(sr: Semiring, cert: Certificate,
+                   hom: HomEnumeration) -> tuple[tuple[str, bool], ...]:
+    """The branch's checks, named as in PAD_CHECK_NAMES or CONSTRUCT_CHECK_NAMES.
+
+    The only code that computes a recorded check.  ``hom`` is the
+    canonical enumeration of Hom(d, x), which the blocks are read as
+    aligned with (``order-canonical`` pins that), and the layout must be
+    sound, so every entry is a semiring element.
+    """
+    if cert.branch == "pad":
+        ident = identity(sr, cert.x)
+        return (("pad-product-identity", cert.pad.product(sr) == ident),
+                ("identity-action-is-identity",
+                 action_matrix(sr, ident, hom).is_identity()))
+
+    # one product h.s(f) per (block, h) gives the fixed point (h = f),
+    # inflation and the action matrix's row of h
+    fixed = inflation = True
+    mats = []
+    for i, blk in enumerate(cert.blocks):
+        targets = []
+        for g, h in enumerate(hom.morphisms):
+            p = compose(sr, h, blk.s)
+            if g == i:
+                fixed = fixed and p == h
+            inflation = inflation and dominates(sr, h, p)
+            targets.append(hom.position(p))
+        mats.append(ActionMatrix(dim=hom.size, targets=tuple(targets)))
+    _, witness = assemble_witness(mats, cert.coefficients)
+    det = witness.det_by_elimination
+    return (
+        ("factor-products", all(blk.factor.product(sr) == blk.s for blk in cert.blocks)),
+        ("v-counts", all(blk.v == blk.factor.width == _distinct_column_count(blk.s)
+                         and blk.v <= cert.y for blk in cert.blocks)),
+        ("fixed-points", fixed),
+        ("inflation", inflation),
+        ("actions-upper-triangular", all(mat.is_upper_triangular() for mat in mats)),
+        ("x-diagonal-matches", witness.diagonal == cert.x_diagonal),
+        ("x-upper-triangular", witness.triangular),
+        ("x-diagonal-nonzero", witness.diagonal_nonzero),
+        ("det-routes-agree", witness.det_by_diagonal == det == cert.det_x),
+        ("det-nonzero", det != 0),
+    )
 
 
 def _distinct_column_count(m: Morphism) -> int:

@@ -19,10 +19,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceededError
 from .linalg import determinant, solve_linear
-from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, compose,
-                     enumerate_hom, from_entry_vector)
+from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
+                     compose, enumerate_hom, from_entry_vector)
 from .semiring import Semiring
 
 DEFAULT_PAIR_CAP = 65536
@@ -55,9 +54,6 @@ class ActionMatrix:
     def is_upper_triangular(self) -> bool:
         return all(t >= i for i, t in enumerate(self.targets))
 
-    def diagonal(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(1) if t == i else Fraction(0) for i, t in enumerate(self.targets))
-
 
 def action_matrix(sr: Semiring, s: Morphism, hom: HomEnumeration) -> ActionMatrix:
     """The matrix of the right-composition action of s: x -> x on Hom(d, x)."""
@@ -79,11 +75,7 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     if x < 0 or y < 0:
         raise ValueError(f"objects must be whole numbers, got x={x}, y={y}")
     n = sr.size
-    pair_count = n ** (x * y) * n ** (y * x)
-    if pair_count > cap_pairs:
-        raise CapExceededError(
-            f"|Hom({x},{y})| * |Hom({y},{x})| = {pair_count} pairs exceeds cap {cap_pairs}",
-            size=pair_count)
+    capped_power(n, 2 * x * y, cap_pairs, f"|Hom({x},{y})| * |Hom({y},{x})| pairs")
     lefts = [from_entry_vector(x, y, vec) for vec in itertools.product(range(n), repeat=x * y)]
     rights = [from_entry_vector(y, x, vec) for vec in itertools.product(range(n), repeat=y * x)]
     seen: dict[Morphism, None] = {}

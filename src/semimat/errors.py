@@ -12,10 +12,11 @@ class ParseError(ValueError):
 class CapExceededError(RuntimeError):
     """An enumeration would exceed the configured size cap.
 
-    The offending size is available as ``size`` so callers can report it.
+    The offending size is available as ``size`` so callers can report it;
+    it is None when the size is too large to form.
     """
 
-    def __init__(self, message: str, size: int):
+    def __init__(self, message: str, size: int | None):
         super().__init__(message)
         self.size = size
 

@@ -117,6 +117,26 @@ def hom_size(sr: Semiring, d: int, x: int) -> int:
     return sr.size ** (d * x)
 
 
+def power_exceeds(n: int, k: int, bound: int) -> bool:
+    """Whether n**k > bound, never forming a power much larger than ``bound``."""
+    if n >= 2 and k >= max(bound, 1).bit_length():
+        return True  # n^k >= 2^k > bound
+    return n ** k > bound
+
+
+def capped_power(n: int, k: int, cap: int, what: str) -> int:
+    """n**k, or CapExceededError naming ``what`` when it exceeds ``cap``.
+
+    The exponent is compared before exponentiating, and a size past 64
+    bits is reported symbolically as ``n^k``, so a huge k stays cheap.
+    """
+    if not power_exceeds(n, k, cap):
+        return n ** k
+    size = n ** k if k * n.bit_length() <= 64 else None
+    text = f"{n}^{k}" if size is None else str(size)
+    raise CapExceededError(f"{what} = {text} exceeds cap {cap}", size=size)
+
+
 @dataclass
 class HomEnumeration:
     """All of Hom(d, x) in a fixed linear extension of the dominance order."""
@@ -155,9 +175,7 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     """
     if d < 0 or x < 0:
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
-    total = hom_size(sr, d, x)
-    if total > cap:
-        raise CapExceededError(f"|Hom({d},{x})| = {total} exceeds cap {cap}", size=total)
+    capped_power(sr.size, d * x, cap, f"|Hom({d},{x})|")
     height = natural_order(sr).height
     keyed = sorted((sum(height[e] for e in vec), vec)
                    for vec in itertools.product(range(sr.size), repeat=d * x))

@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from semimat import (CapExceededError, CertBlock, Factorization,
-                     FingerprintError, Morphism, Semiring, boolean_semiring,
-                     certify, column_preorder, compose, enumerate_hom,
-                     factor_through, identity, pad_identity, parse_certificate,
-                     render_certificate, tropical_semiring, verify_certificate,
-                     verify_preorder_map)
+                     FingerprintError, Morphism, Semiring, action_matrix,
+                     boolean_semiring, certify, column_preorder, compose,
+                     enumerate_hom, factor_through, identity,
+                     nonvanishing_coefficients, pad_identity,
+                     parse_certificate, render_certificate, tropical_semiring,
+                     verify_certificate, verify_preorder_map)
+from semimat.certfile import FORMAT_VERSION
+from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -195,6 +198,13 @@ def test_verify_certificate_fingerprint_mismatch():
         verify_certificate(TROP1, cert)
 
 
+def test_verify_decides_a_huge_d_without_forming_n_to_the_d():
+    # x = 0 keeps Hom(d, 0) a single empty morphism, so only y-matches sees d
+    text = render_certificate(certify(BOOL, 0, 0)).replace("\nd 0\n", f"\nd {10 ** 100}\n")
+    report = verify_certificate(BOOL, parse_certificate(text))
+    assert report.failures == ("y-matches",)
+
+
 def zero_coefficient(cert, i):
     coeffs = list(cert.coefficients)
     coeffs[i] = Fraction(0)
@@ -231,10 +241,29 @@ def test_verify_certificate_rejects_mutations():
         "branch-flipped": dataclasses.replace(cert, branch="pad"),
         "check-flag-flipped": dataclasses.replace(
             cert, checks=(("fixed-points", False),) + cert.checks[1:]),
+        "check-renamed": dataclasses.replace(
+            cert, checks=(("renamed-factor-products", True),) + cert.checks[1:]),
+        "check-dropped": dataclasses.replace(cert, checks=cert.checks[1:]),
     }
     for name, mutant in mutants.items():
         report = verify_certificate(BOOL, mutant)
         assert not report.passed, f"mutation {name} was accepted"
+
+
+@pytest.mark.parametrize("sr, d, x, names", [
+    (BOOL, 1, 2, PAD_CHECK_NAMES),
+    (BOOL, 1, 3, CONSTRUCT_CHECK_NAMES),
+    (TROP1, 1, 3, PAD_CHECK_NAMES),
+], ids=["boolean-1-2", "boolean-1-3", "tropical1-1-3"])
+def test_certificate_records_the_branch_check_list(sr, d, x, names):
+    cert = certify(sr, d, x)
+    assert [name for name, _ in cert.checks] == list(names)
+    assert all(ok for _, ok in cert.checks)
+    if cert.branch == "construct":
+        hom = enumerate_hom(sr, d, x)
+        mats = [action_matrix(sr, blk.s, hom) for blk in cert.blocks]
+        b_table = [[1 if mat.targets[g] == g else 0 for g in range(len(hom))] for mat in mats]
+        assert nonvanishing_coefficients(b_table) == list(cert.coefficients)
 
 
 def test_certificate_file_round_trip():
@@ -267,6 +296,9 @@ def test_parse_certificate_errors():
     truncated = "\n".join(good.splitlines()[:-3]) + "\n"
     with pytest.raises(ParseError):
         parse_certificate(truncated)
+    with pytest.raises(ParseError, match="version"):
+        parse_certificate(good.replace(f"semimat-certificate {FORMAT_VERSION}\n",
+                                       "semimat-certificate 1\n", 1))
 
 
 def test_parse_certificate_tolerates_comments():
@@ -294,3 +326,44 @@ def test_verify_reports_invalid_on_out_of_range_entries():
     report = verify_certificate(BOOL, mutant)
     assert not report.passed
     assert "layout" in report.failures
+
+
+def _single_token_mutants(text):
+    """Every copy of ``text`` with one token changed, and the changed line's keyword.
+
+    ``pass`` becomes ``fail``, an integer gets +1 and any other token gets
+    the prefix ``renamed-``; the row separator ``;`` is left alone.
+    """
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        tokens = line.split(" ")
+        for j, tok in enumerate(tokens):
+            if not tok or tok == ";":
+                continue
+            if tok == "pass":
+                new = "fail"
+            elif tok.lstrip("-").isdigit():
+                new = str(int(tok) + 1)
+            else:
+                new = "renamed-" + tok
+            mutated = tokens[:j] + [new] + tokens[j + 1:]
+            yield tokens[0], "\n".join(lines[:i] + [" ".join(mutated)] + lines[i + 1:])
+
+
+def test_every_single_token_mutation_is_rejected():
+    from semimat import ParseError
+    cert = certify(BOOL, 1, 3)
+    mutants = list(_single_token_mutants(render_certificate(cert)))
+    assert len(mutants) == 361
+    accepted = []
+    for keyword, text in mutants:
+        try:
+            mutant = parse_certificate(text)
+            passed = verify_certificate(BOOL, mutant).passed
+        except (ParseError, FingerprintError, CapExceededError):
+            continue
+        # a flipped D or E entry can leave D.E = s(f) unchanged, which is
+        # still a valid certificate
+        if passed and mutant != cert and keyword not in ("left", "right"):
+            accepted.append(text)
+    assert accepted == []

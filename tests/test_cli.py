@@ -1,4 +1,7 @@
+import pytest
+
 from semimat import boolean_semiring, format_semiring, tropical_semiring
+from semimat.certfile import FORMAT_VERSION
 from semimat.cli import main
 
 BROKEN_DISTRIBUTIVITY = """\
@@ -82,8 +85,8 @@ def test_certify_writes_verified_certificate(tmp_path, capsys):
                  "--out", str(out)]) == 0
     report = capsys.readouterr().out
     assert "branch: construct" in report
-    assert "re-verification: pass" in report
-    assert out.read_text().startswith("semimat-certificate 1")
+    assert out.read_text().startswith(f"semimat-certificate {FORMAT_VERSION}\n")
+    assert main(["verify", str(out), "--builtin", "boolean"]) == 0
 
 
 def test_certify_pad_branch(tmp_path, capsys):
@@ -95,7 +98,7 @@ def test_certify_pad_branch(tmp_path, capsys):
 
 def test_certify_to_stdout(capsys):
     assert main(["certify", "--builtin", "boolean", "-d", "1", "-x", "2", "--quiet"]) == 0
-    assert capsys.readouterr().out.startswith("semimat-certificate 1")
+    assert capsys.readouterr().out.startswith(f"semimat-certificate {FORMAT_VERSION}\n")
 
 
 def test_certify_is_byte_deterministic(tmp_path):
@@ -111,6 +114,18 @@ def test_certify_cap_exceeded(tmp_path, capsys):
     assert main(["certify", "--builtin", "boolean", "-d", "2", "-x", "4",
                  "--cap-hom", "100", "--out", str(tmp_path / "never.txt")]) == 3
     assert "256" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "-d", "20000", "-x", "0"],
+    ["certify", "-d", "1", "-x", "20000"],
+    ["oracle", "-d", "0", "-x", "100", "-y", "100"],
+    ["oracle", "-d", "1", "-x", "20000", "-y", "1"],
+], ids=["certify-huge-y", "certify-huge-hom", "oracle-huge-pairs", "oracle-huge-hom"])
+def test_huge_sizes_exceed_the_cap(argv, capsys):
+    command, *rest = argv
+    assert main([command, "--builtin", "boolean", *rest]) == 3
+    assert "2^20000 exceeds cap" in capsys.readouterr().err
 
 
 def test_certify_rejects_invalid_semiring(tmp_path, capsys):
