@@ -21,10 +21,14 @@ Two branches:
 There is one check path.  ``certify`` only builds the data, then runs
 the same branch checks ``verify_certificate`` runs, on the hom-set it
 already enumerated, and records their results; a failing check is a hard
-error, since the mathematics guarantees success.  ``verify_certificate``
-re-derives every claim from raw data, requires the recorded checks to be
-exactly the branch's list, all passing, and is happy to return a
-negative report for tampered certificates.
+error, since the mathematics guarantees success.  In the construct
+branch both call the same builder, which computes every product h.s(f)
+once, through ``action_matrix``: the fixed points, inflation and X are
+read from those targets, and ``certify`` takes X's diagonal and
+determinant from the same report the checks read.
+``verify_certificate`` re-derives every claim from raw data, requires
+the recorded checks to be exactly the branch's list, all passing, and is
+happy to return a negative report for tampered certificates.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .domination import ActionMatrix, action_matrix, assemble_witness
+from .domination import (ActionMatrix, WitnessReport, action_matrix,
+                         assemble_witness)
 from .errors import FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
                      compose, dominates, enumerate_hom, identity,
@@ -269,6 +274,7 @@ def certify(sr: Semiring, d: int, x: int,
     if x <= y:
         cert = Certificate(branch="pad", pad=pad_identity(sr, x, y), blocks=(),
                            coefficients=(), x_diagonal=(), det_x=None, **base)
+        checks = _pad_checks(sr, cert, hom)
     else:
         blocks = []
         for f in hom.morphisms:
@@ -277,17 +283,13 @@ def certify(sr: Semiring, d: int, x: int,
             blocks.append(CertBlock(s=s, factor=fact, v=fact.width))
         # On the 0/1 fixed-point table, whose diagonal is one, the greedy
         # induction of nonvanishing_coefficients never forbids 1, so every
-        # coefficient is one.  X is upper triangular by construction, so
-        # det is the diagonal product; elimination runs in the checks.
-        diagonal = tuple(Fraction(sum(compose(sr, g, blk.s) == g for blk in blocks))
-                         for g in hom.morphisms)
-        det = Fraction(1)
-        for v in diagonal:
-            det *= v
+        # coefficient is one.
+        coefficients = (Fraction(1),) * hom.size
+        mats, witness = _action_witness(sr, blocks, hom, coefficients)
         cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
-                           coefficients=(Fraction(1),) * hom.size, x_diagonal=diagonal,
-                           det_x=det, **base)
-    checks = _branch_checks(sr, cert, hom)
+                           coefficients=coefficients, x_diagonal=witness.diagonal,
+                           det_x=witness.det_by_diagonal, **base)
+        checks = _construct_checks(sr, cert, hom, mats, witness)
     failed = [name for name, ok in checks if not ok]
     if failed:
         raise InternalCheckError(
@@ -302,9 +304,11 @@ def verify_certificate(sr: Semiring, cert: Certificate,
 
     Raises FingerprintError when the certificate does not belong to
     ``sr``.  Structural checks pin y, the order, the branch, the recorded
-    check list and the layout; the branch's checks then run through the
-    same function ``certify`` records them with, against the canonical
-    enumeration of Hom(d, x).
+    check list and the layout, stopping at the first failure of y, the
+    order or the layout; the branch's checks then run through the same
+    functions ``certify`` records them with, against the canonical
+    enumeration of Hom(d, x).  Assumes the semiring passed
+    ``verify_axioms``.
     """
     if cert.semiring_size != sr.size or cert.semiring_hash != table_hash(sr):
         raise FingerprintError(
@@ -319,7 +323,8 @@ def verify_certificate(sr: Semiring, cert: Certificate,
     hom = enumerate_hom(sr, cert.d, cert.x, cap_hom)
     m = hom.size
     canonical = tuple(vec for _, vec in hom.order_keys)
-    checks.append(("order-canonical", cert.order == canonical))
+    ordered = cert.order == canonical
+    checks.append(("order-canonical", ordered))
     checks.append(("branch-matches-bound",
                    cert.branch in ("pad", "construct")
                    and (cert.branch == "pad") == (cert.x <= y)))
@@ -327,13 +332,9 @@ def verify_certificate(sr: Semiring, cert: Certificate,
     checks.append(("recorded-checks-match",
                    cert.checks == tuple((name, True) for name in expected)))
 
-    # the stored order must at least be the right hom-set for anything
-    # downstream to make sense; bail out early when it is not
-    usable = (len(cert.order) == m
-              and all(len(vec) == cert.d * cert.x for vec in cert.order)
-              and set(cert.order) == set(canonical))
-    checks.append(("order-complete", usable))
-    if not usable:
+    # the blocks are read as aligned with the canonical order, so nothing
+    # downstream means anything once the order is not canonical
+    if not ordered:
         return VerificationReport(checks=tuple(checks))
 
     if cert.branch == "pad":
@@ -356,45 +357,51 @@ def verify_certificate(sr: Semiring, cert: Certificate,
     checks.append(("layout", layout))
     if not layout:
         return VerificationReport(checks=tuple(checks))
-    return VerificationReport(checks=tuple(checks) + _branch_checks(sr, cert, hom))
-
-
-def _branch_checks(sr: Semiring, cert: Certificate,
-                   hom: HomEnumeration) -> tuple[tuple[str, bool], ...]:
-    """The branch's checks, named as in PAD_CHECK_NAMES or CONSTRUCT_CHECK_NAMES.
-
-    The only code that computes a recorded check.  ``hom`` is the
-    canonical enumeration of Hom(d, x), which the blocks are read as
-    aligned with (``order-canonical`` pins that), and the layout must be
-    sound, so every entry is a semiring element.
-    """
     if cert.branch == "pad":
-        ident = identity(sr, cert.x)
-        return (("pad-product-identity", cert.pad.product(sr) == ident),
-                ("identity-action-is-identity",
-                 action_matrix(sr, ident, hom).is_identity()))
+        return VerificationReport(checks=tuple(checks) + _pad_checks(sr, cert, hom))
+    mats, witness = _action_witness(sr, cert.blocks, hom, cert.coefficients)
+    return VerificationReport(
+        checks=tuple(checks) + _construct_checks(sr, cert, hom, mats, witness))
 
-    # one product h.s(f) per (block, h) gives the fixed point (h = f),
-    # inflation and the action matrix's row of h
-    fixed = inflation = True
-    mats = []
-    for i, blk in enumerate(cert.blocks):
-        targets = []
-        for g, h in enumerate(hom.morphisms):
-            p = compose(sr, h, blk.s)
-            if g == i:
-                fixed = fixed and p == h
-            inflation = inflation and dominates(sr, h, p)
-            targets.append(hom.position(p))
-        mats.append(ActionMatrix(dim=hom.size, targets=tuple(targets)))
-    _, witness = assemble_witness(mats, cert.coefficients)
+
+def _pad_checks(sr: Semiring, cert: Certificate,
+                hom: HomEnumeration) -> tuple[tuple[str, bool], ...]:
+    """The pad branch's checks, named as in PAD_CHECK_NAMES."""
+    ident = identity(sr, cert.x)
+    return (("pad-product-identity", cert.pad.product(sr) == ident),
+            ("identity-action-is-identity", action_matrix(sr, ident, hom).is_identity()))
+
+
+def _action_witness(sr: Semiring, blocks, hom: HomEnumeration,
+                    coefficients) -> tuple[list[ActionMatrix], WitnessReport]:
+    """The action matrix of every s(f) and the report on X = sum c_i A(s(f_i)).
+
+    These are the only products h.s(f) the construct branch computes.
+    """
+    mats = [action_matrix(sr, blk.s, hom) for blk in blocks]
+    _, witness = assemble_witness(mats, coefficients)
+    return mats, witness
+
+
+def _construct_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
+                      mats: list[ActionMatrix],
+                      witness: WitnessReport) -> tuple[tuple[str, bool], ...]:
+    """The construct branch's checks, named as in CONSTRUCT_CHECK_NAMES.
+
+    ``hom`` is the canonical enumeration of Hom(d, x), which the blocks
+    are read as aligned with (``order-canonical`` pins that), and the
+    layout must be sound, so every entry is a semiring element.
+    Positions in ``hom`` are unique, so target i of row i is i exactly
+    when f_i.s(f_i) = f_i, and row h's target is the product h.s(f).
+    """
     det = witness.det_by_elimination
     return (
         ("factor-products", all(blk.factor.product(sr) == blk.s for blk in cert.blocks)),
         ("v-counts", all(blk.v == blk.factor.width == _distinct_column_count(blk.s)
                          and blk.v <= cert.y for blk in cert.blocks)),
-        ("fixed-points", fixed),
-        ("inflation", inflation),
+        ("fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))),
+        ("inflation", all(dominates(sr, h, hom.morphisms[t])
+                          for mat in mats for h, t in zip(hom.morphisms, mat.targets))),
         ("actions-upper-triangular", all(mat.is_upper_triangular() for mat in mats)),
         ("x-diagonal-matches", witness.diagonal == cert.x_diagonal),
         ("x-upper-triangular", witness.triangular),

@@ -137,17 +137,19 @@ def _cmd_check_semiring(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _require_valid(sr: Semiring) -> list[str]:
-    return [str(v) for v in verify_axioms(sr)]
+def _require_valid(sr: Semiring) -> bool:
+    """True when ``sr`` passes ``verify_axioms``; otherwise report why on stderr."""
+    violations = verify_axioms(sr)
+    if violations:
+        print("semiring fails axiom verification:", file=sys.stderr)
+        for v in violations:
+            print(f"  {v}", file=sys.stderr)
+    return not violations
 
 
 def _cmd_certify(args) -> int:
     sr = _load_semiring(args)
-    problems = _require_valid(sr)
-    if problems:
-        print("semiring fails axiom verification:", file=sys.stderr)
-        for line in problems:
-            print(f"  {line}", file=sys.stderr)
+    if not _require_valid(sr):
         return EXIT_FAIL
     cert = certify(sr, args.d, args.x, cap_hom=args.cap_hom, cap_cols=args.cap_cols)
     text = render_certificate(cert)
@@ -171,11 +173,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     sr = _load_semiring(args)
-    problems = _require_valid(sr)
-    if problems:
-        print("semiring fails axiom verification:", file=sys.stderr)
-        for line in problems:
-            print(f"  {line}", file=sys.stderr)
+    if not _require_valid(sr):
         return EXIT_FAIL
     result = span_oracle(sr, args.d, args.x, args.y,
                          cap_hom=args.cap_hom, cap_pairs=args.cap_pairs)
@@ -192,6 +190,8 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_verify(args) -> int:
     sr = _load_semiring(args)
+    if not _require_valid(sr):
+        return EXIT_FAIL
     cert = parse_certificate(Path(args.certificate).read_text(encoding="utf-8"))
     report = verify_certificate(sr, cert, cap_hom=args.cap_hom)
     if not args.quiet:

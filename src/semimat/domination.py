@@ -190,14 +190,17 @@ def nonvanishing_coefficients(table) -> list[Fraction]:
         if table[i][i] != 1:
             raise ValueError(f"table diagonal must be all ones, found 0 at {i}")
     coeffs: list[Fraction] = []
+    # sums[j] = sum over rows i < k of table[i][j] * a_i
+    sums = [Fraction(0)] * m
     for k in range(m):
-        forbidden = set()
-        for j in range(k + 1):
-            forbidden.add(-sum((coeffs[i] for i in range(k) if table[i][j]), Fraction(0)))
+        forbidden = {-sums[j] for j in range(k + 1)}
         c = 1
         while c in forbidden:
             c += 1
         coeffs.append(Fraction(c))
+        for j, e in enumerate(table[k]):
+            if e:
+                sums[j] += c
     return coeffs
 
 

@@ -17,8 +17,9 @@ computes the least upper bound of its arguments.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .errors import ParseError, StructureError
 
@@ -26,17 +27,29 @@ from .errors import ParseError, StructureError
 # this limit is almost certainly an input mistake.
 MAX_VERIFY_SIZE = 64
 
-AXIOM_NAMES = (
-    "add-identity",
-    "add-idempotent",
-    "add-commutative",
-    "add-associative",
-    "mul-identity",
-    "mul-associative",
-    "distributive-left",
-    "distributive-right",
-    "zero-annihilates",
+# One row per axiom: name, arity, the law over (add table, mul table,
+# zero, one, *elements), and the failure message's prefix.
+_AXIOMS = (
+    ("add-identity", 1, lambda A, M, z, o, a: A[z][a] == a == A[a][z],
+     "additive identity fails"),
+    ("add-idempotent", 1, lambda A, M, z, o, a: A[a][a] == a,
+     "addition not idempotent"),
+    ("add-commutative", 2, lambda A, M, z, o, a, b: A[a][b] == A[b][a],
+     "addition not commutative"),
+    ("add-associative", 3, lambda A, M, z, o, a, b, c: A[A[a][b]][c] == A[a][A[b][c]],
+     "addition not associative"),
+    ("mul-identity", 1, lambda A, M, z, o, a: M[o][a] == a == M[a][o],
+     "multiplicative identity fails"),
+    ("mul-associative", 3, lambda A, M, z, o, a, b, c: M[M[a][b]][c] == M[a][M[b][c]],
+     "multiplication not associative"),
+    ("distributive-left", 3, lambda A, M, z, o, a, b, c: M[a][A[b][c]] == A[M[a][b]][M[a][c]],
+     "a*(b+c) != a*b + a*c"),
+    ("distributive-right", 3, lambda A, M, z, o, a, b, c: M[A[a][b]][c] == A[M[a][c]][M[b][c]],
+     "(a+b)*c != a*c + b*c"),
+    ("zero-annihilates", 1, lambda A, M, z, o, a: M[z][a] == z == M[a][z],
+     "zero does not annihilate"),
 )
+AXIOM_NAMES = tuple(name for name, _, _, _ in _AXIOMS)
 
 ORDER_LAW_NAMES = (
     "reflexive",
@@ -149,91 +162,23 @@ def check_structure(sr: Semiring) -> None:
 def verify_axioms(sr: Semiring, max_size: int = MAX_VERIFY_SIZE) -> list[Violation]:
     """Exhaustively check every semiring axiom; empty result means valid.
 
-    Each failing axiom is reported once, with the first witnessing tuple in
-    scan order.  Malformed tables raise StructureError instead (the axioms
-    are then never checked).
+    Each failing axiom is reported once, with its lexicographically first
+    witnessing tuple.  Malformed tables raise StructureError instead (the
+    axioms are then never checked).
     """
     check_structure(sr)
     n = sr.size
     if n > max_size:
         raise StructureError(f"semiring size {n} exceeds the verification limit {max_size}")
-    add, mul, lab = sr.add_table, sr.mul_table, sr.labels
-    z, o = sr.zero, sr.one
     out: list[Violation] = []
-
-    for a in range(n):
-        if add[z][a] != a or add[a][z] != a:
-            out.append(Violation("add-identity", (a,), f"additive identity fails at a={lab[a]}"))
-            break
-    for a in range(n):
-        if add[a][a] != a:
-            out.append(Violation("add-idempotent", (a,), f"addition not idempotent at a={lab[a]}"))
-            break
-    done = False
-    for a in range(n):
-        for b in range(a + 1, n):
-            if add[a][b] != add[b][a]:
-                out.append(Violation("add-commutative", (a, b),
-                                     f"addition not commutative at a={lab[a]}, b={lab[b]}"))
-                done = True
-                break
-        if done:
-            break
-    witness = _assoc_witness(add, n)
-    if witness is not None:
-        a, b, c = witness
-        out.append(Violation("add-associative", witness,
-                             f"addition not associative at a={lab[a]}, b={lab[b]}, c={lab[c]}"))
-    for a in range(n):
-        if mul[o][a] != a or mul[a][o] != a:
-            out.append(Violation("mul-identity", (a,), f"multiplicative identity fails at a={lab[a]}"))
-            break
-    witness = _assoc_witness(mul, n)
-    if witness is not None:
-        a, b, c = witness
-        out.append(Violation("mul-associative", witness,
-                             f"multiplication not associative at a={lab[a]}, b={lab[b]}, c={lab[c]}"))
-    done = False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]:
-                    out.append(Violation("distributive-left", (a, b, c),
-                                         f"a*(b+c) != a*b + a*c at a={lab[a]}, b={lab[b]}, c={lab[c]}"))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    done = False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]:
-                    out.append(Violation("distributive-right", (a, b, c),
-                                         f"(a+b)*c != a*c + b*c at a={lab[a]}, b={lab[b]}, c={lab[c]}"))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    for a in range(n):
-        if mul[z][a] != z or mul[a][z] != z:
-            out.append(Violation("zero-annihilates", (a,), f"zero does not annihilate at a={lab[a]}"))
-            break
+    for name, arity, law, prefix in _AXIOMS:
+        holds = partial(law, sr.add_table, sr.mul_table, sr.zero, sr.one)
+        witness = next((w for w in itertools.product(range(n), repeat=arity)
+                        if not holds(*w)), None)
+        if witness is not None:
+            at = ", ".join(f"{v}={sr.labels[e]}" for v, e in zip("abc", witness))
+            out.append(Violation(name, witness, f"{prefix} at {at}"))
     return out
-
-
-def _assoc_witness(table, n):
-    for a in range(n):
-        for b in range(n):
-            ab = table[a][b]
-            for c in range(n):
-                if table[ab][c] != table[a][table[b][c]]:
-                    return (a, b, c)
-    return None
 
 
 def verify_order_laws(sr: Semiring) -> OrderLawReport:

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,38 @@ def test_verify_certificate_rejects_mutations():
     for name, mutant in mutants.items():
         report = verify_certificate(BOOL, mutant)
         assert not report.passed, f"mutation {name} was accepted"
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls to ``fn`` through every semimat module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "semimat" or name.startswith("semimat."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_each_product_is_composed_once(monkeypatch):
+    composes = count_calls(monkeypatch, compose)
+    actions = count_calls(monkeypatch, action_matrix)
+    cert = certify(BOOL, 1, 6)
+    m = len(cert.order)
+    # m^2 products h.s(f), all inside the action matrices, and m products D.E
+    assert m == 64
+    assert len(actions) == m
+    assert len(composes) <= m * m + m
+    composes.clear()
+    actions.clear()
+    assert verify_certificate(BOOL, cert).passed
+    assert len(actions) == m
+    assert len(composes) <= m * m + m
 
 
 @pytest.mark.parametrize("sr, d, x, names", [

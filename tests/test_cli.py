@@ -1,6 +1,7 @@
 import pytest
 
-from semimat import boolean_semiring, format_semiring, tropical_semiring
+from semimat import (boolean_semiring, certify, format_semiring, parse_semiring,
+                     render_certificate, tropical_semiring)
 from semimat.certfile import FORMAT_VERSION
 from semimat.cli import main
 
@@ -128,11 +129,22 @@ def test_huge_sizes_exceed_the_cap(argv, capsys):
     assert "2^20000 exceeds cap" in capsys.readouterr().err
 
 
-def test_certify_rejects_invalid_semiring(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["certify", "oracle", "verify"])
+def test_certify_rejects_invalid_semiring(command, tmp_path, capsys):
     path = tmp_path / "broken.semiring"
     path.write_text(BROKEN_DISTRIBUTIVITY)
-    assert main(["certify", "--semiring", str(path), "-d", "1", "-x", "2"]) == 1
-    assert "axiom" in capsys.readouterr().err
+    args = {"certify": ["-d", "1", "-x", "2"],
+            "oracle": ["-d", "1", "-x", "2", "-y", "2"],
+            "verify": [str(tmp_path / "cert.txt")]}[command]
+    if command == "verify":
+        # the library certify assumes a valid semiring, so it writes a
+        # certificate over the broken table that only the gate can refuse
+        cert = certify(parse_semiring(BROKEN_DISTRIBUTIVITY), 1, 2)
+        (tmp_path / "cert.txt").write_text(render_certificate(cert))
+    assert main([command, "--semiring", str(path), *args]) == 1
+    captured = capsys.readouterr()
+    assert "semiring fails axiom verification" in captured.err
+    assert "valid" not in captured.out
 
 
 def test_oracle_positive(capsys):

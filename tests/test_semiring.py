@@ -1,9 +1,13 @@
+import itertools
+import random
+
 import pytest
 
 from semimat import (ParseError, Semiring, StructureError, boolean_semiring,
                      builtin_semiring, format_semiring, natural_order,
                      parse_semiring, table_hash, tropical_semiring,
                      verify_axioms, verify_order_laws)
+from semimat.semiring import AXIOM_NAMES
 
 BUILTINS = [boolean_semiring()] + [tropical_semiring(n) for n in range(4)]
 
@@ -146,6 +150,44 @@ def test_some_tropical_mul_mutations_are_genuinely_valid():
     overflow = mutate(tropical_semiring(1), "mul", 1, 1, 2)
     assert verify_axioms(overflow) == []
     assert verify_order_laws(overflow).passed
+
+
+def first_failures(sr: Semiring) -> dict:
+    """Each broken axiom's lexicographically least failing tuple, by brute force."""
+    n, z, o, add, mul = sr.size, sr.zero, sr.one, sr.add, sr.mul
+    laws = {
+        "add-identity": (1, lambda a: add(z, a) == a and add(a, z) == a),
+        "add-idempotent": (1, lambda a: add(a, a) == a),
+        "add-commutative": (2, lambda a, b: add(a, b) == add(b, a)),
+        "add-associative": (3, lambda a, b, c: add(add(a, b), c) == add(a, add(b, c))),
+        "mul-identity": (1, lambda a: mul(o, a) == a and mul(a, o) == a),
+        "mul-associative": (3, lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c))),
+        "distributive-left": (3, lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c))),
+        "distributive-right": (3, lambda a, b, c: mul(add(a, b), c) == add(mul(a, c), mul(b, c))),
+        "zero-annihilates": (1, lambda a: mul(z, a) == z and mul(a, z) == z),
+    }
+    found = {}
+    for name, (arity, law) in laws.items():
+        failing = [w for w in itertools.product(range(n), repeat=arity) if not law(*w)]
+        if failing:
+            found[name] = min(failing)
+    return found
+
+
+def test_violations_report_each_broken_law_at_its_first_tuple():
+    rng = random.Random(3)
+    broken = 0
+    for _ in range(400):
+        sr = rng.choice(BUILTINS)
+        for _ in range(rng.randint(1, 3)):
+            sr = mutate(sr, rng.choice(("add", "mul")), rng.randrange(sr.size),
+                        rng.randrange(sr.size), rng.randrange(sr.size))
+        violations = verify_axioms(sr)
+        expected = first_failures(sr)
+        assert [v.axiom for v in violations] == [a for a in AXIOM_NAMES if a in expected]
+        assert {v.axiom: v.witness for v in violations} == expected
+        broken += bool(violations)
+    assert broken > 300
 
 
 def test_order_antisymmetry_and_heights():
