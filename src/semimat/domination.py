@@ -120,8 +120,12 @@ def identity_in_span(mats) -> list[Fraction] | None:
     return solve_linear(rows, rhs)
 
 
-def linear_combination(mats, coeffs) -> list[list[Fraction]]:
-    """Dense rational matrix sum(coeffs[i] * mats[i])."""
+def linear_combination(mats, coeffs) -> list[list[int | Fraction]]:
+    """Dense matrix sum(coeffs[i] * mats[i]), integral when the coefficients are.
+
+    Integral coefficients are added as ``int``, so each entry is an ``int``
+    unless a non-integral coefficient reaches it.
+    """
     mats = list(mats)
     coeffs = list(coeffs)
     if len(mats) != len(coeffs):
@@ -129,12 +133,15 @@ def linear_combination(mats, coeffs) -> list[list[Fraction]]:
     if not mats:
         raise ValueError("need at least one matrix")
     m = mats[0].dim
-    out = [[Fraction(0)] * m for _ in range(m)]
+    out: list[list[int | Fraction]] = [[0] * m for _ in range(m)]
     for mat, c in zip(mats, coeffs):
         if mat.dim != m:
             raise ValueError(f"mixed dimensions {mat.dim} and {m}")
         if c == 0:
             continue
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
         for i, t in enumerate(mat.targets):
             out[i][t] += c
     return out
@@ -221,17 +228,19 @@ class WitnessReport:
                 and self.det_by_elimination != 0)
 
 
-def assemble_witness(mats, coeffs) -> tuple[list[list[Fraction]], WitnessReport]:
+def assemble_witness(mats, coeffs) -> tuple[list[list[int | Fraction]], WitnessReport]:
     """Form X = sum(coeffs[i] * mats[i]) and report on its invertibility.
 
-    The determinant is computed twice: as the diagonal product (valid when
-    X is upper triangular) and by independent fraction-free elimination.
-    Both routes are exact and must agree.
+    The action matrices are 0/1, so X is integral (entries of type ``int``)
+    whenever the coefficients are, as in every certificate ``certify``
+    writes.  The determinant is computed twice: as the diagonal product
+    (valid when X is upper triangular) and by independent fraction-free
+    elimination.  Both routes are exact and must agree.
     """
     x = linear_combination(mats, coeffs)
     m = len(x)
     triangular = all(x[i][j] == 0 for i in range(m) for j in range(i))
-    diagonal = tuple(x[i][i] for i in range(m))
+    diagonal = tuple(Fraction(x[i][i]) for i in range(m))
     diagonal_nonzero = all(v != 0 for v in diagonal)
     det_diag: Fraction | None = None
     if triangular:

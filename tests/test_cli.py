@@ -182,9 +182,13 @@ def test_verify_hand_edited_coefficient(tmp_path, capsys):
           "--quiet"])
     text = out.read_text()
     assert "\nc 1\n" in text
-    out.write_text(text.replace("\nc 1\n", "\nc 0\n", 1))
-    assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 1
-    assert "INVALID" in capsys.readouterr().out
+    capsys.readouterr()
+    # zero, non-integral and negative coefficients: X stops matching the
+    # stored diagonal and determinant, rational entries included
+    for value in ("0", "1/2", "-1"):
+        out.write_text(text.replace("\nc 1\n", f"\nc {value}\n", 1))
+        assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 1, value
+        assert "INVALID" in capsys.readouterr().out
 
 
 def test_verify_wrong_semiring_is_fingerprint_error(tmp_path, capsys):
