@@ -23,9 +23,11 @@ the same branch checks ``verify_certificate`` runs, on the hom-set it
 already enumerated, and records their results; a failing check is a hard
 error, since the mathematics guarantees success.  In the construct
 branch both call the same builder, which computes every product h.s(f)
-once, through ``action_matrix``: the fixed points, inflation and X are
-read from those targets, and ``certify`` takes X's diagonal and
-determinant from the same report the checks read.
+once, with one ``right_action`` call per s(f): the fixed points and X
+are read from its targets and inflation from its flag, and ``certify``
+takes X's diagonal and determinant from the same report the checks read.
+``verify_preorder_map`` checks the same laws through ``compose`` and
+``dominates``, independently of that kernel.
 ``verify_certificate`` re-derives every claim from raw data, requires
 the recorded checks to be exactly the branch's list, all passing, and is
 happy to return a negative report for tampered certificates.
@@ -39,10 +41,10 @@ from typing import Callable, Mapping
 
 from .domination import (ActionMatrix, WitnessReport, action_matrix,
                          assemble_witness)
-from .errors import FingerprintError, InternalCheckError
+from .errors import CapExceededError, FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
                      compose, dominates, enumerate_hom, identity,
-                     power_exceeds)
+                     power_exceeds, right_action)
 from .semiring import Semiring, natural_order, table_hash
 
 DEFAULT_COLUMN_CAP = 4096
@@ -258,8 +260,8 @@ def certify(sr: Semiring, d: int, x: int,
 
     The checks are those ``verify_certificate`` runs, on the hom-set
     enumerated here, and the certificate records their results.  Raises
-    CapExceededError when |Hom(d, x)| exceeds ``cap_hom`` or n^d exceeds
-    ``cap_cols``, and InternalCheckError if any check fails (the
+    CapExceededError when |Hom(d, x)| exceeds ``cap_hom`` or n^d or x
+    exceeds ``cap_cols``, and InternalCheckError if any check fails (the
     construction always succeeds on a valid semiring, so failure means a
     bug, never a mathematical negative).  Assumes the semiring passed
     ``verify_axioms``.
@@ -268,6 +270,8 @@ def certify(sr: Semiring, d: int, x: int,
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
     y = capped_power(sr.size, d, cap_cols, "n^d")
     hom = enumerate_hom(sr, d, x, cap_hom)
+    if x > cap_cols:  # s(f) and the identity are x-by-x
+        raise CapExceededError(f"x = {x} exceeds cap {cap_cols}", size=x)
     base = dict(semiring_size=sr.size, semiring_hash=table_hash(sr), d=d, x=x, y=y,
                 order=tuple(vec for _, vec in hom.order_keys), checks=())
 
@@ -285,11 +289,11 @@ def certify(sr: Semiring, d: int, x: int,
         # induction of nonvanishing_coefficients never forbids 1, so every
         # coefficient is one.
         coefficients = (Fraction(1),) * hom.size
-        mats, witness = _action_witness(sr, blocks, hom, coefficients)
+        mats, inflating, witness = _action_witness(sr, blocks, hom, coefficients)
         cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
                            coefficients=coefficients, x_diagonal=witness.diagonal,
                            det_x=witness.det_by_diagonal, **base)
-        checks = _construct_checks(sr, cert, hom, mats, witness)
+        checks = _construct_checks(sr, cert, mats, inflating, witness)
     failed = [name for name, ok in checks if not ok]
     if failed:
         raise InternalCheckError(
@@ -359,9 +363,9 @@ def verify_certificate(sr: Semiring, cert: Certificate,
         return VerificationReport(checks=tuple(checks))
     if cert.branch == "pad":
         return VerificationReport(checks=tuple(checks) + _pad_checks(sr, cert, hom))
-    mats, witness = _action_witness(sr, cert.blocks, hom, cert.coefficients)
+    mats, inflating, witness = _action_witness(sr, cert.blocks, hom, cert.coefficients)
     return VerificationReport(
-        checks=tuple(checks) + _construct_checks(sr, cert, hom, mats, witness))
+        checks=tuple(checks) + _construct_checks(sr, cert, mats, inflating, witness))
 
 
 def _pad_checks(sr: Semiring, cert: Certificate,
@@ -373,26 +377,32 @@ def _pad_checks(sr: Semiring, cert: Certificate,
 
 
 def _action_witness(sr: Semiring, blocks, hom: HomEnumeration,
-                    coefficients) -> tuple[list[ActionMatrix], WitnessReport]:
-    """The action matrix of every s(f) and the report on X = sum c_i A(s(f_i)).
+                    coefficients) -> tuple[list[ActionMatrix], bool, WitnessReport]:
+    """The action matrix of every s(f), whether every s(f) inflates, and the report on X.
 
-    These are the only products h.s(f) the construct branch computes.
+    X = sum c_i A(s(f_i)).  One ``right_action`` call per block computes
+    every product h.s(f) the construct branch needs.
     """
-    mats = [action_matrix(sr, blk.s, hom) for blk in blocks]
+    mats = []
+    inflating = True
+    for blk in blocks:
+        targets, inflates = right_action(sr, blk.s, hom)
+        mats.append(ActionMatrix(dim=hom.size, targets=targets))
+        inflating = inflating and inflates
     _, witness = assemble_witness(mats, coefficients)
-    return mats, witness
+    return mats, inflating, witness
 
 
-def _construct_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
-                      mats: list[ActionMatrix],
+def _construct_checks(sr: Semiring, cert: Certificate, mats: list[ActionMatrix],
+                      inflating: bool,
                       witness: WitnessReport) -> tuple[tuple[str, bool], ...]:
     """The construct branch's checks, named as in CONSTRUCT_CHECK_NAMES.
 
-    ``hom`` is the canonical enumeration of Hom(d, x), which the blocks
-    are read as aligned with (``order-canonical`` pins that), and the
-    layout must be sound, so every entry is a semiring element.
-    Positions in ``hom`` are unique, so target i of row i is i exactly
-    when f_i.s(f_i) = f_i, and row h's target is the product h.s(f).
+    ``mats`` act on the canonical enumeration of Hom(d, x), which the
+    blocks are read as aligned with (``order-canonical`` pins that), and
+    the layout must be sound, so every entry is a semiring element.
+    Ranks are unique, so target i of row i is i exactly when
+    f_i.s(f_i) = f_i.
     """
     det = witness.det_by_elimination
     return (
@@ -400,8 +410,7 @@ def _construct_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
         ("v-counts", all(blk.v == blk.factor.width == _distinct_column_count(blk.s)
                          and blk.v <= cert.y for blk in cert.blocks)),
         ("fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))),
-        ("inflation", all(dominates(sr, h, hom.morphisms[t])
-                          for mat in mats for h, t in zip(hom.morphisms, mat.targets))),
+        ("inflation", inflating),
         ("actions-upper-triangular", all(mat.is_upper_triangular() for mat in mats)),
         ("x-diagonal-matches", witness.diagonal == cert.x_diagonal),
         ("x-upper-triangular", witness.triangular),

@@ -55,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--cap-hom", type=int, default=DEFAULT_HOM_CAP,
                       help="max |Hom(d,x)| (default %(default)s)")
     cert.add_argument("--cap-cols", type=int, default=DEFAULT_COLUMN_CAP,
-                      help="max n^d columns (default %(default)s)")
+                      help="max n^d columns, and max x (default %(default)s)")
     cert.add_argument("--out", metavar="PATH", help="write the certificate here "
                                                     "(default: stdout, report on stderr)")
     cert.add_argument("--quiet", action="store_true", help="suppress the report")
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--cap-hom", type=int, default=DEFAULT_HOM_CAP,
                      help="max |Hom(d,x)| (default %(default)s)")
     orc.add_argument("--cap-pairs", type=int, default=DEFAULT_PAIR_CAP,
-                     help="max factoring pairs (default %(default)s)")
+                     help="max factoring pairs, and max x^2 (default %(default)s)")
     orc.add_argument("--quiet", action="store_true", help="only print the verdict")
 
     ver = sub.add_parser("verify", help="independently re-verify a certificate file")

@@ -4,7 +4,9 @@ For a fixed hom-set enumeration of Hom(d, x) and an endomorphism s of x,
 the action matrix of s is the 0/1 matrix whose (f, g) entry is 1 exactly
 when composing f with s gives g.  Composition is a function, so each row
 holds a single 1; matrices are therefore stored as the per-row target
-index, with dense rational views built on demand.
+index, with dense rational views built on demand.  The targets come from
+the row-image kernel ``matcat.right_action``, not from one ``compose``
+per row.
 
 The object x is dominated by y at probe d when the rational span of the
 action matrices of all endomorphisms of x factoring through y contains
@@ -19,9 +21,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import CapExceededError
 from .linalg import determinant, solve_linear
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
-                     compose, enumerate_hom, from_entry_vector)
+                     compose, enumerate_hom, from_entry_vector, right_action)
 from .semiring import Semiring
 
 DEFAULT_PAIR_CAP = 65536
@@ -57,11 +60,7 @@ class ActionMatrix:
 
 def action_matrix(sr: Semiring, s: Morphism, hom: HomEnumeration) -> ActionMatrix:
     """The matrix of the right-composition action of s: x -> x on Hom(d, x)."""
-    if s.src != s.dst:
-        raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
-    if s.src != hom.x:
-        raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
-    targets = tuple(hom.position(compose(sr, g, s)) for g in hom.morphisms)
+    targets, _ = right_action(sr, s, hom)
     return ActionMatrix(dim=hom.size, targets=targets)
 
 
@@ -70,12 +69,15 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
 
     Deduplicated, in first-occurrence order of the lexicographic pair
     enumeration, so the result is deterministic.  Raises CapExceededError
-    when the number of (a, b) pairs exceeds ``cap_pairs``.
+    when the number of (a, b) pairs, or x^2, the size of each product,
+    exceeds ``cap_pairs``.
     """
     if x < 0 or y < 0:
         raise ValueError(f"objects must be whole numbers, got x={x}, y={y}")
     n = sr.size
     capped_power(n, 2 * x * y, cap_pairs, f"|Hom({x},{y})| * |Hom({y},{x})| pairs")
+    if x * x > cap_pairs:
+        raise CapExceededError(f"x^2 = {x * x} exceeds cap {cap_pairs}", size=x * x)
     lefts = [from_entry_vector(x, y, vec) for vec in itertools.product(range(n), repeat=x * y)]
     rights = [from_entry_vector(y, x, vec) for vec in itertools.product(range(n), repeat=y * x)]
     seen: dict[Morphism, None] = {}

@@ -9,12 +9,25 @@ Hom-sets are enumerated in a fixed total order (ascending entry-height sum,
 ties broken by the row-major entry vector).  Because a strictly dominated
 matrix has a strictly smaller height sum, this order is a linear extension
 of the entrywise dominance order.
+
+Hom(d, x) is every d-by-x matrix, so it is coded without a lookup table.
+A row is coded as the base-n integer of its entries, first column most
+significant, which maps the n^x possible rows one to one onto
+range(n^x); a matrix is coded by its rows' codes as base-n^x digits,
+first row most significant, i.e. by its row-major entry vector read in
+base n.  Every vector of d*x digits occurs exactly once, so the code is
+a bijection from Hom(d, x) onto range(n^(d*x)), and ``rank_of_code``
+turns a code into the position in the order above.  ``right_action``
+uses it to compute the action h -> h.s of an endomorphism s on the whole
+hom-set from the images of rows alone; ``compose`` and ``dominates``
+remain the reference it agrees with.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CapExceededError
 from .semiring import Semiring, natural_order
@@ -139,32 +152,45 @@ def capped_power(n: int, k: int, cap: int, what: str) -> int:
 
 @dataclass
 class HomEnumeration:
-    """All of Hom(d, x) in a fixed linear extension of the dominance order."""
+    """All of Hom(d, x) in a fixed linear extension of the dominance order.
+
+    Elements are addressed by rank (position in ``order_keys``) or by
+    code (the entry vector read as a base-n number); ``rank_of_code``
+    maps one to the other and ``row_codes[k][i]`` is the code of row k of
+    the element of rank i.  ``morphisms`` is built on first use.
+    """
 
     d: int
     x: int
-    morphisms: tuple[Morphism, ...]
+    n: int
     order_keys: tuple[tuple[int, tuple[int, ...]], ...]
-    _positions: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._positions = {m: i for i, m in enumerate(self.morphisms)}
+    rank_of_code: list[int] = field(repr=False)
+    row_codes: tuple[list[int], ...] = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.morphisms)
+        return len(self.order_keys)
 
     def __len__(self) -> int:
-        return len(self.morphisms)
+        return len(self.order_keys)
 
     def __iter__(self):
         return iter(self.morphisms)
 
+    @cached_property
+    def morphisms(self) -> tuple[Morphism, ...]:
+        return tuple(from_entry_vector(self.d, self.x, vec) for _, vec in self.order_keys)
+
     def position(self, m: Morphism) -> int:
-        try:
-            return self._positions[m]
-        except KeyError:
-            raise ValueError(f"morphism {m.src}x{m.dst} is not in the enumerated hom-set") from None
+        if m.signature != (self.d, self.x):
+            raise ValueError(f"morphism {m.src}x{m.dst} is not in Hom({self.d},{self.x})")
+        code = 0
+        for row in m.entries:
+            for e in row:
+                if e >= self.n:
+                    raise ValueError(f"entry {e} out of range for semiring of size {self.n}")
+                code = code * self.n + e
+        return self.rank_of_code[code]
 
 
 def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> HomEnumeration:
@@ -176,8 +202,76 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     if d < 0 or x < 0:
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
     capped_power(sr.size, d * x, cap, f"|Hom({d},{x})|")
+    n = sr.size
     height = natural_order(sr).height
-    keyed = sorted((sum(height[e] for e in vec), vec)
-                   for vec in itertools.product(range(sr.size), repeat=d * x))
-    morphisms = tuple(from_entry_vector(d, x, vec) for _, vec in keyed)
-    return HomEnumeration(d=d, x=x, morphisms=morphisms, order_keys=tuple(keyed))
+    # product() yields the entry vectors in lexicographic order, so the
+    # vector at index c has code c, and a stable sort by height sum breaks
+    # ties by the entry vector
+    vecs = list(itertools.product(range(n), repeat=d * x))
+    sums = [0]
+    for _ in range(d * x):
+        sums = [t + h for t in sums for h in height]
+    codes = sorted(range(len(vecs)), key=sums.__getitem__)
+    rank_of_code = [0] * len(codes)
+    for rank, code in enumerate(codes):
+        rank_of_code[code] = rank
+    # row k of the element with code c has code c // n^(x(d-1-k)) mod n^x
+    width = n ** x if d else 1  # n^x alone is unbounded when d = 0
+    row_codes = tuple([c // shift % width for c in codes]
+                      for shift in [n ** (x * k) for k in reversed(range(d))])
+    order_keys = tuple(zip(map(sums.__getitem__, codes), map(vecs.__getitem__, codes)))
+    return HomEnumeration(d=d, x=x, n=n, order_keys=order_keys,
+                          rank_of_code=rank_of_code, row_codes=row_codes)
+
+
+class _RowImages(dict):
+    """Row code r -> code of r.s for one endomorphism s, each computed on first use.
+
+    ``inflating`` stays true while every image computed so far lies above
+    its row in the natural order.
+    """
+
+    def __init__(self, sr: Semiring, s: Morphism) -> None:
+        super().__init__()
+        self.sr = sr
+        self.s = s.entries
+        self.leq = natural_order(sr).leq
+        self.inflating = True
+
+    def __missing__(self, r: int) -> int:
+        sr, x = self.sr, len(self.s)
+        n, add_t, mul_t, z = sr.size, sr.add_table, sr.mul_table, sr.zero
+        row, rest = [0] * x, r
+        for j in reversed(range(x)):
+            rest, row[j] = divmod(rest, n)
+        code = 0
+        for j in range(x):
+            acc = z
+            for k in range(x):
+                acc = add_t[acc][mul_t[row[k]][self.s[k][j]]]
+            self.inflating = self.inflating and self.leq[row[j]][acc]
+            code = code * n + acc
+        self[r] = code
+        return code
+
+
+def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> tuple[list[int], bool]:
+    """The rank of h.s for each h of ``hom`` in rank order, and whether h <= h.s for all h.
+
+    Row k of h.s is (row k of h).s, so each distinct row's image is
+    computed once and h.s is assembled from its rows' images; h lies below
+    h.s iff each of its rows lies below that row's image.  Agrees with
+    ``compose`` and ``dominates``, which are the reference.
+    """
+    if s.src != s.dst:
+        raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
+    if s.src != hom.x:
+        raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
+    _check_entries(sr, s)
+    images = _RowImages(sr, s)
+    rows = [list(map(images.__getitem__, col)) for col in hom.row_codes]
+    codes = rows[0] if rows else [0]  # d = 0: the one empty matrix has code 0
+    width = sr.size ** hom.x
+    for col in rows[1:]:
+        codes = [c * width + r for c, r in zip(codes, col)]
+    return list(map(hom.rank_of_code.__getitem__, codes)), images.inflating

@@ -6,13 +6,15 @@ import pytest
 
 from semimat import (CapExceededError, CertBlock, Factorization,
                      FingerprintError, Morphism, Semiring, action_matrix,
-                     boolean_semiring, certify, column_preorder, compose,
-                     enumerate_hom, factor_through, identity,
+                     assemble_witness, boolean_semiring, certify,
+                     column_preorder, compose, dominates, enumerate_hom,
+                     factor_through, identity,
                      nonvanishing_coefficients, pad_identity,
                      parse_certificate, render_certificate, tropical_semiring,
                      verify_certificate, verify_preorder_map)
 from semimat.certfile import FORMAT_VERSION
 from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES
+from semimat.matcat import right_action
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -269,18 +271,19 @@ def count_calls(monkeypatch, fn):
 
 def test_each_product_is_composed_once(monkeypatch):
     composes = count_calls(monkeypatch, compose)
-    actions = count_calls(monkeypatch, action_matrix)
+    actions = count_calls(monkeypatch, right_action)
     cert = certify(BOOL, 1, 6)
     m = len(cert.order)
-    # m^2 products h.s(f), all inside the action matrices, and m products D.E
+    # the m^2 products h.s(f) in m kernel calls, one per s(f); compose
+    # only for the m products D.E
     assert m == 64
     assert len(actions) == m
-    assert len(composes) <= m * m + m
+    assert len(composes) <= m
     composes.clear()
     actions.clear()
     assert verify_certificate(BOOL, cert).passed
     assert len(actions) == m
-    assert len(composes) <= m * m + m
+    assert len(composes) <= m
 
 
 @pytest.mark.parametrize("sr, d, x, names", [
@@ -345,6 +348,22 @@ def test_parse_certificate_rejects_negative_dimensions():
     good = render_certificate(certify(BOOL, 1, 2))
     with pytest.raises(ParseError, match="nonnegative"):
         parse_certificate(good.replace("d 1", "d -1"))
+
+
+def test_verify_rejects_a_non_inflating_s_that_keeps_x_triangular():
+    # s maps the row (0, 1, 0) to (1, 0, 0): above it in the order but not
+    # above it entrywise, so every check but inflation still passes
+    cert = certify(BOOL, 1, 3)
+    hom = enumerate_hom(BOOL, 1, 3)
+    s = Morphism(3, 3, ((1, 1, 1), (1, 0, 0), (1, 1, 1)))
+    assert not all(dominates(BOOL, h, compose(BOOL, h, s)) for h in hom)
+    fact = factor_through(BOOL, s, cert.y)
+    blocks = (CertBlock(s=s, factor=fact, v=fact.width),) + cert.blocks[1:]
+    mats = [action_matrix(BOOL, blk.s, hom) for blk in blocks]
+    _, witness = assemble_witness(mats, cert.coefficients)
+    forged = dataclasses.replace(cert, blocks=blocks, x_diagonal=witness.diagonal,
+                                 det_x=witness.det_by_diagonal)
+    assert verify_certificate(BOOL, forged).failures == ("inflation",)
 
 
 def test_verify_reports_invalid_on_out_of_range_entries():

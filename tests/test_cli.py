@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from semimat import (boolean_semiring, certify, format_semiring, parse_semiring,
@@ -127,6 +129,20 @@ def test_huge_sizes_exceed_the_cap(argv, capsys):
     command, *rest = argv
     assert main([command, "--builtin", "boolean", *rest]) == 3
     assert "2^20000 exceeds cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (["certify", "-d", "0", "-x", "5000"], "x = 5000 exceeds cap 4096"),
+    (["oracle", "-d", "0", "-x", "20000", "-y", "0"], "x^2 = 400000000 exceeds cap 65536"),
+], ids=["certify-wide-x", "oracle-wide-x"])
+def test_wide_x_exceeds_the_cap(argv, bound, capsys):
+    # d = 0 passes the n^d, |Hom| and pairs caps, but the x-by-x
+    # matrices behind them would cost x^2
+    command, *rest = argv
+    start = time.perf_counter()
+    assert main([command, "--builtin", "boolean", *rest]) == 3
+    assert time.perf_counter() - start < 2
+    assert bound in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["certify", "oracle", "verify"])

@@ -2,13 +2,31 @@ import itertools
 
 import pytest
 
-from semimat import (CapExceededError, Morphism, boolean_semiring, compose,
-                     dominates, entry_vector, enumerate_hom, format_morphism,
-                     from_entry_vector, hom_size, identity, tropical_semiring,
-                     zero_morphism)
+from semimat import (CapExceededError, Morphism, action_matrix,
+                     boolean_semiring, compose, dominates, entry_vector,
+                     enumerate_hom, format_morphism, from_entry_vector,
+                     hom_size, identity, natural_order, parse_semiring,
+                     tropical_semiring, verify_axioms, zero_morphism)
+from semimat.matcat import right_action
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
+
+# the 3-chain 0 < 1 < 2 under (max, min)
+CHAIN3 = parse_semiring("""\
+semiring 3
+labels 0 1 2
+zero 0
+one 2
+add
+0 1 2
+1 1 2
+2 2 2
+mul
+0 0 0
+0 1 1
+0 1 2
+""")
 
 
 def bool_matmul(a_rows, b_rows, z):
@@ -190,3 +208,54 @@ def test_format_morphism():
     m = Morphism(2, 2, ((0, 1), (1, 1)))
     assert format_morphism(BOOL, m) == "[[0, 1], [1, 1]]"
     assert format_morphism(BOOL, Morphism(0, 3, ())) == "[]"
+
+
+def eager_hom(sr, d, x):
+    """Reference enumeration: every Morphism built at once, sorted by (height sum, entry vector)."""
+    height = natural_order(sr).height
+    keyed = sorted((sum(height[e] for e in vec), vec)
+                   for vec in itertools.product(range(sr.size), repeat=d * x))
+    return tuple(keyed), tuple(from_entry_vector(d, x, vec) for _, vec in keyed)
+
+
+KERNEL_SEMIRINGS = [BOOL, TROP1, tropical_semiring(2), CHAIN3]
+
+
+@pytest.mark.parametrize("sr", KERNEL_SEMIRINGS, ids=["boolean", "tropical1", "tropical2", "chain3"])
+def test_right_action_matches_compose_and_dominates(sr):
+    # every endomorphism of x, not only the 0/1 ones, wherever the m
+    # products per endomorphism stay small in total
+    assert verify_axioms(sr) == []
+    n = sr.size
+    swept = 0
+    for d, x in itertools.product(range(3), range(4)):
+        m = n ** (d * x)
+        if m * n ** (x * x) > 2 ** 15:
+            continue
+        hom = enumerate_hom(sr, d, x)
+        keys, morphisms = eager_hom(sr, d, x)
+        assert hom.order_keys == keys
+        assert hom.morphisms == morphisms
+        assert [hom.position(g) for g in morphisms] == list(range(m))
+        for vec in itertools.product(range(n), repeat=x * x):
+            s = from_entry_vector(x, x, vec)
+            products = [compose(sr, g, s) for g in morphisms]
+            targets, inflating = right_action(sr, s, hom)
+            assert targets == [hom.position(p) for p in products]
+            assert inflating == all(dominates(sr, g, p) for g, p in zip(morphisms, products))
+            swept += 1
+    assert swept > n ** 4
+
+
+@pytest.mark.parametrize("sr", KERNEL_SEMIRINGS, ids=["boolean", "tropical1", "tropical2", "chain3"])
+def test_right_action_rejects_an_out_of_range_entry(sr):
+    hom = enumerate_hom(sr, 1, 2)
+    bad = Morphism(2, 2, ((sr.one, sr.size), (sr.zero, sr.one)))
+    with pytest.raises(ValueError):
+        compose(sr, hom.morphisms[0], bad)
+    with pytest.raises(ValueError):
+        right_action(sr, bad, hom)
+    with pytest.raises(ValueError):
+        action_matrix(sr, bad, hom)
+    with pytest.raises(ValueError):
+        hom.position(Morphism(1, 2, ((0, sr.size),)))
