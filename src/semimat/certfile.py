@@ -9,6 +9,7 @@ starts a comment and blank lines are ignored on input.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .certifier import CertBlock, Certificate, Factorization
@@ -17,6 +18,7 @@ from .matcat import Morphism
 
 FORMAT_MAGIC = "semimat-certificate"
 FORMAT_VERSION = 2
+_FRACTION = r"-?[0-9]+(/[0-9]+)?"  # p or p/q, as render_certificate writes them
 
 
 def _matrix_text(m: Morphism) -> str:
@@ -97,6 +99,10 @@ class _Reader:
         lineno, rest = self.take(keyword)
         if len(rest) != 1:
             raise ParseError(f"line {lineno}: expected '{keyword} <fraction>'")
+        # Fraction alone also reads '1e9999999', whose value costs
+        # unbounded time and memory
+        if not re.fullmatch(_FRACTION, rest[0]):
+            raise ParseError(f"line {lineno}: bad fraction {rest[0]!r}")
         try:
             return Fraction(rest[0])
         except (ValueError, ZeroDivisionError):

@@ -10,21 +10,30 @@ per row.
 
 The object x is dominated by y at probe d when the rational span of the
 action matrices of all endomorphisms of x factoring through y contains
-the identity matrix.  ``span_oracle`` decides that definition directly by
-brute-force enumeration and an exact linear solve; it is meant for tiny
-instances and cross-checks the constructive certificates.
+the identity matrix.  ``span_oracle`` decides that definition directly
+and cross-checks the constructive certificates.  ``endomorphisms_through``
+lists every product a.b through y, assembled from the row images of b
+(``matcat._RowImages``) as integer codes, and builds a ``Morphism`` only
+per distinct product.  ``identity_in_span`` hands one sparse 0/1 column
+per action matrix to ``linalg.solve_linear``, a sparse integer
+elimination that stops once the identity is reached.  Its cost is still
+exponential in x*y (the pairs) and in d*x (the hom-set), so the caps
+bound it.  The tests keep the slow versions as references:
+``endomorphisms_through_reference`` (one ``compose`` per pair) and
+``gauss_jordan_oracle`` (dense Gauss-Jordan over ``Fraction``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError
 from .linalg import determinant, solve_linear
-from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
-                     compose, enumerate_hom, from_entry_vector, right_action)
+from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, _RowImages,
+                     capped_power, enumerate_hom, from_entry_vector, right_action)
 from .semiring import Semiring
 
 DEFAULT_PAIR_CAP = 65536
@@ -71,6 +80,11 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     enumeration, so the result is deterministic.  Raises CapExceededError
     when the number of (a, b) pairs, or x^2, the size of each product,
     exceeds ``cap_pairs``.
+
+    Row i of a.b is (row i of a).b, so each b's row images are computed
+    once (``matcat._RowImages``) and each product is assembled from them
+    as its code, the entry vector read in base n; a ``Morphism`` is built
+    only for each distinct code.
     """
     if x < 0 or y < 0:
         raise ValueError(f"objects must be whole numbers, got x={x}, y={y}")
@@ -78,22 +92,35 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     capped_power(n, 2 * x * y, cap_pairs, f"|Hom({x},{y})| * |Hom({y},{x})| pairs")
     if x * x > cap_pairs:
         raise CapExceededError(f"x^2 = {x * x} exceeds cap {cap_pairs}", size=x * x)
-    lefts = [from_entry_vector(x, y, vec) for vec in itertools.product(range(n), repeat=x * y)]
-    rights = [from_entry_vector(y, x, vec) for vec in itertools.product(range(n), repeat=y * x)]
-    seen: dict[Morphism, None] = {}
-    for a in lefts:
-        for b in rights:
-            seen.setdefault(compose(sr, a, b), None)
-    return list(seen)
+    rights = [_RowImages(sr, from_entry_vector(y, x, vec))
+              for vec in itertools.product(range(n), repeat=y * x)]
+    width = n ** x
+    codes: dict[int, None] = {}
+    for vec in itertools.product(range(n), repeat=x * y):
+        rows = [functools.reduce(lambda c, e: c * n + e, vec[i * y:(i + 1) * y], 0)
+                for i in range(x)]
+        for images in rights:
+            code = 0
+            for r in rows:
+                code = code * width + images[r]
+            codes[code] = None
+    endos = []
+    for code in codes:
+        vec = [0] * (x * x)
+        for i in reversed(range(x * x)):
+            code, vec[i] = divmod(code, n)
+        endos.append(from_entry_vector(x, x, vec))
+    return endos
 
 
 def identity_in_span(mats) -> list[Fraction] | None:
     """Exact rational coefficients with sum(c_t * M_t) = Id, or None.
 
-    The entrywise equations form a linear system in the coefficients; it
-    is solved exactly, so the answer is definitive either way.  Only
-    equations touched by at least one matrix are materialized (all others
-    read 0 = 0, except missing diagonal entries, which force a negative).
+    The entrywise equations form a linear system in the coefficients,
+    solved exactly by ``solve_linear``, so the answer is definitive
+    either way.  Matrix t is the sparse column {(f, targets[f]): 1}, with
+    (f, g) keyed as f * m + g; equations no matrix touches read 0 = 0,
+    except missing diagonal entries, which force a negative.
     """
     mats = list(mats)
     if not mats:
@@ -102,24 +129,11 @@ def identity_in_span(mats) -> list[Fraction] | None:
     for mat in mats:
         if mat.dim != m:
             raise ValueError(f"mixed dimensions {mat.dim} and {m}")
-    equations: dict[tuple[int, int], list[int]] = {}
-    for t, mat in enumerate(mats):
-        for f, g in enumerate(mat.targets):
-            equations.setdefault((f, g), []).append(t)
-    for f in range(m):
-        if (f, f) not in equations:
-            return None
-    keys = sorted(equations)
-    k = len(mats)
-    rows = []
-    rhs = []
-    for f, g in keys:
-        row = [Fraction(0)] * k
-        for t in equations[(f, g)]:
-            row[t] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1) if f == g else Fraction(0))
-    return solve_linear(rows, rhs)
+    diagonal = {f for mat in mats for f, g in enumerate(mat.targets) if f == g}
+    if len(diagonal) < m:
+        return None
+    columns = [{f * m + g: 1 for f, g in enumerate(mat.targets)} for mat in mats]
+    return solve_linear(columns, {f * m + f: 1 for f in range(m)})
 
 
 def linear_combination(mats, coeffs) -> list[list[int | Fraction]]:

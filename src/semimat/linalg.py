@@ -2,46 +2,129 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 
 
-def solve_linear(rows, rhs):
-    """Solve A c = rhs exactly by Gauss-Jordan elimination.
+def _integral(pairs) -> tuple[int, dict]:
+    """(den, w) for a vector given as (key, value) pairs: w = den * vector, sparse and integral.
 
-    ``rows`` is a list of equation rows (coefficients per unknown), ``rhs``
-    the right-hand sides.  Returns one solution (free unknowns set to 0)
-    or None when the system is inconsistent.
+    ``den`` is the lcm of the values' denominators; zeros are dropped.
     """
-    m = len(rows)
-    if m != len(rhs):
-        raise ValueError(f"{m} equations but {len(rhs)} right-hand sides")
-    k = len(rows[0]) if m else 0
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pr is None:
+    vals = {k: v if isinstance(v, int) else Fraction(v) for k, v in pairs if v}
+    den = math.lcm(*(v.denominator for v in vals.values()))
+    return den, {k: v.numerator * (den // v.denominator) for k, v in vals.items()}
+
+
+def _reduce(v: dict, basis, where: dict, steps: list) -> None:
+    """Reduce the integer vector v in place against ``basis``, in basis order.
+
+    ``basis[j]`` is (p_j, B_j) with B_j zero at p_i for every i < j, so a
+    step on B_j leaves v zero at p_1..p_j, and each step only adds pivot
+    keys of later basis vectors.  A step v <- m v - n B_j (m > 0, the
+    smallest integers that clear p_j) is appended to ``steps`` as (j, m, n).
+    """
+    pending = sorted(where[k] for k in v if k in where)
+    done = 0
+    while done < len(pending):
+        j = pending[done]
+        done += 1
+        p, piv = basis[j]
+        a = v.get(p)
+        if not a:
             continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        pv = aug[r][c]
-        if pv != 1:
-            aug[r] = [v / pv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
+        b = piv[p]
+        g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)
+        m, n = b // g, a // g
+        if m != 1:
+            for k in v:
+                v[k] *= m
+        for k, w in piv.items():
+            if k in v:
+                u = v[k] - n * w
+                if u:
+                    v[k] = u
+                else:
+                    del v[k]
+            else:
+                v[k] = -n * w
+                if k in where:
+                    bisect.insort(pending, where[k], lo=done)
+        steps.append((j, m, n))
+
+
+def _expansion(steps) -> tuple[dict[int, Fraction], Fraction]:
+    """(coef, lam) with v_before = lam * v_after + sum_j coef[j] * B_j for these steps."""
+    coef: dict[int, Fraction] = {}
+    lam = Fraction(1)
+    for j, m, n in steps:
+        coef[j] = lam * n / m
+        lam /= m
+    return coef, lam
+
+
+def solve_linear(columns, rhs) -> list[Fraction] | None:
+    """Solve sum_t c_t * columns[t] = rhs exactly; None when no such c exists.
+
+    Each column, and ``rhs``, is a sparse vector: a mapping from key to
+    an ``int`` or ``Fraction``, absent keys being zero.  A column with
+    rational entries is scaled to integers by the lcm of its
+    denominators, and the scale is undone in the answer.
+
+    The columns are read in order and reduced by sparse integer
+    elimination against the pivot columns before them; a column becomes
+    a pivot column iff it is independent of the earlier ones.  After
+    each new pivot the residue of ``rhs`` is reduced by it, and the solve
+    stops as soon as the residue is zero.  The answer is the unique
+    representation of ``rhs`` in the pivot columns, with every other
+    unknown 0.  Dense Gauss-Jordan elimination with free unknowns set to
+    0 returns the same vector: its pivot columns are the same greedy
+    independent set, later pivots included, and a representation in an
+    independent set is unique.
+
+    The pivot columns are kept in echelon form B_1..B_r (B_j is zero at
+    the pivot keys of the earlier ones), and each is recorded as a
+    combination of B_1..B_j; the coefficients are found from the
+    residue's combination of the B_j by one back-substitution.
+    """
+    rhs_den, residue = _integral(rhs.items())
+    basis: list[tuple[object, dict]] = []
+    where: dict[object, int] = {}        # pivot key -> basis index
+    unknowns: list[tuple[int, int]] = []  # (t, den) of each basis vector's column
+    lower: list[dict[int, Fraction]] = []  # column of basis[j] = sum_i lower[j][i] B_i
+    residue_steps: list[tuple[int, int, int]] = []
+    for t, column in enumerate(columns):
+        if not residue:
             break
-    for i in range(r, m):
-        if aug[i][k] != 0:
-            return None
-    sol = [Fraction(0)] * k
-    for pr, pc in pivots:
-        sol[pc] = aug[pr][k]
+        den, v = _integral(column.items())
+        steps: list[tuple[int, int, int]] = []
+        _reduce(v, basis, where, steps)
+        if not v:
+            continue
+        h = math.gcd(*v.values())
+        for k in v:
+            v[k] //= h
+        p = min(v, key=lambda k: abs(v[k]))
+        coef, lam = _expansion(steps)
+        coef[len(basis)] = lam * h
+        where[p] = len(basis)
+        basis.append((p, v))
+        unknowns.append((t, den))
+        lower.append(coef)
+        _reduce(residue, basis, where, residue_steps)
+    if residue:
+        return None
+    acc, _ = _expansion(residue_steps)
+    sol = [Fraction(0)] * len(columns)
+    for j in reversed(range(len(basis))):
+        xj = acc.get(j, 0) / lower[j][j]
+        if xj:
+            for i, l in lower[j].items():
+                if i != j:
+                    acc[i] = acc.get(i, 0) - xj * l
+            t, den = unknowns[j]
+            sol[t] = xj * den / rhs_den
     return sol
 
 
@@ -74,9 +157,8 @@ def determinant(rows) -> Fraction:
     for row in rows:
         if len(row) != m:
             raise ValueError("determinant needs a square matrix")
-        entries = [(j, Fraction(v)) for j, v in enumerate(row) if v]
-        den = math.lcm(*(q.denominator for _, q in entries))
-        sparse.append({j: q.numerator * (den // q.denominator) for j, q in entries if q})
+        den, entries = _integral(enumerate(row))
+        sparse.append(entries)
         scale *= den
     # cols[j]: rows not yet used as a pivot with a nonzero in column j.
     cols: list[set[int]] = [set() for _ in range(m)]

@@ -225,31 +225,29 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
 
 
 class _RowImages(dict):
-    """Row code r -> code of r.s for one endomorphism s, each computed on first use.
+    """Row code r -> code of r.s for one y-by-x matrix s, each computed on first use.
 
-    ``inflating`` stays true while every image computed so far lies above
-    its row in the natural order.
+    A row code is a length-y row read as a base-n number, first entry
+    most significant; its image r.s is a length-x row, coded the same way.
     """
 
     def __init__(self, sr: Semiring, s: Morphism) -> None:
         super().__init__()
         self.sr = sr
         self.s = s.entries
-        self.leq = natural_order(sr).leq
-        self.inflating = True
+        self.y, self.x = s.signature
 
     def __missing__(self, r: int) -> int:
-        sr, x = self.sr, len(self.s)
+        sr, s, y = self.sr, self.s, self.y
         n, add_t, mul_t, z = sr.size, sr.add_table, sr.mul_table, sr.zero
-        row, rest = [0] * x, r
-        for j in reversed(range(x)):
-            rest, row[j] = divmod(rest, n)
+        row, rest = [0] * y, r
+        for k in reversed(range(y)):
+            rest, row[k] = divmod(rest, n)
         code = 0
-        for j in range(x):
+        for j in range(self.x):
             acc = z
-            for k in range(x):
-                acc = add_t[acc][mul_t[row[k]][self.s[k][j]]]
-            self.inflating = self.inflating and self.leq[row[j]][acc]
+            for k in range(y):
+                acc = add_t[acc][mul_t[row[k]][s[k][j]]]
             code = code * n + acc
         self[r] = code
         return code
@@ -274,4 +272,7 @@ def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> tuple[list[i
     width = sr.size ** hom.x
     for col in rows[1:]:
         codes = [c * width + r for c, r in zip(codes, col)]
-    return list(map(hom.rank_of_code.__getitem__, codes)), images.inflating
+    n, leq = sr.size, natural_order(sr).leq
+    digits = [n ** j for j in range(hom.x)]
+    inflating = all(leq[r // q % n][c // q % n] for r, c in images.items() for q in digits)
+    return list(map(hom.rank_of_code.__getitem__, codes)), inflating

@@ -1,9 +1,11 @@
+import hashlib
 import time
+from fractions import Fraction
 
 import pytest
 
-from semimat import (boolean_semiring, certify, format_semiring, parse_semiring,
-                     render_certificate, tropical_semiring)
+from semimat import (boolean_semiring, certify, format_semiring, parse_certificate,
+                     parse_semiring, render_certificate, tropical_semiring)
 from semimat.certfile import FORMAT_VERSION
 from semimat.cli import main
 
@@ -184,6 +186,34 @@ def test_oracle_cap(capsys):
                  "--cap-pairs", "5"]) == 3
 
 
+# SHA-256 of the full ``oracle`` stdout, recorded from the dense
+# Gauss-Jordan solve and the compose-based enumeration; the fast oracle
+# must print the same bytes (verdict, endomorphism count, coefficients).
+ORACLE_STDOUT_SHA256 = [
+    (["--builtin", "boolean", "-d", "1", "-x", "3", "-y", "2"], 0,
+     "bfba23e0d360d4fde303f776abfc63e458a3df6730138fd05b7b70ea201230a9"),
+    (["--builtin", "tropical", "--tropical-n", "1", "-d", "2", "-x", "2", "-y", "2"], 0,
+     "3018ca235ea324f6319a0745ae97c59293d4eb2ae4409b7f828102736e170c3f"),
+    (["--builtin", "tropical", "--tropical-n", "2", "-d", "1", "-x", "2", "-y", "2"], 0,
+     "dad3053c5aa5587ee380dbdf11a437f4921f80845fde8c788d7e021292353654"),
+    (["--builtin", "boolean", "-d", "1", "-x", "3", "-y", "0"], 1,
+     "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    (["--builtin", "tropical", "--tropical-n", "1", "-d", "1", "-x", "4", "-y", "0"], 1,
+     "2ed27c1421e6928dbe13dbfdb5c59e1045b30341fe7ebe05700006bc5ac572c0"),
+    (["--builtin", "boolean", "-d", "1", "-x", "2", "-y", "2"], 0,
+     "5613c87cc484ba1d3f672ba71c62651f212a18118e06759f98c410576f120dc2"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", ORACLE_STDOUT_SHA256,
+                         ids=["boolean-1-3-2", "tropical1-2-2-2", "tropical2-1-2-2",
+                              "boolean-1-3-0", "tropical1-1-4-0", "boolean-1-2-2"])
+def test_oracle_stdout_is_pinned(argv, code, digest, capsys):
+    assert main(["oracle", *argv]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
 def test_verify_fresh_certificate(tmp_path, capsys):
     out = tmp_path / "cert.txt"
     main(["certify", "--builtin", "boolean", "-d", "1", "-x", "3", "--out", str(out),
@@ -205,6 +235,34 @@ def test_verify_hand_edited_coefficient(tmp_path, capsys):
         out.write_text(text.replace("\nc 1\n", f"\nc {value}\n", 1))
         assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 1, value
         assert "INVALID" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("old, new", [("c 1", "c 1e0"), ("c 1", "c 1.0"), ("c 1", "c 1_0"),
+                                      ("det 64", "det 1e9999999")],
+                         ids=["exponent", "decimal", "underscore", "huge-exponent"])
+def test_verify_rejects_a_fraction_render_never_writes(old, new, tmp_path, capsys):
+    # Fraction() reads these, and '1e9999999' would cost unbounded time
+    # and memory before any check ran; the parser reads only p or p/q
+    out = tmp_path / "cert.txt"
+    main(["certify", "--builtin", "boolean", "-d", "1", "-x", "3", "--out", str(out),
+          "--quiet"])
+    text = out.read_text()
+    assert f"\n{old}\n" in text
+    out.write_text(text.replace(f"\n{old}\n", f"\n{new}\n", 1))
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "bad fraction" in capsys.readouterr().err
+
+
+def test_verify_parses_a_negative_rational_coefficient(tmp_path, capsys):
+    out = tmp_path / "cert.txt"
+    main(["certify", "--builtin", "boolean", "-d", "1", "-x", "3", "--out", str(out),
+          "--quiet"])
+    out.write_text(out.read_text().replace("\nc 1\n", "\nc -3/2\n", 1))
+    assert parse_certificate(out.read_text()).coefficients[0] == Fraction(-3, 2)
+    assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 1
 
 
 def test_verify_wrong_semiring_is_fingerprint_error(tmp_path, capsys):

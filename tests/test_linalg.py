@@ -46,6 +46,46 @@ def bareiss_oracle(rows):
     return sign * a[m - 1][m - 1]
 
 
+def gauss_jordan_oracle(rows, rhs):
+    """Dense Gauss-Jordan elimination over Fraction on rows . c = rhs.
+
+    The library's solve before it ran on sparse integer columns; kept as
+    the reference the sparse solve is checked against.  Returns one
+    solution, free unknowns set to 0, or None when the system is
+    inconsistent.
+    """
+    m = len(rows)
+    if m != len(rhs):
+        raise ValueError(f"{m} equations but {len(rhs)} right-hand sides")
+    k = len(rows[0]) if m else 0
+    aug = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(m)]
+    pivots: list[tuple[int, int]] = []
+    r = 0
+    for c in range(k):
+        pr = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        pv = aug[r][c]
+        if pv != 1:
+            aug[r] = [v / pv for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [vi - f * vr for vi, vr in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][k] != 0:
+            return None
+    sol = [Fraction(0)] * k
+    for pr, pc in pivots:
+        sol[pc] = aug[pr][k]
+    return sol
+
+
 def cofactor_det(rows):
     """Independent expansion-by-first-row determinant for small matrices."""
     m = len(rows)
@@ -61,21 +101,28 @@ def cofactor_det(rows):
     return total
 
 
+def column_form(rows, rhs):
+    """The dense system rows . c = rhs as one sparse column per unknown and a sparse rhs."""
+    k = len(rows[0]) if rows else 0
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(k)]
+    return columns, {i: v for i, v in enumerate(rhs) if v}
+
+
 def test_solve_unique():
-    sol = solve_linear([[2, 0], [0, 4]], [1, 1])
+    sol = solve_linear(*column_form([[2, 0], [0, 4]], [1, 1]))
     assert sol == [Fraction(1, 2), Fraction(1, 4)]
 
 
 def test_solve_underdetermined_sets_free_to_zero():
-    sol = solve_linear([[1, 1]], [3])
+    sol = solve_linear(*column_form([[1, 1]], [3]))
     assert sol is not None
     assert sol[0] + sol[1] == 3
     assert Fraction(0) in sol
 
 
 def test_solve_inconsistent():
-    assert solve_linear([[1, 1], [1, 1]], [1, 2]) is None
-    assert solve_linear([[0, 0]], [1]) is None
+    assert solve_linear(*column_form([[1, 1], [1, 1]], [1, 2])) is None
+    assert solve_linear(*column_form([[0, 0]], [1])) is None
 
 
 def test_solve_random_consistent_systems_exactly():
@@ -87,10 +134,87 @@ def test_solve_random_consistent_systems_exactly():
              for _ in range(m)]
         x = [Fraction(rng.randrange(-4, 5)) for _ in range(k)]
         b = [sum(a[i][j] * x[j] for j in range(k)) for i in range(m)]
-        sol = solve_linear(a, b)
+        sol = solve_linear(*column_form(a, b))
         assert sol is not None
         for i in range(m):
             assert sum(a[i][j] * sol[j] for j in range(k)) == b[i]
+
+
+def random_system(rng):
+    """A small dense system with the shapes the sweep must cover, seeded by ``rng``."""
+    m, k = rng.randrange(1, 7), rng.randrange(0, 8)
+    density, rational = rng.random(), rng.random() < 0.4
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        if rational and rng.random() < 0.5:
+            return Fraction(rng.randrange(-6, 7), rng.randrange(1, 5))
+        return rng.randrange(-3, 4)
+    rows = [[entry() for _ in range(k)] for _ in range(m)]
+    for _ in range(rng.randrange(3) if k >= 2 else 0):
+        # a duplicate, zero or multiple column, or a combination of two others
+        i, j, t = (rng.randrange(k) for _ in range(3))
+        f, g = rng.choice([0, 1, -2, Fraction(1, 3)]), rng.randrange(-2, 3)
+        for row in rows:
+            row[t] = f * row[i] + g * row[j]
+    if k and rng.random() < 0.5:
+        c = [rng.choice([0, 0, 1, -1, Fraction(2, 3)]) for _ in range(k)]
+        rhs = [sum(row[j] * c[j] for j in range(k)) for row in rows]
+    else:
+        rhs = [entry() if rng.random() < 0.8 else rng.randrange(1, 4) for _ in range(m)]
+    return rows, rhs
+
+
+def test_solve_matches_dense_gauss_jordan_on_a_seeded_sweep():
+    rng = random.Random(20261018)
+    seen = dict.fromkeys(["inconsistent", "rank-deficient", "duplicate", "zero-column",
+                          "rational", "no-unknowns", "stops-early"], 0)
+    for _ in range(3000):
+        rows, rhs = random_system(rng)
+        k = len(rows[0])
+        sol = solve_linear(*column_form(rows, rhs))
+        assert sol == gauss_jordan_oracle(rows, rhs), (rows, rhs)
+        columns = [tuple(row[j] for row in rows) for j in range(k)]
+
+        def independent(j):
+            return gauss_jordan_oracle([row[:j] for row in rows], list(columns[j])) is None
+        pivots = [j for j in range(k) if independent(j)]
+        seen["inconsistent"] += sol is None
+        seen["rank-deficient"] += len(pivots) < min(len(rows), k)
+        seen["duplicate"] += len(set(columns)) < k
+        seen["zero-column"] += any(not any(col) for col in columns)
+        seen["rational"] += any(type(v) is Fraction and v.denominator > 1
+                                for row in rows for v in row)
+        seen["no-unknowns"] += k == 0
+        if sol is not None:
+            # the rhs lies in the span of a prefix that misses a later pivot column
+            used = max((j for j in range(k) if sol[j]), default=-1)
+            seen["stops-early"] += any(j > used for j in pivots)
+    assert all(count >= 50 for count in seen.values()), seen
+
+
+def test_solve_of_an_empty_system():
+    assert solve_linear([], {}) == []
+    assert solve_linear([], {0: 1}) is None
+    assert solve_linear([{}, {}, {}], {}) == [0, 0, 0]
+    assert solve_linear([{}, {"a": 0}], {"a": Fraction(1, 2)}) is None
+
+
+class Unread(dict):
+    """A column that fails the test if the solve reads it."""
+
+    def items(self):
+        raise AssertionError("the solve read a column after the residue reached zero")
+
+
+def test_solve_stops_once_the_rhs_is_reached():
+    # the last column is independent of the first two, but the rhs is
+    # their combination, so it is never read and its unknown is 0
+    sol = solve_linear([{0: 2, 1: 1}, {1: Fraction(1, 3)}, Unread({2: 1})],
+                       {0: 4, 1: 3})
+    assert sol == [2, 3, 0]
+    assert solve_linear([{0: 1}, Unread({0: 1})], {}) == [0, 0]
 
 
 def test_determinant_known_values():
