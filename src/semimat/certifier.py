@@ -26,6 +26,10 @@ branch both call the same builder, which computes every product h.s(f)
 once, with one ``right_action`` call per s(f): the fixed points and X
 are read from its targets and inflation from its flag, and ``certify``
 takes X's diagonal and determinant from the same report the checks read.
+X is formed only when every action matrix is upper triangular, so it is
+upper triangular and its elimination takes no step; otherwise the report
+ends at ``actions-upper-triangular``, as at ``y-matches``,
+``order-canonical`` and ``layout``.
 ``verify_preorder_map`` checks the same laws through ``compose`` and
 ``dominates``, independently of that kernel.
 ``verify_certificate`` re-derives every claim from raw data, requires
@@ -290,9 +294,11 @@ def certify(sr: Semiring, d: int, x: int,
         # coefficient is one.
         coefficients = (Fraction(1),) * hom.size
         mats, inflating, witness = _action_witness(sr, blocks, hom, coefficients)
+        # no witness only if a check fails, which is raised below
+        diagonal, det = (witness.diagonal, witness.det_by_diagonal) if witness else ((), None)
         cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
-                           coefficients=coefficients, x_diagonal=witness.diagonal,
-                           det_x=witness.det_by_diagonal, **base)
+                           coefficients=coefficients, x_diagonal=diagonal,
+                           det_x=det, **base)
         checks = _construct_checks(sr, cert, mats, inflating, witness)
     failed = [name for name, ok in checks if not ok]
     if failed:
@@ -377,11 +383,12 @@ def _pad_checks(sr: Semiring, cert: Certificate,
 
 
 def _action_witness(sr: Semiring, blocks, hom: HomEnumeration,
-                    coefficients) -> tuple[list[ActionMatrix], bool, WitnessReport]:
+                    coefficients) -> tuple[list[ActionMatrix], bool, WitnessReport | None]:
     """The action matrix of every s(f), whether every s(f) inflates, and the report on X.
 
     X = sum c_i A(s(f_i)).  One ``right_action`` call per block computes
-    every product h.s(f) the construct branch needs.
+    every product h.s(f) the construct branch needs.  The report is None
+    unless every action matrix is upper triangular.
     """
     mats = []
     inflating = True
@@ -389,29 +396,36 @@ def _action_witness(sr: Semiring, blocks, hom: HomEnumeration,
         targets, inflates = right_action(sr, blk.s, hom)
         mats.append(ActionMatrix(dim=hom.size, targets=targets))
         inflating = inflating and inflates
+    if not all(mat.is_upper_triangular() for mat in mats):
+        return mats, inflating, None
     _, witness = assemble_witness(mats, coefficients)
     return mats, inflating, witness
 
 
 def _construct_checks(sr: Semiring, cert: Certificate, mats: list[ActionMatrix],
                       inflating: bool,
-                      witness: WitnessReport) -> tuple[tuple[str, bool], ...]:
+                      witness: WitnessReport | None) -> tuple[tuple[str, bool], ...]:
     """The construct branch's checks, named as in CONSTRUCT_CHECK_NAMES.
 
     ``mats`` act on the canonical enumeration of Hom(d, x), which the
     blocks are read as aligned with (``order-canonical`` pins that), and
     the layout must be sound, so every entry is a semiring element.
     Ranks are unique, so target i of row i is i exactly when
-    f_i.s(f_i) = f_i.
+    f_i.s(f_i) = f_i.  Without a witness they end at
+    ``actions-upper-triangular``.
     """
-    det = witness.det_by_elimination
-    return (
+    checks = (
         ("factor-products", all(blk.factor.product(sr) == blk.s for blk in cert.blocks)),
         ("v-counts", all(blk.v == blk.factor.width == _distinct_column_count(blk.s)
                          and blk.v <= cert.y for blk in cert.blocks)),
         ("fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))),
         ("inflation", inflating),
-        ("actions-upper-triangular", all(mat.is_upper_triangular() for mat in mats)),
+        ("actions-upper-triangular", witness is not None),
+    )
+    if witness is None:
+        return checks
+    det = witness.det_by_elimination
+    return checks + (
         ("x-diagonal-matches", witness.diagonal == cert.x_diagonal),
         ("x-upper-triangular", witness.triangular),
         ("x-diagonal-nonzero", witness.diagonal_nonzero),

@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--cap-hom", type=int, default=DEFAULT_HOM_CAP,
                      help="max |Hom(d,x)| (default %(default)s)")
     orc.add_argument("--cap-pairs", type=int, default=DEFAULT_PAIR_CAP,
-                     help="max factoring pairs, and max x^2 (default %(default)s)")
+                     help="max factoring pairs, and max x^2 and y (default %(default)s)")
     orc.add_argument("--quiet", action="store_true", help="only print the verdict")
 
     ver = sub.add_parser("verify", help="independently re-verify a certificate file")

@@ -78,8 +78,8 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
 
     Deduplicated, in first-occurrence order of the lexicographic pair
     enumeration, so the result is deterministic.  Raises CapExceededError
-    when the number of (a, b) pairs, or x^2, the size of each product,
-    exceeds ``cap_pairs``.
+    when the number of (a, b) pairs, x^2, the size of each product, or y,
+    the number of rows of b, exceeds ``cap_pairs``.
 
     Row i of a.b is (row i of a).b, so each b's row images are computed
     once (``matcat._RowImages``) and each product is assembled from them
@@ -92,6 +92,8 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     capped_power(n, 2 * x * y, cap_pairs, f"|Hom({x},{y})| * |Hom({y},{x})| pairs")
     if x * x > cap_pairs:
         raise CapExceededError(f"x^2 = {x * x} exceeds cap {cap_pairs}", size=x * x)
+    if y > cap_pairs:  # with x = 0 there is one pair, but b still has y rows
+        raise CapExceededError(f"y = {y} exceeds cap {cap_pairs}", size=y)
     rights = [_RowImages(sr, from_entry_vector(y, x, vec))
               for vec in itertools.product(range(n), repeat=y * x)]
     width = n ** x

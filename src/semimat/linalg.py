@@ -24,6 +24,10 @@ def _reduce(v: dict, basis, where: dict, steps: list) -> None:
     step on B_j leaves v zero at p_1..p_j, and each step only adds pivot
     keys of later basis vectors.  A step v <- m v - n B_j (m > 0, the
     smallest integers that clear p_j) is appended to ``steps`` as (j, m, n).
+
+    The one elimination behind both ``solve_linear`` (columns and the
+    rhs) and ``determinant`` (rows).  A vector with no key in ``where``
+    takes no step.
     """
     pending = sorted(where[k] for k in v if k in where)
     done = 0
@@ -129,97 +133,63 @@ def solve_linear(columns, rhs) -> list[Fraction] | None:
 
 
 def determinant(rows) -> Fraction:
-    """Exact determinant by sparse, lazily scaled, integer Bareiss elimination.
+    """Exact determinant by the sparse integer reduction behind ``solve_linear``.
 
-    This is fraction-free Gaussian elimination with row swaps (Bareiss
-    1968, "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination"), run on sparse integer rows.  Each row's nonzeros are
-    read once; a row with rational entries is multiplied by the least
-    common multiple of its denominators, and the result is divided by the
-    product of those multipliers.
+    Each row is made integral (multiplied by the lcm of its
+    denominators), reduced by ``_reduce`` against the rows before it,
+    divided by the gcd of its entries, and kept with its smallest
+    remaining column as pivot key.  The kept rows are zero at every
+    earlier pivot key, so with their columns taken in pivot order they
+    form an upper triangular matrix, and
 
-    Let P_k be the pivot of step k and P_{-1} = 1.  Every Bareiss value is
-    a minor of the matrix, so each division below is exact.  A row with a
-    zero in the pivot column of step k would only be rescaled by
-    P_k / P_{k-1}, so it is left alone: each row records the step L of its
-    last update, is worth ``stored * P_K / P_L`` at step K, and is brought
-    up to date only when it is used.  Only rows with a nonzero in the
-    pivot column are eliminated.
+        det = sign(pivot keys) * prod(gcd * pivot) / (prod(lcm) * prod(m)),
 
-    On an upper triangular matrix no row is ever eliminated and
-    P_k = a_kk * P_{k-1}, so the cost is one pass over the m^2 input
-    entries plus O(nnz) work and m big-integer products.  Any other matrix
-    gets full fraction-free elimination, O(m^3) operations at worst.
+    where m runs over the multipliers of the reduction steps
+    (v <- m v - n B).  It is 0 when a row reduces to zero, or, found by a
+    scan before any reduction, when rows c..m-1 are zero in columns 0..c.
+
+    That scan finds every zero on the diagonal of an upper triangular
+    matrix, and with none, no step is taken: the cost is one pass over
+    the m^2 entries plus m big-integer products.  Other matrices get
+    full elimination without Bareiss's exact divisions, so entries are
+    not bounded by minors and a dense matrix is markedly slower than
+    fraction-free elimination; certify and verify never reach that case,
+    since they form X only from upper triangular actions.
     """
     m = len(rows)
-    scale = 1
-    sparse: list[dict[int, int]] = []
-    for row in rows:
-        if len(row) != m:
-            raise ValueError("determinant needs a square matrix")
-        den, entries = _integral(enumerate(row))
-        sparse.append(entries)
-        scale *= den
-    # cols[j]: rows not yet used as a pivot with a nonzero in column j.
-    cols: list[set[int]] = [set() for _ in range(m)]
-    for i, row in enumerate(sparse):
-        for j in row:
-            cols[j].add(i)
-    order = list(range(m))          # row at each position
-    pos = list(range(m))            # position of each row
-    pivots = [1]                    # pivots[k + 1] = P_k
-    since = [0] * m                 # row i is worth stored * P_K / pivots[since[i]]
-    sign = 1
-    for k in range(m):
-        live = cols[k]
-        if not live:
+    if any(len(row) != m for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    integral = [_integral(enumerate(row)) for row in rows]
+    low = m
+    for c in reversed(range(m)):
+        low = min(low, min(integral[c][1], default=m))
+        if low > c:
             return Fraction(0)
-        p = order[k]
-        if p not in live:
-            # Swap in the first row below with a nonzero in column k.
-            r = min(pos[i] for i in live)
-            q = order[r]
-            order[k], order[r] = q, p
-            pos[p], pos[q] = r, k
-            p = q
-            sign = -sign
-        piv = sparse[p]
-        for j in piv:
-            cols[j].discard(p)
-        prev = pivots[k]
-        lag = pivots[since[p]]
-        pk = piv[k] * prev // lag
-        pivots.append(pk)
-        if not live:
-            continue
-        if lag != prev:
-            for j in piv:
-                piv[j] = piv[j] * prev // lag
-        for i in live:
-            row = sparse[i]
-            lag = pivots[since[i]]
-            if lag != prev:
-                for j in row:
-                    row[j] = row[j] * prev // lag
-            a = row.pop(k)
-            for j in row:
-                row[j] *= pk
-            for j, v in piv.items():
-                if j in row:
-                    row[j] -= a * v
-                elif j != k:
-                    row[j] = -a * v
-                    cols[j].add(i)
-            for j in list(row):
-                v = row[j] // prev
-                if v:
-                    row[j] = v
-                else:
-                    del row[j]
-                    cols[j].discard(i)
-            since[i] = k + 1
-        live.clear()
-    return Fraction(sign * pivots[-1], scale)
+    basis: list[tuple[int, dict]] = []
+    where: dict[int, int] = {}
+    steps: list[tuple[int, int, int]] = []
+    num = den = 1
+    for scale, v in integral:
+        _reduce(v, basis, where, steps)
+        if not v:
+            return Fraction(0)
+        h = math.gcd(*v.values())
+        for k in v:
+            v[k] //= h
+        p = min(v)
+        where[p] = len(basis)
+        basis.append((p, v))
+        num *= h * v[p]
+        den *= scale
+    for _, mult, _ in steps:
+        den *= mult
+    keys = [p for p, _ in basis]
+    for i in range(m):
+        while keys[i] != i:
+            j = keys[i]
+            keys[i], keys[j] = keys[j], j
+            num = -num
+    return Fraction(num, den)
 
 
 def identity_fractions(m: int) -> list[list[Fraction]]:

@@ -159,7 +159,7 @@ def check_structure(sr: Semiring) -> None:
                     raise StructureError(f"{name} table entry {e!r} at row {i} out of range [0, {n})")
 
 
-def verify_axioms(sr: Semiring, max_size: int = MAX_VERIFY_SIZE) -> list[Violation]:
+def verify_axioms(sr: Semiring) -> list[Violation]:
     """Exhaustively check every semiring axiom; empty result means valid.
 
     Each failing axiom is reported once, with its lexicographically first
@@ -168,8 +168,8 @@ def verify_axioms(sr: Semiring, max_size: int = MAX_VERIFY_SIZE) -> list[Violati
     """
     check_structure(sr)
     n = sr.size
-    if n > max_size:
-        raise StructureError(f"semiring size {n} exceeds the verification limit {max_size}")
+    if n > MAX_VERIFY_SIZE:
+        raise StructureError(f"semiring size {n} exceeds the verification limit {MAX_VERIFY_SIZE}")
     out: list[Violation] = []
     for name, arity, law, prefix in _AXIOMS:
         holds = partial(law, sr.add_table, sr.mul_table, sr.zero, sr.one)

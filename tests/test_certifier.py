@@ -1,17 +1,19 @@
 import dataclasses
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 from semimat import (CapExceededError, CertBlock, Factorization,
-                     FingerprintError, Morphism, Semiring, action_matrix,
-                     assemble_witness, boolean_semiring, certify,
+                     FingerprintError, InternalCheckError, Morphism, Semiring,
+                     action_matrix, assemble_witness, boolean_semiring, certify,
                      column_preorder, compose, dominates, enumerate_hom,
                      factor_through, identity,
                      nonvanishing_coefficients, pad_identity,
                      parse_certificate, render_certificate, tropical_semiring,
                      verify_certificate, verify_preorder_map)
+from semimat import certifier, domination, linalg
 from semimat.certfile import FORMAT_VERSION
 from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES
 from semimat.matcat import right_action
@@ -286,6 +288,84 @@ def test_each_product_is_composed_once(monkeypatch):
     assert len(composes) <= m
 
 
+def hostile_certificate(x, seed):
+    """certify(BOOL, 1, x) with every s(f) a random permutation matrix and random coefficients.
+
+    The factor pairs are kept, so the layout holds and every branch check
+    runs, but the action matrices are permutations, not upper triangular,
+    and X = sum c_i A(s(f_i)) would need a full elimination.
+    """
+    cert = certify(BOOL, 1, x)
+    rng = random.Random(seed)
+    blocks = []
+    for blk in cert.blocks:
+        perm = rng.sample(range(x), x)
+        s = Morphism(x, x, tuple(tuple(int(perm[i] == j) for j in range(x)) for i in range(x)))
+        blocks.append(dataclasses.replace(blk, s=s))
+    coefficients = tuple(Fraction(rng.randrange(1, 1000)) for _ in blocks)
+    return dataclasses.replace(cert, blocks=tuple(blocks), coefficients=coefficients)
+
+
+def test_verify_rejects_a_hostile_certificate_without_forming_x(monkeypatch):
+    cert = hostile_certificate(8, seed=8)
+    witnesses = count_calls(monkeypatch, assemble_witness)
+    determinants = count_calls(monkeypatch, linalg.determinant)
+    report = verify_certificate(BOOL, cert)
+    assert not report.passed
+    assert report.failures[-1] == "actions-upper-triangular"
+    assert report.checks[-1] == ("actions-upper-triangular", False)
+    assert witnesses == [] and determinants == []
+
+
+def test_certify_names_the_failed_gate(monkeypatch):
+    # reversed columns keep each s(f) factorable through y, but its
+    # action is no longer upper triangular, so X is never formed
+    def reversed_preorder(sr, f):
+        s = column_preorder(sr, f)
+        return Morphism(s.src, s.dst, tuple(row[::-1] for row in s.entries))
+
+    monkeypatch.setattr(certifier, "column_preorder", reversed_preorder)
+    witnesses = count_calls(monkeypatch, assemble_witness)
+    with pytest.raises(InternalCheckError, match="actions-upper-triangular"):
+        certify(BOOL, 1, 3)
+    assert witnesses == []
+
+
+def determinant_steps(monkeypatch):
+    """Record each ``determinant`` call and every step ``_reduce`` takes inside one."""
+    calls, steps, inside = [], [], []
+    det, reduce = linalg.determinant, linalg._reduce
+
+    def traced_determinant(rows):
+        calls.append(None)
+        inside.append(None)
+        try:
+            return det(rows)
+        finally:
+            inside.pop()
+
+    def traced_reduce(v, basis, where, taken):
+        before = len(taken)
+        reduce(v, basis, where, taken)
+        if inside:
+            steps.extend(taken[before:])
+
+    monkeypatch.setattr(domination, "determinant", traced_determinant)
+    monkeypatch.setattr(linalg, "_reduce", traced_reduce)
+    return calls, steps
+
+
+@pytest.mark.parametrize("sr, d, x", [(BOOL, 1, 6), (TROP1, 1, 4)],
+                         ids=["boolean-1-6", "tropical1-1-4"])
+def test_the_determinant_of_x_takes_no_elimination_step(sr, d, x, monkeypatch):
+    calls, steps = determinant_steps(monkeypatch)
+    cert = certify(sr, d, x)
+    assert cert.branch == "construct"
+    assert verify_certificate(sr, cert).passed
+    assert len(calls) == 2
+    assert steps == []
+
+
 @pytest.mark.parametrize("sr, d, x, names", [
     (BOOL, 1, 2, PAD_CHECK_NAMES),
     (BOOL, 1, 3, CONSTRUCT_CHECK_NAMES),
@@ -402,11 +482,15 @@ def _single_token_mutants(text):
             yield tokens[0], "\n".join(lines[:i] + [" ".join(mutated)] + lines[i + 1:])
 
 
-def test_every_single_token_mutation_is_rejected():
+def test_every_single_token_mutation_is_rejected(monkeypatch):
     from semimat import ParseError
     cert = certify(BOOL, 1, 3)
     mutants = list(_single_token_mutants(render_certificate(cert)))
     assert len(mutants) == 361
+    # no mutant makes the determinant of X take an elimination step: X is
+    # formed only from upper triangular actions, and a zero on its
+    # diagonal is found before any step
+    determinants, steps = determinant_steps(monkeypatch)
     accepted = []
     for keyword, text in mutants:
         try:
@@ -419,3 +503,4 @@ def test_every_single_token_mutation_is_rejected():
         if passed and mutant != cert and keyword not in ("left", "right"):
             accepted.append(text)
     assert accepted == []
+    assert determinants and steps == []

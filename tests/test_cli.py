@@ -8,6 +8,7 @@ from semimat import (boolean_semiring, certify, format_semiring, parse_certifica
                      parse_semiring, render_certificate, tropical_semiring)
 from semimat.certfile import FORMAT_VERSION
 from semimat.cli import main
+from test_certifier import hostile_certificate
 
 BROKEN_DISTRIBUTIVITY = """\
 # tropical(1) with 1*1 rewired to 0: distributivity breaks
@@ -136,10 +137,12 @@ def test_huge_sizes_exceed_the_cap(argv, capsys):
 @pytest.mark.parametrize("argv, bound", [
     (["certify", "-d", "0", "-x", "5000"], "x = 5000 exceeds cap 4096"),
     (["oracle", "-d", "0", "-x", "20000", "-y", "0"], "x^2 = 400000000 exceeds cap 65536"),
-], ids=["certify-wide-x", "oracle-wide-x"])
+    (["oracle", "-d", "0", "-x", "0", "-y", "4000000"], "y = 4000000 exceeds cap 65536"),
+], ids=["certify-wide-x", "oracle-wide-x", "oracle-tall-y"])
 def test_wide_x_exceeds_the_cap(argv, bound, capsys):
     # d = 0 passes the n^d, |Hom| and pairs caps, but the x-by-x
-    # matrices behind them would cost x^2
+    # matrices behind them would cost x^2, and with x = 0 the one pair's
+    # y-row factor would cost y
     command, *rest = argv
     start = time.perf_counter()
     assert main([command, "--builtin", "boolean", *rest]) == 3
@@ -254,6 +257,17 @@ def test_verify_rejects_a_fraction_render_never_writes(old, new, tmp_path, capsy
     assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 2
     assert time.perf_counter() - start < 1
     assert "bad fraction" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_hostile_certificate_in_bounded_time(tmp_path, capsys):
+    # every s(f) a permutation: X would be dense and far from triangular,
+    # and eliminating it took minutes; verify must stop before forming it
+    out = tmp_path / "hostile.txt"
+    out.write_text(render_certificate(hostile_certificate(9, seed=9)))
+    start = time.perf_counter()
+    assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 1
+    assert time.perf_counter() - start < 20
+    assert "INVALID" in capsys.readouterr().out
 
 
 def test_verify_parses_a_negative_rational_coefficient(tmp_path, capsys):
