@@ -13,7 +13,7 @@ action matrices of all endomorphisms of x factoring through y contains
 the identity matrix.  ``span_oracle`` decides that definition directly
 and cross-checks the constructive certificates.  ``endomorphisms_through``
 lists every product a.b through y, assembled from the row images of b
-(``matcat._RowImages``) as integer codes, and builds a ``Morphism`` only
+(``matcat.row_images``) as integer codes, and builds a ``Morphism`` only
 per distinct product.  ``identity_in_span`` hands one sparse 0/1 column
 per action matrix to ``linalg.solve_linear``, a sparse integer
 elimination that stops once the identity is reached.  Its cost is still
@@ -25,15 +25,16 @@ bound it.  The tests keep the slow versions as references:
 
 from __future__ import annotations
 
-import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CapExceededError
 from .linalg import determinant, solve_linear
-from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, _RowImages,
-                     capped_power, enumerate_hom, from_entry_vector, right_action)
+from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
+                     enumerate_hom, from_entry_vector, identity, right_action, row_images,
+                     zero_morphism)
 from .semiring import Semiring
 
 DEFAULT_PAIR_CAP = 65536
@@ -50,9 +51,9 @@ class ActionMatrix:
         object.__setattr__(self, "targets", tuple(self.targets))
         if len(self.targets) != self.dim:
             raise ValueError(f"expected {self.dim} row targets, got {len(self.targets)}")
-        for t in self.targets:
-            if not 0 <= t < self.dim:
-                raise ValueError(f"target {t} out of range [0, {self.dim})")
+        if self.targets and (min(self.targets) < 0 or max(self.targets) >= self.dim):
+            t = next(t for t in self.targets if not 0 <= t < self.dim)
+            raise ValueError(f"target {t} out of range [0, {self.dim})")
 
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(1) if self.targets[i] == j else Fraction(0)
@@ -61,10 +62,10 @@ class ActionMatrix:
         return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
 
     def is_identity(self) -> bool:
-        return all(t == i for i, t in enumerate(self.targets))
+        return all(map(operator.eq, self.targets, range(self.dim)))
 
     def is_upper_triangular(self) -> bool:
-        return all(t >= i for i, t in enumerate(self.targets))
+        return all(map(operator.ge, self.targets, range(self.dim)))
 
 
 def action_matrix(sr: Semiring, s: Morphism, hom: HomEnumeration) -> ActionMatrix:
@@ -81,10 +82,13 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     when the number of (a, b) pairs, x^2, the size of each product, or y,
     the number of rows of b, exceeds ``cap_pairs``.
 
-    Row i of a.b is (row i of a).b, so each b's row images are computed
-    once (``matcat._RowImages``) and each product is assembled from them
-    as its code, the entry vector read in base n; a ``Morphism`` is built
-    only for each distinct code.
+    Row i of a.b is (row i of a).b, so each b's row images come from one
+    ``matcat.row_images`` sweep, decoded through the masks of the n^x
+    rows of width x, and each product is assembled from them as its
+    code, the entry vector read in base n; a ``Morphism`` is built only
+    for each distinct code.  With x = 0 or y = 0 every product is the
+    x-by-x zero matrix (no entries, or empty sums), and nothing sweeps
+    the n^y or n^x rows, which the caps leave unbounded there.
     """
     if x < 0 or y < 0:
         raise ValueError(f"objects must be whole numbers, got x={x}, y={y}")
@@ -94,13 +98,15 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
         raise CapExceededError(f"x^2 = {x * x} exceeds cap {cap_pairs}", size=x * x)
     if y > cap_pairs:  # with x = 0 there is one pair, but b still has y rows
         raise CapExceededError(f"y = {y} exceeds cap {cap_pairs}", size=y)
-    rights = [_RowImages(sr, from_entry_vector(y, x, vec))
+    if x == 0 or y == 0:
+        return [zero_morphism(sr, x, x)]
+    code_of_mask = {mask: code for code, mask in enumerate(row_images(sr, identity(sr, x)))}
+    rights = [list(map(code_of_mask.__getitem__, row_images(sr, from_entry_vector(y, x, vec))))
               for vec in itertools.product(range(n), repeat=y * x)]
     width = n ** x
     codes: dict[int, None] = {}
-    for vec in itertools.product(range(n), repeat=x * y):
-        rows = [functools.reduce(lambda c, e: c * n + e, vec[i * y:(i + 1) * y], 0)
-                for i in range(x)]
+    # the row codes of a, in the lexicographic order of a's entry vector
+    for rows in itertools.product(range(n ** y), repeat=x):
         for images in rights:
             code = 0
             for r in rows:
@@ -257,7 +263,7 @@ def assemble_witness(mats, coeffs) -> tuple[list[list[int | Fraction]], WitnessR
     """
     x = linear_combination(mats, coeffs)
     m = len(x)
-    triangular = all(x[i][j] == 0 for i in range(m) for j in range(i))
+    triangular = not any(any(row[:i]) for i, row in enumerate(x))
     diagonal = tuple(Fraction(x[i][i]) for i in range(m))
     diagonal_nonzero = all(v != 0 for v in diagonal)
     det_diag: Fraction | None = None

@@ -21,11 +21,24 @@ turns a code into the position in the order above.  ``right_action``
 uses it to compute the action h -> h.s of an endomorphism s on the whole
 hom-set from the images of rows alone; ``compose`` and ``dominates``
 remain the reference it agrees with.
+
+Row images are bit-sliced.  Element a is embedded as the n-bit mask
+{c : not a <= c} in the natural order.  Because a + b <= c iff a <= c
+and b <= c, the mask of a sum is the OR of the masks, and because b is
+outside its own mask, a <= b iff mask(a) is a subset of mask(b); both
+hold exactly in every semiring that passes ``verify_axioms``, whichever
+index zero has (its mask is 0).  A row is packed as one integer of n-bit
+fields, so the image of a row under s is one OR per row code, its
+inflation test one AND, and a dict decodes an image back to its code.
+That dict holds all n^x rows of width x, which at d >= 1 is at most
+|Hom(d, x)|.  Shapes with no rows never sweep: Hom(0, x) is the one
+empty matrix, for any x up to the column cap.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -157,7 +170,10 @@ class HomEnumeration:
     Elements are addressed by rank (position in ``order_keys``) or by
     code (the entry vector read as a base-n number); ``rank_of_code``
     maps one to the other and ``row_codes[k][i]`` is the code of row k of
-    the element of rank i.  ``morphisms`` is built on first use.
+    the element of rank i.  ``row_masks[r]`` is the packed mask of the
+    row with code r (see ``row_images``) and ``code_of_mask`` inverts it;
+    both are empty when d = 0, which has no rows.  ``morphisms`` is built
+    on first use.
     """
 
     d: int
@@ -166,6 +182,8 @@ class HomEnumeration:
     order_keys: tuple[tuple[int, tuple[int, ...]], ...]
     rank_of_code: list[int] = field(repr=False)
     row_codes: tuple[list[int], ...] = field(repr=False)
+    row_masks: list[int] = field(repr=False)
+    code_of_mask: dict[int, int] = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -220,59 +238,74 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     row_codes = tuple([c // shift % width for c in codes]
                       for shift in [n ** (x * k) for k in reversed(range(d))])
     order_keys = tuple(zip(map(sums.__getitem__, codes), map(vecs.__getitem__, codes)))
+    # the rows' masks are their images under the identity, n^x <= m of them
+    row_masks = row_images(sr, identity(sr, x)) if d else []
     return HomEnumeration(d=d, x=x, n=n, order_keys=order_keys,
-                          rank_of_code=rank_of_code, row_codes=row_codes)
+                          rank_of_code=rank_of_code, row_codes=row_codes,
+                          row_masks=row_masks,
+                          code_of_mask={mask: code for code, mask in enumerate(row_masks)})
 
 
-class _RowImages(dict):
-    """Row code r -> code of r.s for one y-by-x matrix s, each computed on first use.
+def row_images(sr: Semiring, s: Morphism) -> list[int]:
+    """The mask of r.s for every row code r of s's height, in code order.
 
-    A row code is a length-y row read as a base-n number, first entry
-    most significant; its image r.s is a length-x row, coded the same way.
+    A row of width w is packed as w fields of n bits, first column most
+    significant, field j holding the mask {c : not e_j <= c} of entry
+    e_j.  For each row k of s and element a, M[k][a] is the packed mask
+    of a.(row k of s); then r.s is the OR over k of M[k][r_k], and the
+    sweep below forms all n^y of them with one OR each, a row code's
+    images following its prefix's.  A matrix with no rows has one image,
+    the empty sum: the zero row, mask 0.
     """
+    n, mul_t = sr.size, sr.mul_table
+    masks = element_masks(sr)
+    level = [0]
+    for srow in s.entries:
+        step = []
+        for prod in mul_t:
+            packed = 0
+            for e in srow:
+                packed = packed << n | masks[prod[e]]
+            step.append(packed)
+        level = [p | q for p in level for q in step]
+    return level
 
-    def __init__(self, sr: Semiring, s: Morphism) -> None:
-        super().__init__()
-        self.sr = sr
-        self.s = s.entries
-        self.y, self.x = s.signature
 
-    def __missing__(self, r: int) -> int:
-        sr, s, y = self.sr, self.s, self.y
-        n, add_t, mul_t, z = sr.size, sr.add_table, sr.mul_table, sr.zero
-        row, rest = [0] * y, r
-        for k in reversed(range(y)):
-            rest, row[k] = divmod(rest, n)
-        code = 0
-        for j in range(self.x):
-            acc = z
-            for k in range(y):
-                acc = add_t[acc][mul_t[row[k]][s[k][j]]]
-            code = code * n + acc
-        self[r] = code
-        return code
+def element_masks(sr: Semiring) -> list[int]:
+    """mask(a) = {c : not a <= c} as an n-bit integer, for each element a.
+
+    In the natural order a + b <= c iff a <= c and b <= c, so
+    mask(a + b) = mask(a) | mask(b); and a <= b iff mask(a) is a subset
+    of mask(b), since b is outside mask(b).  Zero lies below everything,
+    so mask(zero) = 0 whatever zero's index.
+    """
+    leq = natural_order(sr).leq
+    return [sum(1 << c for c in range(sr.size) if not below[c]) for below in leq]
 
 
 def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> tuple[list[int], bool]:
     """The rank of h.s for each h of ``hom`` in rank order, and whether h <= h.s for all h.
 
-    Row k of h.s is (row k of h).s, so each distinct row's image is
-    computed once and h.s is assembled from its rows' images; h lies below
-    h.s iff each of its rows lies below that row's image.  Agrees with
-    ``compose`` and ``dominates``, which are the reference.
+    Row k of h.s is (row k of h).s, so the images of all row codes come
+    from one ``row_images`` sweep, are decoded once through
+    ``hom.code_of_mask``, and h.s is assembled from its rows' codes; h
+    lies below h.s iff each of its rows' masks lies inside that row's
+    image.  Agrees with ``compose`` and ``dominates``, which are the
+    reference.
     """
     if s.src != s.dst:
         raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
     if s.src != hom.x:
         raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
     _check_entries(sr, s)
-    images = _RowImages(sr, s)
-    rows = [list(map(images.__getitem__, col)) for col in hom.row_codes]
-    codes = rows[0] if rows else [0]  # d = 0: the one empty matrix has code 0
+    if not hom.row_codes:  # d = 0: the one empty matrix is its own image; x is unbounded
+        return [0], True
+    images = row_images(sr, s)
+    inflating = not any(map(operator.and_, hom.row_masks, map(operator.invert, images)))
+    image_codes = list(map(hom.code_of_mask.__getitem__, images))
+    rows = [list(map(image_codes.__getitem__, col)) for col in hom.row_codes]
+    codes = rows[0]
     width = sr.size ** hom.x
     for col in rows[1:]:
         codes = [c * width + r for c, r in zip(codes, col)]
-    n, leq = sr.size, natural_order(sr).leq
-    digits = [n ** j for j in range(hom.x)]
-    inflating = all(leq[r // q % n][c // q % n] for r, c in images.items() for q in digits)
     return list(map(hom.rank_of_code.__getitem__, codes)), inflating

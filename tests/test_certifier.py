@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -380,6 +381,15 @@ def test_certificate_records_the_branch_check_list(sr, d, x, names):
         mats = [action_matrix(sr, blk.s, hom) for blk in cert.blocks]
         b_table = [[1 if mat.targets[g] == g else 0 for g in range(len(hom))] for mat in mats]
         assert nonvanishing_coefficients(b_table) == list(cert.coefficients)
+
+
+def test_certify_boolean_1_10_in_bounded_time():
+    # m = 1024 one-row elements of width 10: each s(f) acts through one
+    # sweep of 1024 row codes, not 100 table lookups per row
+    start = time.perf_counter()
+    cert = certify(BOOL, 1, 10)
+    assert verify_certificate(BOOL, cert).passed
+    assert time.perf_counter() - start < 10
 
 
 def test_certificate_file_round_trip():

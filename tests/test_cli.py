@@ -150,6 +150,20 @@ def test_wide_x_exceeds_the_cap(argv, bound, capsys):
     assert bound in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--builtin", "boolean", "-d", "0", "-x", "0", "-y", "60000"],
+    ["oracle", "--builtin", "tropical", "--tropical-n", "1", "-d", "0", "-x", "200", "-y", "0"],
+    ["certify", "--builtin", "tropical", "--tropical-n", "1", "-d", "0", "-x", "300", "--quiet"],
+], ids=["oracle-tall-y", "oracle-wide-x", "certify-wide-x"])
+def test_shapes_without_rows_run_in_bounded_time(argv, capsys):
+    # within the caps, but a sweep over every row of y or x entries
+    # would cost n^60000, n^200 or n^300: no rows, no sweep
+    start = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - start < 2
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["certify", "oracle", "verify"])
 def test_certify_rejects_invalid_semiring(command, tmp_path, capsys):
     path = tmp_path / "broken.semiring"

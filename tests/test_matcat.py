@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import pytest
 
@@ -7,7 +9,7 @@ from semimat import (CapExceededError, Morphism, action_matrix,
                      enumerate_hom, format_morphism, from_entry_vector,
                      hom_size, identity, natural_order, parse_semiring,
                      tropical_semiring, verify_axioms, zero_morphism)
-from semimat.matcat import right_action
+from semimat.matcat import element_masks, right_action, row_images
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -259,3 +261,86 @@ def test_right_action_rejects_an_out_of_range_entry(sr):
         action_matrix(sr, bad, hom)
     with pytest.raises(ValueError):
         hom.position(Morphism(1, 2, ((0, sr.size),)))
+
+
+class RowImagesReference(dict):
+    """Row code r -> code of r.s for one y-by-x matrix s, each computed on first use.
+
+    A row code is a length-y row read as a base-n number, first entry
+    most significant; its image r.s is a length-x row, coded the same way.
+    The table-lookup kernel ``row_images`` replaced: x*y lookups per row.
+    """
+
+    def __init__(self, sr, s):
+        super().__init__()
+        self.sr = sr
+        self.s = s.entries
+        self.y, self.x = s.signature
+
+    def __missing__(self, r):
+        sr, s, y = self.sr, self.s, self.y
+        n, add_t, mul_t, z = sr.size, sr.add_table, sr.mul_table, sr.zero
+        row, rest = [0] * y, r
+        for k in reversed(range(y)):
+            rest, row[k] = divmod(rest, n)
+        code = 0
+        for j in range(self.x):
+            acc = z
+            for k in range(y):
+                acc = add_t[acc][mul_t[row[k]][s[k][j]]]
+            code = code * n + acc
+        self[r] = code
+        return code
+
+
+def digits(code, n, width):
+    """The base-n digits of a row code, first column first."""
+    out = [0] * width
+    for j in reversed(range(width)):
+        code, out[j] = divmod(code, n)
+    return out
+
+
+@pytest.mark.parametrize("sr", KERNEL_SEMIRINGS, ids=["boolean", "tropical1", "tropical2", "chain3"])
+def test_row_images_match_the_reference_on_random_matrices(sr):
+    # random entries, not only 0 and 1, in square s acting on Hom(d, x)
+    # and in y-by-x s as in the oracle's products
+    rng = random.Random(8)
+    n, leq, masks = sr.size, natural_order(sr).leq, element_masks(sr)
+    assert len(set(masks)) == n and masks[sr.zero] == 0
+    assert all((masks[a] | masks[b] == masks[b]) == leq[a][b] for a in range(n) for b in range(n))
+    shapes = [(y, x) for y in range(4) for x in range(4) if n ** max(x, y) <= 64]
+    square = 0
+    for y, x in shapes * 6:
+        s = from_entry_vector(y, x, [rng.randrange(n) for _ in range(y * x)])
+        reference = RowImagesReference(sr, s)
+        images = row_images(sr, s)
+        assert len(images) == n ** y
+        for r, mask in enumerate(images):
+            # field j of the packed mask is column j's mask, first column most significant
+            packed = 0
+            for e in digits(reference[r], n, x):
+                packed = packed << n | masks[e]
+            assert mask == packed
+        for d in range(1, 4):
+            if x != y or n ** (d * x) > 256:
+                continue
+            hom = enumerate_hom(sr, d, x)
+            assert [hom.code_of_mask[mask] for mask in images] == [reference[r] for r in range(n ** y)]
+            targets, inflating = right_action(sr, s, hom)
+            morphisms = hom.morphisms
+            products = [compose(sr, g, s) for g in morphisms]
+            assert targets == [hom.position(p) for p in products]
+            assert inflating == all(leq[a][b] for r in range(n ** x)
+                                    for a, b in zip(digits(r, n, x), digits(reference[r], n, x)))
+            assert inflating == all(dominates(sr, g, p) for g, p in zip(morphisms, products))
+            square += 1
+    assert square >= 12
+
+
+def test_right_action_on_the_empty_matrix_does_not_sweep():
+    # Hom(0, 500) is one matrix with no rows; n^500 row codes never sweep
+    hom = enumerate_hom(BOOL, 0, 500)
+    start = time.perf_counter()
+    assert right_action(BOOL, identity(BOOL, 500), hom) == ([0], True)
+    assert time.perf_counter() - start < 2
