@@ -19,8 +19,8 @@ from .domination import DEFAULT_PAIR_CAP, span_oracle
 from .errors import (CapExceededError, FingerprintError, InternalCheckError,
                      ParseError)
 from .matcat import DEFAULT_HOM_CAP, format_morphism
-from .semiring import (AXIOM_NAMES, Semiring, builtin_semiring, parse_semiring,
-                       verify_axioms, verify_order_laws)
+from .semiring import (AXIOM_NAMES, Semiring, builtin_semiring, check_verify_size,
+                       parse_semiring, verify_axioms, verify_order_laws)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -87,6 +87,7 @@ def _load_semiring(args) -> Semiring:
                 raise ParseError("--builtin tropical requires --tropical-n")
             if args.tropical_n < 0:
                 raise ParseError("--tropical-n must be >= 0")
+            check_verify_size(args.tropical_n + 2)  # before the (K+2)^2 tables
             return builtin_semiring("tropical", args.tropical_n)
         if args.tropical_n is not None:
             raise ParseError("--tropical-n is only valid with --builtin tropical")

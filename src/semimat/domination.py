@@ -5,16 +5,16 @@ the action matrix of s is the 0/1 matrix whose (f, g) entry is 1 exactly
 when composing f with s gives g.  Composition is a function, so each row
 holds a single 1; matrices are therefore stored as the per-row target
 index, with dense rational views built on demand.  The targets come from
-the row-image kernel ``matcat.right_action``, not from one ``compose``
-per row.
+the image kernel ``matcat.right_action``, not from one ``compose`` per
+row.
 
 The object x is dominated by y at probe d when the rational span of the
 action matrices of all endomorphisms of x factoring through y contains
 the identity matrix.  ``span_oracle`` decides that definition directly
 and cross-checks the constructive certificates.  ``endomorphisms_through``
-lists every product a.b through y, assembled from the row images of b
-(``matcat.row_images``) as integer codes, and builds a ``Morphism`` only
-per distinct product.  ``identity_in_span`` hands one sparse 0/1 column
+lists every product a.b through y as a code, from b's row images by
+``matcat.code_images``, and builds a ``Morphism`` only per distinct
+product.  ``identity_in_span`` hands one sparse 0/1 column
 per action matrix to ``linalg.solve_linear``, a sparse integer
 elimination that stops once the identity is reached.  Its cost is still
 exponential in x*y (the pairs) and in d*x (the hom-set), so the caps
@@ -32,9 +32,9 @@ from fractions import Fraction
 
 from .errors import CapExceededError
 from .linalg import determinant, solve_linear
-from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
-                     enumerate_hom, from_entry_vector, identity, right_action, row_images,
-                     zero_morphism)
+from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, code_images,
+                     enumerate_hom, from_code, from_entry_vector, identity, right_action,
+                     row_images, zero_morphism)
 from .semiring import Semiring
 
 DEFAULT_PAIR_CAP = 65536
@@ -82,13 +82,13 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     when the number of (a, b) pairs, x^2, the size of each product, or y,
     the number of rows of b, exceeds ``cap_pairs``.
 
-    Row i of a.b is (row i of a).b, so each b's row images come from one
-    ``matcat.row_images`` sweep, decoded through the masks of the n^x
-    rows of width x, and each product is assembled from them as its
-    code, the entry vector read in base n; a ``Morphism`` is built only
-    for each distinct code.  With x = 0 or y = 0 every product is the
-    x-by-x zero matrix (no entries, or empty sums), and nothing sweeps
-    the n^y or n^x rows, which the caps leave unbounded there.
+    For each b, one ``matcat.row_images`` sweep gives the images of the
+    n^y rows of a, decoded through the masks of the n^x rows of width
+    x, and one ``matcat.code_images`` sweep over a's x rows gives the
+    code of a.b for every a; ``matcat.from_code`` builds a ``Morphism``
+    only for each distinct code.  With x = 0 or y = 0 every product is
+    the x-by-x zero matrix (no entries, or empty sums), and nothing
+    sweeps the n^y or n^x rows, which the caps leave unbounded there.
     """
     if x < 0 or y < 0:
         raise ValueError(f"objects must be whole numbers, got x={x}, y={y}")
@@ -101,24 +101,12 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     if x == 0 or y == 0:
         return [zero_morphism(sr, x, x)]
     code_of_mask = {mask: code for code, mask in enumerate(row_images(sr, identity(sr, x)))}
-    rights = [list(map(code_of_mask.__getitem__, row_images(sr, from_entry_vector(y, x, vec))))
-              for vec in itertools.product(range(n), repeat=y * x)]
-    width = n ** x
-    codes: dict[int, None] = {}
-    # the row codes of a, in the lexicographic order of a's entry vector
-    for rows in itertools.product(range(n ** y), repeat=x):
-        for images in rights:
-            code = 0
-            for r in rows:
-                code = code * width + images[r]
-            codes[code] = None
-    endos = []
-    for code in codes:
-        vec = [0] * (x * x)
-        for i in reversed(range(x * x)):
-            code, vec[i] = divmod(code, n)
-        endos.append(from_entry_vector(x, x, vec))
-    return endos
+    # per_b[b][a] is the code of a.b, a in the lexicographic order of its entries
+    per_b = [code_images(n, list(map(code_of_mask.__getitem__,
+                                     row_images(sr, from_entry_vector(y, x, vec)))), x, x)
+             for vec in itertools.product(range(n), repeat=y * x)]
+    codes = dict.fromkeys(itertools.chain.from_iterable(zip(*per_b)))
+    return [from_code(x, x, n, code) for code in codes]
 
 
 def identity_in_span(mats) -> list[Fraction] | None:

@@ -16,11 +16,9 @@ significant, which maps the n^x possible rows one to one onto
 range(n^x); a matrix is coded by its rows' codes as base-n^x digits,
 first row most significant, i.e. by its row-major entry vector read in
 base n.  Every vector of d*x digits occurs exactly once, so the code is
-a bijection from Hom(d, x) onto range(n^(d*x)), and ``rank_of_code``
-turns a code into the position in the order above.  ``right_action``
-uses it to compute the action h -> h.s of an endomorphism s on the whole
-hom-set from the images of rows alone; ``compose`` and ``dominates``
-remain the reference it agrees with.
+a bijection from Hom(d, x) onto range(n^(d*x)).  ``HomEnumeration.codes``
+lists the code of each rank, ``rank_of_code`` inverts it and
+``from_code`` decodes one; no other module reads the layout.
 
 Row images are bit-sliced.  Element a is embedded as the n-bit mask
 {c : not a <= c} in the natural order.  Because a + b <= c iff a <= c
@@ -31,8 +29,11 @@ index zero has (its mask is 0).  A row is packed as one integer of n-bit
 fields, so the image of a row under s is one OR per row code, its
 inflation test one AND, and a dict decodes an image back to its code.
 That dict holds all n^x rows of width x, which at d >= 1 is at most
-|Hom(d, x)|.  Shapes with no rows never sweep: Hom(0, x) is the one
-empty matrix, for any x up to the column cap.
+|Hom(d, x)|.  Row k of a.b is (row k of a).b, so one more prefix sweep,
+``code_images``, turns row images into matrix images; ``right_action``
+(h -> h.s on a hom-set) and the oracle's products a.b share it, and
+``compose`` and ``dominates`` remain their reference.  A one-element
+hom-set (d = 0, x = 0 or n = 1) never sweeps: d or x may be huge there.
 """
 
 from __future__ import annotations
@@ -133,6 +134,11 @@ def from_entry_vector(src: int, dst: int, vec) -> Morphism:
     return Morphism(src, dst, tuple(vec[i * dst:(i + 1) * dst] for i in range(src)))
 
 
+def from_code(src: int, dst: int, n: int, code: int) -> Morphism:
+    """The src-by-dst matrix whose entry vector, read in base n, is ``code``."""
+    return from_entry_vector(src, dst, [code // n ** i % n for i in reversed(range(src * dst))])
+
+
 def format_morphism(sr: Semiring, m: Morphism) -> str:
     """Bracketed rows of element labels, e.g. ``[[0, 1], [1, 1]]``."""
     rows = ", ".join("[" + ", ".join(sr.label(e) for e in row) + "]" for row in m.entries)
@@ -168,12 +174,11 @@ class HomEnumeration:
     """All of Hom(d, x) in a fixed linear extension of the dominance order.
 
     Elements are addressed by rank (position in ``order_keys``) or by
-    code (the entry vector read as a base-n number); ``rank_of_code``
-    maps one to the other and ``row_codes[k][i]`` is the code of row k of
-    the element of rank i.  ``row_masks[r]`` is the packed mask of the
-    row with code r (see ``row_images``) and ``code_of_mask`` inverts it;
-    both are empty when d = 0, which has no rows.  ``morphisms`` is built
-    on first use.
+    code (the entry vector read as a base-n number); ``codes[i]`` is the
+    code of rank i and ``rank_of_code`` inverts it.  ``row_masks[r]`` is
+    the packed mask of the row with code r (see ``row_images``) and
+    ``code_of_mask`` inverts it; both are empty when d = 0, which has no
+    rows.  ``morphisms`` is built on first use.
     """
 
     d: int
@@ -181,7 +186,7 @@ class HomEnumeration:
     n: int
     order_keys: tuple[tuple[int, tuple[int, ...]], ...]
     rank_of_code: list[int] = field(repr=False)
-    row_codes: tuple[list[int], ...] = field(repr=False)
+    codes: list[int] = field(repr=False)
     row_masks: list[int] = field(repr=False)
     code_of_mask: dict[int, int] = field(repr=False)
 
@@ -233,15 +238,11 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     rank_of_code = [0] * len(codes)
     for rank, code in enumerate(codes):
         rank_of_code[code] = rank
-    # row k of the element with code c has code c // n^(x(d-1-k)) mod n^x
-    width = n ** x if d else 1  # n^x alone is unbounded when d = 0
-    row_codes = tuple([c // shift % width for c in codes]
-                      for shift in [n ** (x * k) for k in reversed(range(d))])
     order_keys = tuple(zip(map(sums.__getitem__, codes), map(vecs.__getitem__, codes)))
     # the rows' masks are their images under the identity, n^x <= m of them
     row_masks = row_images(sr, identity(sr, x)) if d else []
     return HomEnumeration(d=d, x=x, n=n, order_keys=order_keys,
-                          rank_of_code=rank_of_code, row_codes=row_codes,
+                          rank_of_code=rank_of_code, codes=codes,
                           row_masks=row_masks,
                           code_of_mask={mask: code for code, mask in enumerate(row_masks)})
 
@@ -283,29 +284,38 @@ def element_masks(sr: Semiring) -> list[int]:
     return [sum(1 << c for c in range(sr.size) if not below[c]) for below in leq]
 
 
+def code_images(n: int, row_map: list[int], rows: int, cols: int) -> list[int]:
+    """The image code of every ``rows``-row matrix, in code order.
+
+    ``row_map[r]`` is the code, of width ``cols``, of row r's image.  A
+    matrix's image has its rows' images as base-n^cols digits, so each
+    follows its prefix's with one multiply-add, as in ``row_images``.
+    """
+    width = n ** cols
+    level = row_map if rows else [0]
+    for _ in range(rows - 1):
+        level = [p * width + q for p in level for q in row_map]
+    return level
+
+
 def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> tuple[list[int], bool]:
     """The rank of h.s for each h of ``hom`` in rank order, and whether h <= h.s for all h.
 
-    Row k of h.s is (row k of h).s, so the images of all row codes come
-    from one ``row_images`` sweep, are decoded once through
-    ``hom.code_of_mask``, and h.s is assembled from its rows' codes; h
-    lies below h.s iff each of its rows' masks lies inside that row's
-    image.  Agrees with ``compose`` and ``dominates``, which are the
-    reference.
+    The images of all row codes come from one ``row_images`` sweep,
+    decoded once through ``hom.code_of_mask``, and those of all matrices
+    from one ``code_images`` sweep; h lies below h.s iff each row's mask
+    lies inside that row's image.  A one-element hom-set is its own
+    image and never sweeps.  Agrees with ``compose`` and ``dominates``,
+    which are the reference.
     """
     if s.src != s.dst:
         raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
     if s.src != hom.x:
         raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
     _check_entries(sr, s)
-    if not hom.row_codes:  # d = 0: the one empty matrix is its own image; x is unbounded
+    if hom.size == 1:  # d = 0, x = 0 or n = 1, where d or x is unbounded
         return [0], True
     images = row_images(sr, s)
     inflating = not any(map(operator.and_, hom.row_masks, map(operator.invert, images)))
-    image_codes = list(map(hom.code_of_mask.__getitem__, images))
-    rows = [list(map(image_codes.__getitem__, col)) for col in hom.row_codes]
-    codes = rows[0]
-    width = sr.size ** hom.x
-    for col in rows[1:]:
-        codes = [c * width + r for c, r in zip(codes, col)]
-    return list(map(hom.rank_of_code.__getitem__, codes)), inflating
+    image = code_images(hom.n, list(map(hom.code_of_mask.__getitem__, images)), hom.d, hom.x)
+    return list(map(hom.rank_of_code.__getitem__, map(image.__getitem__, hom.codes))), inflating

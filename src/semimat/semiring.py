@@ -159,6 +159,12 @@ def check_structure(sr: Semiring) -> None:
                     raise StructureError(f"{name} table entry {e!r} at row {i} out of range [0, {n})")
 
 
+def check_verify_size(n: int) -> None:
+    """Raise StructureError when n elements exceed ``MAX_VERIFY_SIZE``."""
+    if n > MAX_VERIFY_SIZE:
+        raise StructureError(f"semiring size {n} exceeds the verification limit {MAX_VERIFY_SIZE}")
+
+
 def verify_axioms(sr: Semiring) -> list[Violation]:
     """Exhaustively check every semiring axiom; empty result means valid.
 
@@ -168,8 +174,7 @@ def verify_axioms(sr: Semiring) -> list[Violation]:
     """
     check_structure(sr)
     n = sr.size
-    if n > MAX_VERIFY_SIZE:
-        raise StructureError(f"semiring size {n} exceeds the verification limit {MAX_VERIFY_SIZE}")
+    check_verify_size(n)
     out: list[Violation] = []
     for name, arity, law, prefix in _AXIOMS:
         holds = partial(law, sr.add_table, sr.mul_table, sr.zero, sr.one)

@@ -5,14 +5,17 @@ Run with pytest (``pytest tests/test_acceptance.py -v``) or standalone
 criterion.
 """
 
+import ast
 import dataclasses
 import itertools
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
+import semimat
 from semimat import (CertBlock, Factorization, Morphism, Semiring,
                      action_matrix, boolean_semiring, certify, compose,
                      enumerate_hom, from_entry_vector, hom_size, identity,
@@ -261,6 +264,36 @@ def test_criterion_10_determinism():
     print("acceptance 10 determinism: PASS")
 
 
+def test_criterion_11_stdlib_only_and_float_free():
+    # every absolute import is stdlib, no float enters, and math serves gcd and lcm only
+    sources = sorted(Path(semimat.__file__).parent.glob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        math_names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    assert alias.name.partition(".")[0] in sys.stdlib_module_names, alias.name
+                    if alias.name == "math":
+                        math_names.add(alias.asname or "math")
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                assert node.module.partition(".")[0] in sys.stdlib_module_names, node.module
+                if node.module == "math":
+                    assert {alias.name for alias in node.names} <= {"gcd", "lcm"}, path.name
+            elif isinstance(node, ast.Constant):
+                assert not isinstance(node.value, (float, complex)), (path.name, node.lineno)
+            elif isinstance(node, ast.Name):
+                assert node.id != "float", (path.name, node.lineno)
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in math_names]
+        allowed = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in math_names and node.attr in ("gcd", "lcm")]
+        assert len(uses) == len(allowed), path.name
+    print("acceptance 11 stdlib-only, float-free: PASS")
+
+
 CRITERIA = [
     test_criterion_01_axiom_suite,
     test_criterion_02_composition_laws,
@@ -272,6 +305,7 @@ CRITERIA = [
     test_criterion_08_coefficient_property,
     test_criterion_09_mutation_soundness,
     test_criterion_10_determinism,
+    test_criterion_11_stdlib_only_and_float_free,
 ]
 
 

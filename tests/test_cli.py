@@ -154,14 +154,35 @@ def test_wide_x_exceeds_the_cap(argv, bound, capsys):
     ["oracle", "--builtin", "boolean", "-d", "0", "-x", "0", "-y", "60000"],
     ["oracle", "--builtin", "tropical", "--tropical-n", "1", "-d", "0", "-x", "200", "-y", "0"],
     ["certify", "--builtin", "tropical", "--tropical-n", "1", "-d", "0", "-x", "300", "--quiet"],
-], ids=["oracle-tall-y", "oracle-wide-x", "certify-wide-x"])
+    ["oracle", "--builtin", "boolean", "-d", "1000000000", "-x", "0", "-y", "0"],
+], ids=["oracle-tall-y", "oracle-wide-x", "certify-wide-x", "oracle-deep-d"])
 def test_shapes_without_rows_run_in_bounded_time(argv, capsys):
     # within the caps, but a sweep over every row of y or x entries
-    # would cost n^60000, n^200 or n^300: no rows, no sweep
+    # would cost n^60000, n^200 or n^300, and one over d empty rows
+    # would cost d: no rows or one matrix, no sweep
     start = time.perf_counter()
     assert main(argv) == 0
     assert time.perf_counter() - start < 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-semiring"],
+    ["certify", "-d", "1", "-x", "2"],
+    ["oracle", "-d", "1", "-x", "2", "-y", "2"],
+    ["verify", "missing.cert"],
+], ids=["check-semiring", "certify", "oracle", "verify"])
+def test_huge_tropical_bound_is_refused_before_its_tables(argv, capsys):
+    # K + 2 elements past the verification limit: the (K+2)^2 tables are never built
+    start = time.perf_counter()
+    assert main([*argv, "--builtin", "tropical", "--tropical-n", "1000000000"]) == 2
+    assert time.perf_counter() - start < 1
+    assert "exceeds the verification limit 64" in capsys.readouterr().err
+
+
+def test_largest_tropical_bound_within_the_limit_passes(capsys):
+    assert main(["check-semiring", "--builtin", "tropical", "--tropical-n", "62", "--quiet"]) == 0
+    assert capsys.readouterr().out == "pass\n"
 
 
 @pytest.mark.parametrize("command", ["certify", "oracle", "verify"])
