@@ -173,18 +173,19 @@ def capped_power(n: int, k: int, cap: int, what: str) -> int:
 class HomEnumeration:
     """All of Hom(d, x) in a fixed linear extension of the dominance order.
 
-    Elements are addressed by rank (position in ``order_keys``) or by
-    code (the entry vector read as a base-n number); ``codes[i]`` is the
-    code of rank i and ``rank_of_code`` inverts it.  ``row_masks[r]`` is
-    the packed mask of the row with code r (see ``row_images``) and
-    ``code_of_mask`` inverts it; both are empty when d = 0, which has no
-    rows.  ``morphisms`` is built on first use.
+    ``order`` lists the entry vectors in rank order.  Elements are
+    addressed by rank (position in ``order``) or by code (the entry
+    vector read as a base-n number); ``codes[i]`` is the code of rank i
+    and ``rank_of_code`` inverts it, the two lists sharing their int
+    objects.  ``row_masks[r]`` is the packed mask of the row with code r
+    (see ``row_images``) and ``code_of_mask`` inverts it; both are empty
+    when d = 0, which has no rows.  ``morphisms`` is built on first use.
     """
 
     d: int
     x: int
     n: int
-    order_keys: tuple[tuple[int, tuple[int, ...]], ...]
+    order: tuple[tuple[int, ...], ...]
     rank_of_code: list[int] = field(repr=False)
     codes: list[int] = field(repr=False)
     row_masks: list[int] = field(repr=False)
@@ -192,17 +193,17 @@ class HomEnumeration:
 
     @property
     def size(self) -> int:
-        return len(self.order_keys)
+        return len(self.order)
 
     def __len__(self) -> int:
-        return len(self.order_keys)
+        return len(self.order)
 
     def __iter__(self):
         return iter(self.morphisms)
 
     @cached_property
     def morphisms(self) -> tuple[Morphism, ...]:
-        return tuple(from_entry_vector(self.d, self.x, vec) for _, vec in self.order_keys)
+        return tuple(from_entry_vector(self.d, self.x, vec) for vec in self.order)
 
     def position(self, m: Morphism) -> int:
         if m.signature != (self.d, self.x):
@@ -220,11 +221,15 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     """Enumerate all |R|^(d*x) morphisms d -> x, sorted by (height sum, entry vector).
 
     Raises CapExceededError (carrying the true size) when the hom-set would
-    exceed ``cap``.
+    exceed ``cap``, or when d*x does: with one element the hom-set has one
+    member, but its entry vector still has d*x entries.
     """
     if d < 0 or x < 0:
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
     capped_power(sr.size, d * x, cap, f"|Hom({d},{x})|")
+    if d * x > cap:  # only when n = 1, since n^(d*x) <= cap bounds d*x otherwise
+        raise CapExceededError(f"entries per element of Hom({d},{x}) = {d * x} exceed cap {cap}",
+                               size=d * x)
     n = sr.size
     height = natural_order(sr).height
     # product() yields the entry vectors in lexicographic order, so the
@@ -234,14 +239,12 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     sums = [0]
     for _ in range(d * x):
         sums = [t + h for t in sums for h in height]
-    codes = sorted(range(len(vecs)), key=sums.__getitem__)
-    rank_of_code = [0] * len(codes)
-    for rank, code in enumerate(codes):
-        rank_of_code[code] = rank
-    order_keys = tuple(zip(map(sums.__getitem__, codes), map(vecs.__getitem__, codes)))
+    numbers = list(range(len(vecs)))
+    codes = sorted(numbers, key=sums.__getitem__)
+    rank_of_code = sorted(numbers, key=codes.__getitem__)  # the inverse permutation
     # the rows' masks are their images under the identity, n^x <= m of them
     row_masks = row_images(sr, identity(sr, x)) if d else []
-    return HomEnumeration(d=d, x=x, n=n, order_keys=order_keys,
+    return HomEnumeration(d=d, x=x, n=n, order=tuple(map(vecs.__getitem__, codes)),
                           rank_of_code=rank_of_code, codes=codes,
                           row_masks=row_masks,
                           code_of_mask={mask: code for code, mask in enumerate(row_masks)})

@@ -492,8 +492,26 @@ def _single_token_mutants(text):
             yield tokens[0], "\n".join(lines[:i] + [" ".join(mutated)] + lines[i + 1:])
 
 
-def test_every_single_token_mutation_is_rejected(monkeypatch):
+def _accepted_mutants(sr, cert, mutants):
+    """The mutants that parse and verify as a certificate other than ``cert``.
+
+    A flipped D or E entry can leave D.E = s(f) unchanged, which is still
+    a valid certificate, so those are not counted.
+    """
     from semimat import ParseError
+    accepted = []
+    for keyword, text in mutants:
+        try:
+            mutant = parse_certificate(text)
+            passed = verify_certificate(sr, mutant).passed
+        except (ParseError, FingerprintError, CapExceededError):
+            continue
+        if passed and mutant != cert and keyword not in ("left", "right"):
+            accepted.append(text)
+    return accepted
+
+
+def test_every_single_token_mutation_is_rejected(monkeypatch):
     cert = certify(BOOL, 1, 3)
     mutants = list(_single_token_mutants(render_certificate(cert)))
     assert len(mutants) == 361
@@ -501,16 +519,14 @@ def test_every_single_token_mutation_is_rejected(monkeypatch):
     # formed only from upper triangular actions, and a zero on its
     # diagonal is found before any step
     determinants, steps = determinant_steps(monkeypatch)
-    accepted = []
-    for keyword, text in mutants:
-        try:
-            mutant = parse_certificate(text)
-            passed = verify_certificate(BOOL, mutant).passed
-        except (ParseError, FingerprintError, CapExceededError):
-            continue
-        # a flipped D or E entry can leave D.E = s(f) unchanged, which is
-        # still a valid certificate
-        if passed and mutant != cert and keyword not in ("left", "right"):
-            accepted.append(text)
-    assert accepted == []
+    assert _accepted_mutants(BOOL, cert, mutants) == []
     assert determinants and steps == []
+
+
+def test_every_single_token_mutation_of_a_pad_certificate_is_rejected():
+    # the pad branch's file is mostly its order section, read in blocks
+    cert = certify(BOOL, 2, 2)
+    mutants = list(_single_token_mutants(render_certificate(cert)))
+    assert sum(keyword == "f" for keyword, _ in mutants) == 16 * 5
+    assert len(mutants) == 117
+    assert _accepted_mutants(BOOL, cert, mutants) == []

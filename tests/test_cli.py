@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from semimat import (boolean_semiring, certify, format_semiring, parse_certificate,
+from semimat import (Semiring, boolean_semiring, certify, format_semiring, parse_certificate,
                      parse_semiring, render_certificate, tropical_semiring)
 from semimat.certfile import FORMAT_VERSION
 from semimat.cli import main
@@ -303,6 +303,45 @@ def test_verify_rejects_a_hostile_certificate_in_bounded_time(tmp_path, capsys):
     assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 1
     assert time.perf_counter() - start < 20
     assert "INVALID" in capsys.readouterr().out
+
+
+def _without_order(text):
+    return "".join(line for line in text.splitlines(True) if not line.startswith("f "))
+
+
+@pytest.mark.parametrize("edit, code", [
+    (lambda t: t.replace("\nsemiring-size 2\n", "\nsemiring-size 1000000000000\n"), 2),
+    (lambda t: t.replace("\norder 16\n", "\norder 1000000000000\n"), 2),
+    (lambda t: t.replace("\nd 2\nx 2\n", "\nd 1000000000\nx 1000000000\n"), 2),
+    (lambda t: _without_order(t).replace("\nd 2\nx 2\ny 4\nbranch pad\norder 16\n",
+                                         "\nd 1000000000\nx 1000000000\ny 4\nbranch pad"
+                                         "\norder 0\n"), 1),
+], ids=["semiring-size", "order", "d-and-x", "d-and-x-no-order"])
+def test_verify_refuses_hostile_headers_cheaply(edit, code, tmp_path, capsys):
+    # no header field sizes a table, a list or a loop: the file's own
+    # lines run out, or a cheap check fails, first
+    out = tmp_path / "cert.txt"
+    text = render_certificate(certify(boolean_semiring(), 2, 2))
+    assert edit(text) != text
+    out.write_text(edit(text))
+    start = time.perf_counter()
+    assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == code
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert ("INVALID" in captured.out) if code == 1 else ("error:" in captured.err)
+
+
+@pytest.mark.parametrize("command", ["certify", "oracle"])
+def test_one_element_semiring_caps_the_entries_per_element(command, tmp_path, capsys):
+    # with n = 1 every n^k is 1, so only d*x bounds the f line's length
+    path = tmp_path / "one.semiring"
+    path.write_text(format_semiring(Semiring(1, ("e",), 0, 0, ((0,),), ((0,),))))
+    extra = ["-y", "1"] if command == "oracle" else ["--out", str(tmp_path / "never.txt")]
+    start = time.perf_counter()
+    assert main([command, "--semiring", str(path), "-d", "1000000", "-x", "1", *extra]) == 3
+    assert time.perf_counter() - start < 1
+    assert "entries per element of Hom(1000000,1) = 1000000 exceed cap 4096" in capsys.readouterr().err
+    assert not (tmp_path / "never.txt").exists()
 
 
 def test_verify_parses_a_negative_rational_coefficient(tmp_path, capsys):
