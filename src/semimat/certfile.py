@@ -7,28 +7,38 @@ morphism) and fully re-parsable.  Matrices are written as rows joined by
 starts a comment and blank lines are ignored on input.
 
 The order section, one ``f`` line per element of Hom(d, x), is most of
-a pad-branch file, so it is written and read a block of lines at a time,
-at C speed.  A block renders with one ``%`` format, and parses with one
-split: it decodes at once when its tokens have the shape of ``f`` lines
-and each entry is an element spelling.  Entries decode through a small
-table of the canonical spellings that falls back to ``int``, so every
-spelling ``int`` accepts (``01``, ``+1``, ``1_0``, other scripts'
-digits) still parses.  A block that holds a comment, a blank line or a
-defect is read line by line under the same rules as every other line,
-which raises the first bad line's error.  Lines are split into tokens
-only when taken, and the long-lived result is the same tuple of int
-tuples.
+a pad-branch file.  Each line is the element's code (see ``matcat``)
+written as its d*x base-n digits, and the parsed order holds codes,
+never entry tuples.  It is written and read a block of lines at a time,
+at C speed.  A block renders with one ``%`` format from a table of the
+texts of digit chunks.  A block laid out exactly as rendered, in a base
+from 2 to 10, parses at once with one ``int(digits, n)`` per line.  Any
+other line (a comment, a blank line, a defect, an out-of-range entry,
+another spelling, a base above 10) is read line by line under the same
+rules as every other line, which raises the first bad line's error.
+Entries there decode through a small table of the canonical spellings
+that falls back to ``int``, so every spelling ``int`` accepts (``01``,
+``+1``, ``1_0``, other scripts' digits) still parses.
+
+An entry never carries into another code: a line with an entry outside
+range(n) reads as ``NO_CODE``, which no canonical order holds, so it
+fails ``order-canonical`` as it always did.  Only an order whose count
+is n^(d*x) can be canonical, so only then are lines decoded; with any
+other count they are checked but read as ``NO_CODE``, and no code wider
+than the count is formed.  Parsing stays linear in the text, whatever
+the header's n, d and x.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product, repeat
 
 from .certifier import CertBlock, Certificate, Factorization
 from .errors import ParseError
-from .matcat import Morphism
+from .matcat import Morphism, power_exceeds
 from .semiring import MAX_VERIFY_SIZE
 
 FORMAT_MAGIC = "semimat-certificate"
@@ -40,6 +50,11 @@ _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # bound the temporaries of one block
 _RENDER_BLOCK = 1024
 _PARSE_BLOCK = 4096
+# texts of digit chunks the renderer tabulates, at most
+_DIGIT_TABLE = 4096
+# what a parsed f line holds when it is no code of Hom(d, x)
+NO_CODE = -1
+_DIGITS = "0123456789"
 
 
 class _Spellings(dict):
@@ -52,14 +67,6 @@ class _Spellings(dict):
 # the canonical spellings of the elements of every semiring small enough
 # to verify: a fixed table, never sized by anything a certificate says
 _ELEMENT = _Spellings((str(e), e) for e in range(MAX_VERIFY_SIZE))
-
-
-class _LineFormats(dict):
-    """Vector length -> the ``%`` format of one ``f`` line of that length."""
-
-    def __missing__(self, width: int) -> str:
-        fmt = self[width] = "f" + " %s" * width + "\n"
-        return fmt
 
 
 def _matrix_text(m: Morphism) -> str:
@@ -100,27 +107,76 @@ def render_certificate(cert: Certificate) -> str:
     for name, ok in cert.checks:
         out.append(f"check {name} {'pass' if ok else 'fail'}")
     out.append("end\n")
-    # each block of f lines is one format, one line format per vector
-    # length, applied to the block's entries in row-major order
-    formats = _LineFormats()
-    parts = ["\n".join(head)]
-    for i in range(0, len(cert.order), _RENDER_BLOCK):
-        block = cert.order[i:i + _RENDER_BLOCK]
-        line_formats = "".join(map(formats.__getitem__, map(len, block)))
-        parts.append(line_formats % tuple(chain.from_iterable(block)))
-    parts.append("\n".join(out))
-    return "".join(parts)
+    return "".join(["\n".join(head), *_order_blocks(cert), "\n".join(out)])
 
 
-def _order_vector(lineno: int, rest: list[str], width: int) -> tuple[int, ...]:
-    """The entries of one ``f`` line."""
+def _order_blocks(cert: Certificate) -> list[str]:
+    """The ``f`` lines of ``cert.order``, a block of ``_RENDER_BLOCK`` lines per string.
+
+    Line i holds the d*x base-n digits of code i, most significant
+    first, k at a time: k divides d*x and n^k is at most
+    ``_DIGIT_TABLE``, the size of a table of the texts of all k-digit
+    chunks.  A block's chunks are split off by ``map``, so one ``%``
+    format per block writes it.  ValueError for a code outside
+    range(n^(d*x)), whose digits would carry or run short.
+    """
+    codes, n, width = cert.order, cert.semiring_size, cert.d * cert.x
+    if not codes:
+        return []
+    if n < 1 or min(codes) < 0 or not power_exceeds(n, width, max(codes)):
+        raise ValueError(f"order holds a code outside range({n}^{width})")
+    if width == 0:  # one element, code 0, with no digits
+        return ["f\n" * len(codes)]
+    # n^k > _DIGIT_TABLE for every larger k unless n = 1, where any k serves
+    k = max((k for k in range(1, min(width, _DIGIT_TABLE.bit_length()) + 1)
+             if width % k == 0 and n ** k <= _DIGIT_TABLE), default=1)
+    table = [" " + " ".join(map(str, chunk)) for chunk in product(range(n), repeat=k)]
+    base = n ** k
+    line_format = "f" + "%s" * (width // k) + "\n"
+    blocks = []
+    for i in range(0, len(codes), _RENDER_BLOCK):
+        rest = codes[i:i + _RENDER_BLOCK]
+        chunks = []  # least significant first
+        for _ in range(width // k - 1):
+            chunks.append(map(base.__rmod__, rest))
+            rest = list(map(base.__rfloordiv__, rest))
+        chunks.append(rest)
+        texts = map(table.__getitem__, chain.from_iterable(zip(*reversed(chunks))))
+        blocks.append(line_format * len(rest) % tuple(texts))
+    return blocks
+
+
+def _order_base(n: int, width: int, count: int) -> int | None:
+    """n when ``count`` = n^width, so the order can be canonical; else None.
+
+    With any other count no order is canonical whatever its lines say,
+    so they are checked but not decoded, and no code of more than
+    count's size is formed, however wide a line or large n is.
+    """
+    if n >= 1 and not power_exceeds(n, width, count) and n ** width == count:
+        return n
+    return None
+
+
+def _order_code(lineno: int, rest: list[str], width: int, base: int | None) -> int:
+    """The code of one ``f`` line read in ``base``, or NO_CODE.
+
+    NO_CODE when ``base`` is None or an entry lies outside range(base),
+    so an out-of-range entry never carries into another code.
+    """
     try:
-        vec = tuple(map(_ELEMENT.__getitem__, rest))
+        entries = list(map(_ELEMENT.__getitem__, rest))
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer entry in order vector") from None
-    if len(vec) != width:
-        raise ParseError(f"line {lineno}: order vector has {len(vec)} entries, expected {width}")
-    return vec
+    if len(entries) != width:
+        raise ParseError(f"line {lineno}: order vector has {len(entries)} entries, "
+                         f"expected {width}")
+    if base is None or entries and not 0 <= min(entries) <= max(entries) < base:
+        return NO_CODE
+    code = 0
+    for e in entries:
+        code = code * base + e
+    return code
 
 
 class _Reader:
@@ -222,17 +278,19 @@ class _Reader:
         except ValueError as exc:
             raise ParseError(f"line {lineno}: {exc}") from None
 
-    def take_order(self, count: int, width: int) -> tuple[tuple[int, ...], ...]:
-        """``count`` lines ``f`` followed by ``width`` entries, a block at a time.
+    def take_order(self, count: int, width: int, base: int | None) -> tuple[int, ...]:
+        """``count`` lines ``f`` followed by ``width`` entries, as codes read in ``base``.
 
         A block is the whole lines that end within about ``_PARSE_BLOCK``
-        characters.  One that is all order lines decodes at once (see
-        ``_block_entries``) and is grouped into tuples by ``zip``; any
-        other, with a comment, a blank line or a defect, or running past
-        the order section, is taken line by line, which skips blank and
-        comment lines and raises the first bad line's error.
+        characters.  One that is all order lines as rendered decodes at
+        once (see ``_block_codes``); any other, with a comment, a blank
+        line, a defect, an out-of-range entry or another spelling, in a
+        base above 10, or running past the order section, is taken line
+        by line, which skips blank and comment lines, raises the first
+        bad line's error and decodes each line alone (see
+        ``_order_code``).
         """
-        order: list[tuple[int, ...]] = []
+        order: list[int] = []
         text = self.text
         while len(order) < count:
             start, due = self.pos, count - len(order)
@@ -241,36 +299,42 @@ class _Reader:
                 stop = len(text)
             block = text[start:stop]
             lines = block.count("\n") + 1
-            entries = _block_entries(block, lines, width + 1) if lines <= due else None
-            if entries is None:
+            codes = _block_codes(block, lines, width, base) if lines <= due else None
+            if codes is None:
                 for _ in range(min(lines, due)):
                     lineno, rest = self.take("f")
-                    order.append(_order_vector(lineno, rest, width))
+                    order.append(_order_code(lineno, rest, width, base))
             else:
-                order.extend(zip(*[iter(entries)] * width) if width else [()] * lines)
+                order.extend(codes)
                 self.pos, self.lineno = stop + 1, self.lineno + lines
         return tuple(order)
 
 
-def _block_entries(block: str, lines: int, step: int) -> list[int] | None:
-    """The entries of ``block`` if it is ``lines`` lines ``f`` and ``step - 1`` elements.
+def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[int] | None:
+    """The codes of ``block`` if it is ``lines`` lines exactly as rendered, else None.
 
-    Every line must start with ``f``, and the tokens number ``step`` per
-    line, with ``f`` at each multiple of ``step`` and an element spelling
-    everywhere else.  No spelling starts with ``f`` or holds a ``#``, so
-    each line's first token is one of the ``f`` and each line has
-    ``step`` tokens, none in a comment.  None when the block is not so.
+    Such a line is ``f`` and ``width`` digits below ``base``, one
+    character each and each after one space, so with its break it has
+    2*width + 2 characters: spaces and breaks at odd offsets, ``f`` and
+    the digits at even ones.  Each line's digits then read as its code
+    with one ``int(digits, base)``; only ASCII digits below ``base``
+    reach ``int``, so no digit carries and no ``_`` or other script's
+    digit is read there.  None outright for a base outside 2..10, and
+    for a width past the digits ``int`` reads in one string.
     """
-    if not block.startswith("f") or block.count("\nf") != lines - 1:
+    # 0, or no such function (Python before 3.10.7), sets no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)() or width
+    if base is None or not 2 <= base <= 10 or not 0 < width <= limit:
         return None
-    tokens = block.split()
-    if len(tokens) != lines * step or tokens[::step].count("f") != lines:
+    even = block[::2]
+    if (len(block) != lines * (2 * width + 2) - 1
+            or block[1::2] != ((" " * width + "\n") * lines)[:-1]
+            or even[::width + 1] != "f" * lines or even.count("f") != lines
+            or even.strip("f" + _DIGITS[:base])):
         return None
-    del tokens[::step]
-    try:
-        return list(map(_ELEMENT.__getitem__, tokens))
-    except ValueError:
-        return None
+    digits = even.split("f")
+    del digits[0]
+    return list(map(int, digits, repeat(base)))
 
 
 def _parse_factor(reader: _Reader) -> Factorization:
@@ -312,7 +376,7 @@ def parse_certificate(text: str) -> Certificate:
     count = reader.take_int("order")
     if count < 0:
         raise ParseError("order count must be nonnegative")
-    order = reader.take_order(count, d * x)
+    order = reader.take_order(count, d * x, _order_base(size, d * x, count))
 
     pad = None
     blocks: list[CertBlock] = []

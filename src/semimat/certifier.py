@@ -8,7 +8,8 @@ Two branches:
 
 * pad (x <= y): the identity on x factors through y as
   [Id | 0] . [Id ; 0] = Id, and the action matrix of the identity is the
-  identity matrix, which spans itself.
+  identity matrix, which spans itself.  That the identity acts as the
+  identity is checked on the n^x row codes, not on the m elements.
 
 * construct (x > y): for every f in Hom(d, x), the column preorder s(f)
   (the 0/1 endomorphism recording which columns of f dominate which)
@@ -43,11 +44,10 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .domination import (ActionMatrix, WitnessReport, action_matrix,
-                         assemble_witness)
+from .domination import ActionMatrix, WitnessReport, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
-from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power,
-                     compose, dominates, enumerate_hom, identity,
+from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, acts_as_identity,
+                     capped_power, compose, dominates, enumerate_hom, identity,
                      power_exceeds, right_action)
 from .semiring import Semiring, natural_order, table_hash
 
@@ -220,7 +220,10 @@ class CertBlock:
 class Certificate:
     """Complete machine-checkable witness that x is dominated by y = n^d.
 
-    ``order`` is the enumerated Hom(d, x) as row-major entry vectors; in
+    ``order`` is the enumerated Hom(d, x) as codes, each element's
+    row-major entry vector read in base n (see ``matcat``), and never as
+    entry tuples; a parsed ``f`` line that holds no code of Hom(d, x)
+    reads as ``certfile.NO_CODE``, which no canonical order holds.  In
     the construct branch, ``blocks``/``coefficients`` align with it
     positionally.  ``checks`` records the results of the branch's checks
     at build time, named and ordered as PAD_CHECK_NAMES or
@@ -233,7 +236,7 @@ class Certificate:
     x: int
     y: int
     branch: str
-    order: tuple[tuple[int, ...], ...]
+    order: tuple[int, ...]
     pad: Factorization | None
     blocks: tuple[CertBlock, ...]
     coefficients: tuple[Fraction, ...]
@@ -277,7 +280,7 @@ def certify(sr: Semiring, d: int, x: int,
     if x > cap_cols:  # s(f) and the identity are x-by-x
         raise CapExceededError(f"x = {x} exceeds cap {cap_cols}", size=x)
     base = dict(semiring_size=sr.size, semiring_hash=table_hash(sr), d=d, x=x, y=y,
-                order=hom.order, checks=())
+                order=hom.codes, checks=())
 
     if x <= y:
         cert = Certificate(branch="pad", pad=pad_identity(sr, x, y), blocks=(),
@@ -332,7 +335,7 @@ def verify_certificate(sr: Semiring, cert: Certificate,
     checks = [("y-matches", True)]
     hom = enumerate_hom(sr, cert.d, cert.x, cap_hom)
     m = hom.size
-    ordered = cert.order == hom.order
+    ordered = cert.order == hom.codes  # two tuples of ints
     checks.append(("order-canonical", ordered))
     checks.append(("branch-matches-bound",
                    cert.branch in ("pad", "construct")
@@ -378,7 +381,7 @@ def _pad_checks(sr: Semiring, cert: Certificate,
     """The pad branch's checks, named as in PAD_CHECK_NAMES."""
     ident = identity(sr, cert.x)
     return (("pad-product-identity", cert.pad.product(sr) == ident),
-            ("identity-action-is-identity", action_matrix(sr, ident, hom).is_identity()))
+            ("identity-action-is-identity", acts_as_identity(sr, ident, hom)))
 
 
 def _action_witness(sr: Semiring, blocks, hom: HomEnumeration,

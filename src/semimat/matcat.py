@@ -16,9 +16,12 @@ significant, which maps the n^x possible rows one to one onto
 range(n^x); a matrix is coded by its rows' codes as base-n^x digits,
 first row most significant, i.e. by its row-major entry vector read in
 base n.  Every vector of d*x digits occurs exactly once, so the code is
-a bijection from Hom(d, x) onto range(n^(d*x)).  ``HomEnumeration.codes``
-lists the code of each rank, ``rank_of_code`` inverts it and
-``from_code`` decodes one; no other module reads the layout.
+a bijection from Hom(d, x) onto range(n^(d*x)).  The code is the one
+representation of an element: ``HomEnumeration.codes`` is the order,
+``rank_of_code`` inverts it and ``from_code`` decodes one into a
+``Morphism`` when one is needed.  The certificate's order section writes
+each code's d*x base-n digits (``certfile``); no other module reads the
+layout.
 
 Row images are bit-sliced.  Element a is embedded as the n-bit mask
 {c : not a <= c} in the natural order.  Because a + b <= c iff a <= c
@@ -173,37 +176,38 @@ def capped_power(n: int, k: int, cap: int, what: str) -> int:
 class HomEnumeration:
     """All of Hom(d, x) in a fixed linear extension of the dominance order.
 
-    ``order`` lists the entry vectors in rank order.  Elements are
-    addressed by rank (position in ``order``) or by code (the entry
-    vector read as a base-n number); ``codes[i]`` is the code of rank i
-    and ``rank_of_code`` inverts it, the two lists sharing their int
-    objects.  ``row_masks[r]`` is the packed mask of the row with code r
-    (see ``row_images``) and ``code_of_mask`` inverts it; both are empty
-    when d = 0, which has no rows.  ``morphisms`` is built on first use.
+    Elements are held as codes only (the entry vector read in base n).
+    ``codes[i]`` is the code of rank i, so ``codes`` is the order, and
+    ``rank_of_code`` inverts it, the two sharing their int objects.
+    ``row_masks[r]`` is the packed mask of the row with code r (see
+    ``row_images``) and ``code_of_mask`` inverts it; both are empty when
+    d = 0, which has no rows.  ``morphisms`` decodes every code on first
+    use.
     """
 
     d: int
     x: int
     n: int
-    order: tuple[tuple[int, ...], ...]
+    codes: tuple[int, ...] = field(repr=False)
     rank_of_code: list[int] = field(repr=False)
-    codes: list[int] = field(repr=False)
     row_masks: list[int] = field(repr=False)
     code_of_mask: dict[int, int] = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.order)
+        return len(self.codes)
 
     def __len__(self) -> int:
-        return len(self.order)
+        return len(self.codes)
 
     def __iter__(self):
         return iter(self.morphisms)
 
     @cached_property
     def morphisms(self) -> tuple[Morphism, ...]:
-        return tuple(from_entry_vector(self.d, self.x, vec) for vec in self.order)
+        # product() yields the entry vectors in code order
+        vecs = list(itertools.product(range(self.n), repeat=self.d * self.x))
+        return tuple(from_entry_vector(self.d, self.x, vecs[code]) for code in self.codes)
 
     def position(self, m: Morphism) -> int:
         if m.signature != (self.d, self.x):
@@ -232,20 +236,18 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
                                size=d * x)
     n = sr.size
     height = natural_order(sr).height
-    # product() yields the entry vectors in lexicographic order, so the
-    # vector at index c has code c, and a stable sort by height sum breaks
-    # ties by the entry vector
-    vecs = list(itertools.product(range(n), repeat=d * x))
+    # the height sums of all codes, one base-n digit at a time, in code
+    # order; a stable sort by height sum breaks ties by code, which orders
+    # as the entry vector does
     sums = [0]
     for _ in range(d * x):
         sums = [t + h for t in sums for h in height]
-    numbers = list(range(len(vecs)))
-    codes = sorted(numbers, key=sums.__getitem__)
+    numbers = list(range(len(sums)))
+    codes = tuple(sorted(numbers, key=sums.__getitem__))
     rank_of_code = sorted(numbers, key=codes.__getitem__)  # the inverse permutation
     # the rows' masks are their images under the identity, n^x <= m of them
     row_masks = row_images(sr, identity(sr, x)) if d else []
-    return HomEnumeration(d=d, x=x, n=n, order=tuple(map(vecs.__getitem__, codes)),
-                          rank_of_code=rank_of_code, codes=codes,
+    return HomEnumeration(d=d, x=x, n=n, codes=codes, rank_of_code=rank_of_code,
                           row_masks=row_masks,
                           code_of_mask={mask: code for code, mask in enumerate(row_masks)})
 
@@ -311,14 +313,36 @@ def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> tuple[list[i
     image and never sweeps.  Agrees with ``compose`` and ``dominates``,
     which are the reference.
     """
-    if s.src != s.dst:
-        raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
-    if s.src != hom.x:
-        raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
-    _check_entries(sr, s)
+    _check_action(sr, s, hom)
     if hom.size == 1:  # d = 0, x = 0 or n = 1, where d or x is unbounded
         return [0], True
     images = row_images(sr, s)
     inflating = not any(map(operator.and_, hom.row_masks, map(operator.invert, images)))
     image = code_images(hom.n, list(map(hom.code_of_mask.__getitem__, images)), hom.d, hom.x)
     return list(map(hom.rank_of_code.__getitem__, map(image.__getitem__, hom.codes))), inflating
+
+
+def acts_as_identity(sr: Semiring, s: Morphism, hom: HomEnumeration) -> bool:
+    """Whether h.s = h for every h of ``hom``, decided on the n^x row codes.
+
+    Row k of h.s is (row k of h).s, and at d >= 1 every row code is the
+    first row of some h, so h.s = h for all h iff r.s = r for every row
+    code r: one ``row_images`` sweep of n^x <= |Hom(d, x)| rows, decoded
+    through ``hom.code_of_mask``, instead of one target per element.  A
+    one-element hom-set never sweeps.  Agrees with ``right_action``'s
+    targets being 0, 1, ..., m - 1, which the tests keep as the reference.
+    """
+    _check_action(sr, s, hom)
+    if hom.size == 1:  # d = 0, x = 0 or n = 1, where d or x is unbounded
+        return True
+    images = row_images(sr, s)
+    return list(map(hom.code_of_mask.get, images)) == list(range(len(images)))
+
+
+def _check_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> None:
+    """ValueError unless s is an endomorphism of x with entries in the semiring."""
+    if s.src != s.dst:
+        raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
+    if s.src != hom.x:
+        raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
+    _check_entries(sr, s)

@@ -3,26 +3,61 @@
 ``render_reference`` and ``parse_reference`` are the earlier
 implementation, one line at a time, kept here as the specification: the
 block codec must write the same bytes and, for every input, return an
-equal Certificate or raise a ParseError with the same message.
+equal Certificate or raise a ParseError with the same message.  The
+reference reads and writes entry vectors; ``vector_of`` and ``code_of``
+carry them to and from the codes a Certificate holds, with no carry: a
+vector with an entry outside range(n) has no code.
 """
 
 import dataclasses
 import random
 import re
+import time
 from fractions import Fraction
 
 import pytest
 
 from semimat import (ParseError, boolean_semiring, certify, parse_certificate,
-                     render_certificate, tropical_semiring)
-from semimat.certfile import FORMAT_MAGIC, FORMAT_VERSION
+                     render_certificate, tropical_semiring, verify_certificate)
+from semimat.certfile import FORMAT_MAGIC, FORMAT_VERSION, NO_CODE
 from semimat.certifier import CertBlock, Certificate, Factorization
 from semimat.matcat import Morphism
 import semimat.certfile as certfile
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
+TROP9 = tropical_semiring(9)  # 11 elements: two-digit spellings
 _FRACTION = r"-?[0-9]+(/[0-9]+)?"
+
+
+def vector_of(code, n, width):
+    """The entry vector ``code`` codes: its ``width`` base-n digits, most significant first."""
+    if not 0 <= code < n ** width:
+        raise ValueError(f"code {code} outside range({n}^{width})")
+    vec = [0] * width
+    for i in reversed(range(width)):
+        code, vec[i] = divmod(code, n)
+    return tuple(vec)
+
+
+def code_of(vec, n):
+    """``vec`` read in base n, or NO_CODE when an entry lies outside range(n)."""
+    if not all(0 <= e < n for e in vec):
+        return NO_CODE
+    code = 0
+    for e in vec:
+        code = code * n + e
+    return code
+
+
+def order_codes(vectors, n, width, count):
+    """The parsed order: codes when ``count`` = n^width, else NO_CODE throughout.
+
+    Only with that count can the order be canonical; for n >= 2 the
+    power is compared by size first, so a hostile width stays cheap.
+    """
+    decodable = n >= 1 and (n == 1 or width <= count.bit_length()) and n ** width == count
+    return tuple(code_of(vec, n) if decodable else NO_CODE for vec in vectors)
 
 
 def _matrix_text(m):
@@ -45,7 +80,8 @@ def render_reference(cert):
            f"y {cert.y}",
            f"branch {cert.branch}",
            f"order {len(cert.order)}"]
-    for vec in cert.order:
+    for code in cert.order:
+        vec = vector_of(code, cert.semiring_size, cert.d * cert.x)
         out.append(("f " + " ".join(map(str, vec))).rstrip())
     if cert.branch == "pad":
         _emit_factor(out, cert.pad)
@@ -220,7 +256,8 @@ def parse_reference(text):
         lineno, tokens = reader.lines[reader.pos]
         raise ParseError(f"line {lineno}: unexpected content after 'end'")
     return Certificate(semiring_size=size, semiring_hash=sr_hash, d=d, x=x, y=y,
-                       branch=branch, order=tuple(order), pad=pad, blocks=tuple(blocks),
+                       branch=branch, order=order_codes(order, size, d * x, count),
+                       pad=pad, blocks=tuple(blocks),
                        coefficients=coefficients, x_diagonal=diagonal, det_x=det,
                        checks=tuple(checks))
 
@@ -234,7 +271,7 @@ def _outcome(parse, text):
 
 
 CORPUS = [(BOOL, 0, 3), (BOOL, 1, 3), (BOOL, 1, 6), (BOOL, 2, 2), (BOOL, 4, 4),
-          (TROP1, 1, 4), (TROP1, 2, 4)]
+          (TROP1, 1, 4), (TROP1, 2, 4), (TROP9, 1, 2)]
 _CERTS = {}
 
 
@@ -289,7 +326,7 @@ def _mutate(text, rng, order_only):
 
 
 @pytest.mark.parametrize("sr, d, x", CORPUS,
-                         ids=[f"{'boolean' if sr.size == 2 else 'tropical1'}-{d}-{x}"
+                         ids=[f"{'boolean' if sr.size == 2 else f'tropical{sr.size - 2}'}-{d}-{x}"
                               for sr, d, x in CORPUS])
 def test_block_codec_matches_the_reference_on_certify_output(sr, d, x):
     cert = corpus_certificate(sr, d, x)
@@ -313,13 +350,16 @@ def test_block_parse_matches_the_reference_on_mutated_certificates(block, monkey
         monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
     outcomes = set()
     for sr, d, x, count in [(BOOL, 0, 3, 40), (BOOL, 1, 3, 150), (BOOL, 1, 6, 150),
-                            (BOOL, 2, 2, 150), (TROP1, 1, 4, 150)]:
+                            (BOOL, 2, 2, 150), (TROP1, 1, 4, 150),
+                            (TROP9, 1, 2, 100)]:
         for text in _mutants(sr, d, x, count, seed=f"{d}/{x}/{sr.size}"):
             new, ref = _outcome(parse_certificate, text), _outcome(parse_reference, text)
             assert new == ref, text
-            outcomes.add(new if isinstance(new, str) else "parsed")
-    # the corpus reaches each kind of order-line verdict
-    assert "parsed" in outcomes
+            outcomes.add(new if isinstance(new, str)
+                         else "no code" if NO_CODE in new.order else "parsed")
+    # the corpus reaches each kind of order-line verdict, an entry that
+    # would carry among them
+    assert {"parsed", "no code"} <= outcomes
     for needle in ("non-integer entry in order vector", "order vector has",
                    "expected 'f', got", "non-integer matrix entry"):
         assert any(needle in o for o in outcomes), needle
@@ -351,6 +391,15 @@ CANONICAL_ORDER = "f 0 0\nf 0 1\nf 1 0\nf 1 1\n"  # boolean 1/2
     "f 0 0\nf 0 1\nf 1 0\nf 1 1 1\n",
     "f 0 0\nf 0 1\nf 1 0\nf 1\n",
     "f 0 0 f\nf 0 1\nf 1 0\nf 1 1\n",
+    # entries outside range(2): with carry, each line would be the code
+    # of the line it replaces
+    "f 0 0\nf 0 1\nf 0 2\nf 1 1\n",
+    "f 0 0\nf 0 1\nf 1 0\nf 0 3\n",
+    "f 0 0\nf 1 -1\nf 1 0\nf 1 1\n",
+    # the layout of rendered lines, nearly: an f at a digit's offset, a
+    # last entry dropped before a trailing space
+    "f 0 0\nf 0 f\n1 1 0\nf 1 1\n",
+    "f 0 0\nf 0 1\nf 1 0\nf 1 \n",
 ], ids=lambda order: repr(order))
 def test_block_parse_matches_the_reference_on_crafted_order_sections(order, block, monkeypatch):
     # each breaks one premise of a block's shape check, alone or with a
@@ -361,6 +410,26 @@ def test_block_parse_matches_the_reference_on_crafted_order_sections(order, bloc
     assert CANONICAL_ORDER in text
     text = text.replace(CANONICAL_ORDER, order)
     assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
+
+
+@pytest.mark.parametrize("block", [None, 1, 23])
+def test_an_out_of_range_entry_reads_as_no_code_in_every_block(block, monkeypatch):
+    # one f line's last entry outside range(n), at a block's start, middle
+    # or end: that line alone holds no code, whichever path reads it
+    if block is not None:
+        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
+    for sr, d, x, positions, entries in [(TROP1, 2, 4, (0, 1, 229, 230, 3000, 6560), "3 9 -1"),
+                                         (BOOL, 4, 4, (4095, 65535), "2")]:
+        cert = corpus_certificate(sr, d, x)
+        lines = render_certificate(cert).split("\n")
+        first = lines.index("order " + str(len(cert.order))) + 1
+        for i in positions:
+            for entry in entries.split():
+                changed = list(lines)
+                changed[first + i] = changed[first + i][:-1] + entry
+                parsed = parse_certificate("\n".join(changed))
+                assert parsed.order == cert.order[:i] + (NO_CODE,) + cert.order[i + 1:]
+    assert verify_certificate(sr, parsed, cap_hom=65536).failures == ("order-canonical",)
 
 
 @pytest.mark.parametrize("old, new", [(" 1 ", " 01 "), (" 1 ", " +1 "), (" 1 ", " 1_0 "),
@@ -377,27 +446,84 @@ def test_every_line_takes_an_accepted_spelling_as_the_reference_does(old, new):
     assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
 
 
-def test_render_matches_the_reference_on_ragged_and_unusual_orders(monkeypatch):
-    # a Certificate built by hand need not have equal-length vectors
+def test_render_matches_the_reference_on_unusual_orders(monkeypatch):
+    # a Certificate built by hand: any codes in range, in any number, and
+    # shapes certify never pairs with them; each text also parses as the
+    # reference parses it
     base = corpus_certificate(BOOL, 1, 3)
-    orders = [(), ((),), ((), ()), ((0, 1), (2,), (), (10, -3, 7)), ((1, 2),) * 5,
-              ((True, 0), (0, 65)), tuple((k,) * (k % 4) for k in range(40))]
+    rng = random.Random(11)
+    shapes = [(2, 1, 3), (2, 0, 3), (2, 3, 0), (2, 2, 2), (2, 3, 1), (3, 2, 1), (12, 1, 2),
+              (1, 5, 3)]
     for block in (None, 1, 3):
         if block is not None:
             monkeypatch.setattr(certfile, "_RENDER_BLOCK", block)
-        for order in orders:
-            cert = dataclasses.replace(base, order=order)
-            assert render_certificate(cert) == render_reference(cert)
+        for n, d, x in shapes:
+            m = n ** (d * x)
+            orders = [(), (0,), (m - 1, 0), (m - 1,) * 5,
+                      tuple(rng.randrange(m) for _ in range(40))]
+            if m > 1:
+                orders.append((True, 0))
+            for order in orders:
+                cert = dataclasses.replace(base, semiring_size=n, d=d, x=x, order=order)
+                text = render_certificate(cert)
+                assert text == render_reference(cert)
+                assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
         for sr, d, x in CORPUS[:4]:
             cert = corpus_certificate(sr, d, x)
             assert render_certificate(cert) == render_reference(cert)
 
 
+@pytest.mark.parametrize("n, d, x, order", [
+    (2, 1, 3, (8,)), (2, 1, 3, (0, 1, -1)), (2, 1, 3, (NO_CODE,)), (2, 1, 3, (0, 2 ** 100)),
+    (2, 0, 3, (1,)), (2, 3, 0, (0, 1)), (1, 5, 3, (0, 1)), (0, 1, 3, (0,)),
+    (2, 10 ** 30, 1, (-1,)),
+], ids=repr)
+def test_render_refuses_a_code_outside_the_hom_set(n, d, x, order):
+    # n^(d*x) codes in all, from 0; a code past them or below 0 is no
+    # element, and its digits would carry or run short
+    cert = dataclasses.replace(corpus_certificate(BOOL, 1, 3), semiring_size=n, d=d, x=x,
+                               order=order)
+    with pytest.raises(ValueError):
+        render_certificate(cert)
+    if d * x < 100:
+        with pytest.raises(ValueError):
+            render_reference(cert)
+
+
+def _wide_line(text, size, width, entry, count=1):
+    """``text`` with one ``f`` line of ``width`` entries, for d = 1, x = width and ``count``."""
+    start, end = text.index("\nf ") + 1, text.index("\nfactor") + 1
+    head = (text[:start].replace("\nsemiring-size 2\n", f"\nsemiring-size {size}\n")
+            .replace("\nd 2\n", "\nd 1\n").replace("\nx 2\n", f"\nx {width}\n")
+            .replace("\norder 16\n", f"\norder {count}\n"))
+    return head + "f" + f" {entry}" * width + "\n" + text[end:]
+
+
 def test_hostile_order_headers_parse_in_bounded_memory():
-    # the header's count and d*x size nothing: the text runs out first
+    # the header's count, size and d*x size nothing: the text runs out
+    # first, and an order whose count is not n^(d*x) is never decoded
     text = render_certificate(corpus_certificate(BOOL, 2, 2))
-    for old, new in [("\norder 16\n", "\norder 1000000000000\n"),
-                     ("\nd 2\n", "\nd 1000000000\n"),
-                     ("\nx 2\n", f"\nx {10 ** 30}\n")]:
-        hostile = text.replace(old, new)
-        assert _outcome(parse_certificate, hostile) == _outcome(parse_reference, hostile)
+    wide = render_certificate(corpus_certificate(BOOL, 4, 4))
+    hostile = [text.replace(old, new) for old, new in [
+        ("\norder 16\n", "\norder 1000000000000\n"),
+        ("\nd 2\n", "\nd 1000000000\n"),
+        ("\nx 2\n", f"\nx {10 ** 30}\n"),
+        ("\nsemiring-size 2\n", "\nsemiring-size 3\n"),
+        ("\nsemiring-size 2\n", f"\nsemiring-size {10 ** 400}\n"),
+        ("\nsemiring-size 2\n", "\nsemiring-size 1\n"),
+        ("\nsemiring-size 2\n", "\nsemiring-size -3\n")]]
+    hostile += [_wide_line(text, size, 100000, entry)
+                for size, entry in [(2, 1), (3, 1), (10 ** 400, 1), (1, 0), (1, 1)]]
+    # a line as rendered, its count n^(d*x), with more digits than int
+    # reads from one string outside bases that are powers of two, and
+    # a one-element semiring's line, a block alone, which int cannot read
+    hostile += [_wide_line(text, size, width, 0, size ** width)
+                for size, width in [(3, 4301), (9, 4500), (2, 14000), (1, 3000)]]
+    # n^(d*x) far above the count, on a wide certificate
+    hostile += [wide.replace("\nsemiring-size 2\n", f"\nsemiring-size {size}\n")
+                for size in (3, 10 ** 400)]
+    for case in hostile:
+        start = time.perf_counter()
+        outcome = _outcome(parse_certificate, case)
+        assert time.perf_counter() - start < 2
+        assert outcome == _outcome(parse_reference, case)

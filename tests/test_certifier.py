@@ -17,7 +17,7 @@ from semimat import (CapExceededError, CertBlock, Factorization,
 from semimat import certifier, domination, linalg
 from semimat.certfile import FORMAT_VERSION
 from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES
-from semimat.matcat import right_action
+from semimat.matcat import HomEnumeration, code_images, right_action
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -287,6 +287,25 @@ def test_each_product_is_composed_once(monkeypatch):
     assert verify_certificate(BOOL, cert).passed
     assert len(actions) == m
     assert len(composes) <= m
+
+
+def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
+    # boolean 4/4, m = 65536: the identity check reads the 16 row codes;
+    # no target per element is formed and no element is decoded
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pad branch swept the hom-set")
+
+    for fn in (right_action, code_images, action_matrix):
+        for name, mod in list(sys.modules.items()):
+            if name == "semimat" or name.startswith("semimat."):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, refuse)
+    monkeypatch.setattr(HomEnumeration, "morphisms", property(refuse))
+    cert = certify(BOOL, 4, 4, cap_hom=65536)
+    report = verify_certificate(BOOL, cert, cap_hom=65536)
+    assert cert.branch == "pad" and len(cert.order) == 65536
+    assert report.passed and report.checks[-1] == ("identity-action-is-identity", True)
 
 
 def hostile_certificate(x, seed):

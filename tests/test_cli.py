@@ -305,6 +305,33 @@ def test_verify_rejects_a_hostile_certificate_in_bounded_time(tmp_path, capsys):
     assert "INVALID" in capsys.readouterr().out
 
 
+TROP1_ARGS = ["--builtin", "tropical", "--tropical-n", "1"]
+
+
+@pytest.mark.parametrize("args, d, x, old, new", [
+    (["--builtin", "boolean"], 1, 2, "f 1 0", "f 0 2"),
+    (["--builtin", "boolean"], 1, 2, "f 0 1", "f 1 -1"),
+    (["--builtin", "boolean"], 2, 2, "f 0 0 0 1", "f 0 0 1 -1"),
+    (TROP1_ARGS, 1, 2, "f 1 0", "f 0 3"),
+    (TROP1_ARGS, 1, 2, "f 0 2", "f 1 -1"),
+], ids=["boolean-2", "boolean-minus-1", "boolean-2-2-minus-1", "tropical1-3",
+        "tropical1-minus-1"])
+def test_an_out_of_range_entry_never_carries_into_another_code(args, d, x, old, new,
+                                                               tmp_path, capsys):
+    # read as base-n digits with carry, the new line would be the code
+    # of the line it replaces and the order would stay canonical; it
+    # holds no code, so only order-canonical fails
+    sr = boolean_semiring() if args[1] == "boolean" else tropical_semiring(1)
+    text = render_certificate(certify(sr, d, x))
+    assert text.count(f"\n{old}\n") == 1
+    out = tmp_path / "cert.txt"
+    out.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"))
+    assert main(["verify", str(out), *args]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "INVALID"
+    assert [line.split()[0] for line in lines if line.endswith(" fail")] == ["order-canonical"]
+
+
 def _without_order(text):
     return "".join(line for line in text.splitlines(True) if not line.startswith("f "))
 

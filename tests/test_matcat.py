@@ -4,12 +4,12 @@ import time
 
 import pytest
 
-from semimat import (CapExceededError, Morphism, action_matrix,
+from semimat import (CapExceededError, Morphism, Semiring, action_matrix,
                      boolean_semiring, compose, dominates, entry_vector,
                      enumerate_hom, format_morphism, from_entry_vector,
                      hom_size, identity, natural_order, parse_semiring,
                      tropical_semiring, verify_axioms, zero_morphism)
-from semimat.matcat import element_masks, right_action, row_images
+from semimat.matcat import acts_as_identity, element_masks, right_action, row_images
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -163,7 +163,7 @@ def test_enumerate_hom_boolean_1_2():
     assert len(vecs) == 4
     assert vecs[0] == (0, 0)
     assert vecs[-1] == (1, 1)
-    assert hom.order[0] == (0, 0)
+    assert digits(hom.codes[0], 2, 2) == [0, 0]
 
 
 def test_enumerate_hom_completeness():
@@ -236,7 +236,7 @@ def test_right_action_matches_compose_and_dominates(sr):
             continue
         hom = enumerate_hom(sr, d, x)
         keys, morphisms = eager_hom(sr, d, x)
-        assert hom.order == tuple(vec for _, vec in keys)
+        assert [tuple(digits(code, n, d * x)) for code in hom.codes] == [vec for _, vec in keys]
         assert hom.morphisms == morphisms
         assert [hom.position(g) for g in morphisms] == list(range(m))
         for vec in itertools.product(range(n), repeat=x * x):
@@ -344,3 +344,34 @@ def test_right_action_on_the_empty_matrix_does_not_sweep():
     start = time.perf_counter()
     assert right_action(BOOL, identity(BOOL, 500), hom) == ([0], True)
     assert time.perf_counter() - start < 2
+
+
+def identity_by_sweep(sr, s, hom):
+    """The full sweep ``acts_as_identity`` replaced: h.s = h for all m elements h."""
+    return action_matrix(sr, s, hom).is_identity()
+
+
+UNIT = Semiring(1, ("e",), 0, 0, ((0,),), ((0,),))
+
+
+@pytest.mark.parametrize("sr", KERNEL_SEMIRINGS + [UNIT],
+                         ids=["boolean", "tropical1", "tropical2", "chain3", "one-element"])
+def test_acts_as_identity_matches_the_full_sweep(sr):
+    # the identity and other endomorphisms of x, on every Hom(d, x) with
+    # d 0-3 and m <= 4096, the one-element hom-sets among them
+    rng = random.Random(12)
+    n = sr.size
+    shapes = [(d, x) for d in range(4) for x in range(5) if n ** (d * x) <= 4096]
+    assert (0, 4) in shapes and (3, 1) in shapes
+    for d, x in shapes:
+        hom = enumerate_hom(sr, d, x)
+        ident = identity(sr, x)
+        assert acts_as_identity(sr, ident, hom) is identity_by_sweep(sr, ident, hom) is True
+        if n ** (x * x) <= 64:
+            others = all_morphisms(sr, x, x)
+        else:
+            others = [from_entry_vector(x, x, [rng.randrange(n) for _ in range(x * x)])
+                      for _ in range(12)]
+        for s in others:
+            assert acts_as_identity(sr, s, hom) == identity_by_sweep(sr, s, hom)
+            assert acts_as_identity(sr, s, hom) == (hom.size == 1 or s == ident)
