@@ -21,16 +21,19 @@ Two branches:
 
 There is one check path.  ``certify`` only builds the data, then runs
 the same branch checks ``verify_certificate`` runs, on the hom-set it
-already enumerated, and records their results; a failing check is a hard
-error, since the mathematics guarantees success.  In the construct
-branch both call the same builder, which computes every product h.s(f)
-once, with one ``right_action`` call per s(f): the fixed points and X
-are read from its targets and inflation from its flag, and ``certify``
-takes X's diagonal and determinant from the same report the checks read.
-X is formed only when every action matrix is upper triangular, so it is
-upper triangular and its elimination takes no step; otherwise the report
-ends at ``actions-upper-triangular``, as at ``y-matches``,
-``order-canonical`` and ``layout``.
+already enumerated, and records their results.  Each branch's checks are
+a lazy sequence of ``(name, ok)`` in the recorded order, and one stopping
+rule serves both: the first failing check ends the run.
+``verify_certificate`` reports the passing checks and that failure;
+``certify`` raises naming it, since the mathematics guarantees success.
+In the construct branch every product h.s(f) is computed once, with one
+``right_action`` call per s(f): the fixed points and X are read from its
+targets and inflation from its flag, and ``certify`` takes X's diagonal
+and determinant from the report the checks read.  X is formed only once
+``inflation`` has passed, and is then upper triangular: h <= h.s(f) puts
+h.s(f) at a rank no lower than h's, since the enumeration order extends
+dominance, so every action matrix is upper triangular, and so is X.  Its
+elimination takes no step.
 ``verify_preorder_map`` checks the same laws through ``compose`` and
 ``dominates``, independently of that kernel.
 ``verify_certificate`` re-derives every claim from raw data, requires
@@ -268,10 +271,10 @@ def certify(sr: Semiring, d: int, x: int,
     The checks are those ``verify_certificate`` runs, on the hom-set
     enumerated here, and the certificate records their results.  Raises
     CapExceededError when |Hom(d, x)| exceeds ``cap_hom`` or n^d or x
-    exceeds ``cap_cols``, and InternalCheckError if any check fails (the
-    construction always succeeds on a valid semiring, so failure means a
-    bug, never a mathematical negative).  Assumes the semiring passed
-    ``verify_axioms``.
+    exceeds ``cap_cols``, and InternalCheckError naming the first check
+    that fails (the construction always succeeds on a valid semiring, so
+    failure means a bug, never a mathematical negative).  Assumes the
+    semiring passed ``verify_axioms``.
     """
     if d < 0 or x < 0:
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
@@ -285,29 +288,24 @@ def certify(sr: Semiring, d: int, x: int,
     if x <= y:
         cert = Certificate(branch="pad", pad=pad_identity(sr, x, y), blocks=(),
                            coefficients=(), x_diagonal=(), det_x=None, **base)
-        checks = _pad_checks(sr, cert, hom)
-    else:
-        blocks = []
-        for f in hom.morphisms:
-            s = column_preorder(sr, f)
-            fact = factor_through(sr, s, y)
-            blocks.append(CertBlock(s=s, factor=fact, v=fact.width))
-        # On the 0/1 fixed-point table, whose diagonal is one, the greedy
-        # induction of nonvanishing_coefficients never forbids 1, so every
-        # coefficient is one.
-        coefficients = (Fraction(1),) * hom.size
-        mats, inflating, witness = _action_witness(sr, blocks, hom, coefficients)
-        # no witness only if a check fails, which is raised below
-        diagonal, det = (witness.diagonal, witness.det_by_diagonal) if witness else ((), None)
-        cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
-                           coefficients=coefficients, x_diagonal=diagonal,
-                           det_x=det, **base)
-        checks = _construct_checks(sr, cert, mats, inflating, witness)
-    failed = [name for name, ok in checks if not ok]
-    if failed:
-        raise InternalCheckError(
-            "certification checks failed: " + ", ".join(failed)
-            + " (this is a bug in the tool, not a mathematical negative)")
+        return replace(cert, checks=_required(_pad_checks(sr, cert, hom)))
+    blocks = []
+    for f in hom.morphisms:
+        s = column_preorder(sr, f)
+        fact = factor_through(sr, s, y)
+        blocks.append(CertBlock(s=s, factor=fact, v=fact.width))
+    # On the 0/1 fixed-point table, whose diagonal is one, the greedy
+    # induction of nonvanishing_coefficients never forbids 1, so every
+    # coefficient is one.
+    coefficients = (Fraction(1),) * hom.size
+    cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
+                       coefficients=coefficients, x_diagonal=(), det_x=None, **base)
+    mats: list[ActionMatrix] = []
+    checks = _required(_action_checks(sr, cert, hom, mats))
+    # X is formed, and its diagonal and determinant claimed, only now
+    _, witness = assemble_witness(mats, coefficients)
+    cert = replace(cert, x_diagonal=witness.diagonal, det_x=witness.det_by_diagonal)
+    checks += _required(_witness_checks(cert, witness))
     return replace(cert, checks=checks)
 
 
@@ -317,123 +315,120 @@ def verify_certificate(sr: Semiring, cert: Certificate,
 
     Raises FingerprintError when the certificate does not belong to
     ``sr``.  Structural checks pin y, the order, the branch, the recorded
-    check list and the layout, stopping at the first failure of y, the
-    order or the layout; the branch's checks then run through the same
-    functions ``certify`` records them with, against the canonical
-    enumeration of Hom(d, x).  Assumes the semiring passed
+    check list and the layout; the branch's checks then run through the
+    same functions ``certify`` records them with, against the canonical
+    enumeration of Hom(d, x).  The report ends at the first failing
+    check, and X is formed only once ``inflation`` has passed, which
+    makes it upper triangular.  Assumes the semiring passed
     ``verify_axioms``.
     """
     if cert.semiring_size != sr.size or cert.semiring_hash != table_hash(sr):
         raise FingerprintError(
             f"certificate fingerprint ({cert.semiring_size}, {cert.semiring_hash[:12]}...) "
             f"does not match the semiring ({sr.size}, {table_hash(sr)[:12]}...)")
-    n, y = sr.size, cert.y
+    return VerificationReport(checks=_until_failure(_checks(sr, cert, cap_hom)))
+
+
+def _until_failure(checks) -> tuple[tuple[str, bool], ...]:
+    """The ``(name, ok)`` pairs of ``checks`` up to and including the first failure."""
+    report = []
+    for name, ok in checks:
+        report.append((name, ok))
+        if not ok:
+            break
+    return tuple(report)
+
+
+def _required(checks) -> tuple[tuple[str, bool], ...]:
+    """``_until_failure`` for ``certify``, where a failing check is a bug."""
+    report = _until_failure(checks)
+    if not report[-1][1]:
+        raise InternalCheckError(f"certification check failed: {report[-1][0]} (this is a bug"
+                                 " in the tool, not a mathematical negative)")
+    return report
+
+
+def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
+    """Every check of ``verify_certificate``, lazily, in the recorded order."""
+    y = cert.y
     # decided without forming n^d when n^d > y; on a mismatch d is
-    # unbounded (Hom(d, 0) alone has d rows), so nothing else runs
-    if power_exceeds(n, cert.d, y) or n ** cert.d != y:
-        return VerificationReport(checks=(("y-matches", False),))
-    checks = [("y-matches", True)]
+    # unbounded (Hom(d, 0) alone has d rows)
+    yield "y-matches", not power_exceeds(sr.size, cert.d, y) and sr.size ** cert.d == y
     hom = enumerate_hom(sr, cert.d, cert.x, cap_hom)
+    # the blocks are read as aligned with the canonical order
+    yield "order-canonical", cert.order == hom.codes  # two tuples of ints
+    pad = cert.x <= y
+    yield "branch-matches-bound", cert.branch == ("pad" if pad else "construct")
+    expected = PAD_CHECK_NAMES if pad else CONSTRUCT_CHECK_NAMES
+    yield "recorded-checks-match", cert.checks == tuple((name, True) for name in expected)
+    if pad:
+        yield "layout", (cert.pad is not None and not cert.blocks and not cert.coefficients
+                         and not cert.x_diagonal and cert.det_x is None
+                         and cert.pad.source == cert.x and cert.pad.target == y
+                         and _entries_in_range(sr, cert.pad.left)
+                         and _entries_in_range(sr, cert.pad.right))
+        yield from _pad_checks(sr, cert, hom)
+        return
     m = hom.size
-    ordered = cert.order == hom.codes  # two tuples of ints
-    checks.append(("order-canonical", ordered))
-    checks.append(("branch-matches-bound",
-                   cert.branch in ("pad", "construct")
-                   and (cert.branch == "pad") == (cert.x <= y)))
-    expected = PAD_CHECK_NAMES if cert.branch == "pad" else CONSTRUCT_CHECK_NAMES
-    checks.append(("recorded-checks-match",
-                   cert.checks == tuple((name, True) for name in expected)))
-
-    # the blocks are read as aligned with the canonical order, so nothing
-    # downstream means anything once the order is not canonical
-    if not ordered:
-        return VerificationReport(checks=tuple(checks))
-
-    if cert.branch == "pad":
-        layout = (cert.pad is not None and not cert.blocks and not cert.coefficients
-                  and not cert.x_diagonal and cert.det_x is None
-                  and cert.pad.source == cert.x and cert.pad.target == y
-                  and _entries_in_range(sr, cert.pad.left)
-                  and _entries_in_range(sr, cert.pad.right))
-    else:
-        layout = (cert.pad is None and len(cert.blocks) == m
-                  and len(cert.coefficients) == m and len(cert.x_diagonal) == m
-                  and cert.det_x is not None
-                  and all(blk.s.src == cert.x and blk.s.dst == cert.x for blk in cert.blocks)
-                  and all(blk.factor.source == cert.x and blk.factor.target == y
-                          for blk in cert.blocks)
-                  and all(_entries_in_range(sr, blk.s)
-                          and _entries_in_range(sr, blk.factor.left)
-                          and _entries_in_range(sr, blk.factor.right)
-                          for blk in cert.blocks))
-    checks.append(("layout", layout))
-    if not layout:
-        return VerificationReport(checks=tuple(checks))
-    if cert.branch == "pad":
-        return VerificationReport(checks=tuple(checks) + _pad_checks(sr, cert, hom))
-    mats, inflating, witness = _action_witness(sr, cert.blocks, hom, cert.coefficients)
-    return VerificationReport(
-        checks=tuple(checks) + _construct_checks(sr, cert, mats, inflating, witness))
+    yield "layout", (cert.pad is None and len(cert.blocks) == m
+                     and len(cert.coefficients) == m and len(cert.x_diagonal) == m
+                     and cert.det_x is not None
+                     and all(blk.s.src == cert.x and blk.s.dst == cert.x for blk in cert.blocks)
+                     and all(blk.factor.source == cert.x and blk.factor.target == y
+                             for blk in cert.blocks)
+                     and all(_entries_in_range(sr, blk.s)
+                             and _entries_in_range(sr, blk.factor.left)
+                             and _entries_in_range(sr, blk.factor.right)
+                             for blk in cert.blocks))
+    mats: list[ActionMatrix] = []
+    yield from _action_checks(sr, cert, hom, mats)
+    yield from _witness_checks(cert, assemble_witness(mats, cert.coefficients)[1])
 
 
-def _pad_checks(sr: Semiring, cert: Certificate,
-                hom: HomEnumeration) -> tuple[tuple[str, bool], ...]:
+def _pad_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration):
     """The pad branch's checks, named as in PAD_CHECK_NAMES."""
     ident = identity(sr, cert.x)
-    return (("pad-product-identity", cert.pad.product(sr) == ident),
-            ("identity-action-is-identity", acts_as_identity(sr, ident, hom)))
+    yield "pad-product-identity", cert.pad.product(sr) == ident
+    yield "identity-action-is-identity", acts_as_identity(sr, ident, hom)
 
 
-def _action_witness(sr: Semiring, blocks, hom: HomEnumeration,
-                    coefficients) -> tuple[list[ActionMatrix], bool, WitnessReport | None]:
-    """The action matrix of every s(f), whether every s(f) inflates, and the report on X.
+def _action_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
+                   mats: list[ActionMatrix]):
+    """The construct branch's checks up to ``inflation``; fills ``mats``.
 
-    X = sum c_i A(s(f_i)).  One ``right_action`` call per block computes
-    every product h.s(f) the construct branch needs.  The report is None
-    unless every action matrix is upper triangular.
+    They run after ``layout``, so every entry is a semiring element.
+    After ``v-counts``, one ``right_action`` call per block computes
+    every product h.s(f) the construct branch needs, and the action of
+    every s(f) on the canonical enumeration of Hom(d, x) goes to ``mats``.
+    Ranks are unique, so target i of row i is i exactly when
+    f_i.s(f_i) = f_i.
     """
-    mats = []
+    yield "factor-products", all(blk.factor.product(sr) == blk.s for blk in cert.blocks)
+    yield "v-counts", all(blk.v == blk.factor.width == _distinct_column_count(blk.s)
+                          and blk.v <= cert.y for blk in cert.blocks)
     inflating = True
-    for blk in blocks:
+    for blk in cert.blocks:
         targets, inflates = right_action(sr, blk.s, hom)
         mats.append(ActionMatrix(dim=hom.size, targets=targets))
         inflating = inflating and inflates
-    if not all(mat.is_upper_triangular() for mat in mats):
-        return mats, inflating, None
-    _, witness = assemble_witness(mats, coefficients)
-    return mats, inflating, witness
+    yield "fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))
+    yield "inflation", inflating
 
 
-def _construct_checks(sr: Semiring, cert: Certificate, mats: list[ActionMatrix],
-                      inflating: bool,
-                      witness: WitnessReport | None) -> tuple[tuple[str, bool], ...]:
-    """The construct branch's checks, named as in CONSTRUCT_CHECK_NAMES.
+def _witness_checks(cert: Certificate, witness: WitnessReport):
+    """The rest of CONSTRUCT_CHECK_NAMES, on the report on X.
 
-    ``mats`` act on the canonical enumeration of Hom(d, x), which the
-    blocks are read as aligned with (``order-canonical`` pins that), and
-    the layout must be sound, so every entry is a semiring element.
-    Ranks are unique, so target i of row i is i exactly when
-    f_i.s(f_i) = f_i.  Without a witness they end at
-    ``actions-upper-triangular``.
+    X is formed from actions that passed ``inflation``, so each is upper
+    triangular, and that one value of the report answers both
+    ``actions-upper-triangular`` and ``x-upper-triangular``.
     """
-    checks = (
-        ("factor-products", all(blk.factor.product(sr) == blk.s for blk in cert.blocks)),
-        ("v-counts", all(blk.v == blk.factor.width == _distinct_column_count(blk.s)
-                         and blk.v <= cert.y for blk in cert.blocks)),
-        ("fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))),
-        ("inflation", inflating),
-        ("actions-upper-triangular", witness is not None),
-    )
-    if witness is None:
-        return checks
     det = witness.det_by_elimination
-    return checks + (
-        ("x-diagonal-matches", witness.diagonal == cert.x_diagonal),
-        ("x-upper-triangular", witness.triangular),
-        ("x-diagonal-nonzero", witness.diagonal_nonzero),
-        ("det-routes-agree", witness.det_by_diagonal == det == cert.det_x),
-        ("det-nonzero", det != 0),
-    )
+    yield "actions-upper-triangular", witness.triangular
+    yield "x-diagonal-matches", witness.diagonal == cert.x_diagonal
+    yield "x-upper-triangular", witness.triangular
+    yield "x-diagonal-nonzero", witness.diagonal_nonzero
+    yield "det-routes-agree", witness.det_by_diagonal == det == cert.det_x
+    yield "det-nonzero", det != 0
 
 
 def _distinct_column_count(m: Morphism) -> int:

@@ -225,7 +225,7 @@ def nonvanishing_coefficients(table) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Triangularity, diagonal and two independent exact determinant routes."""
+    """Whether every action (so X) is upper triangular, X's diagonal, two det routes."""
 
     triangular: bool
     diagonal: tuple[Fraction, ...]
@@ -245,13 +245,15 @@ def assemble_witness(mats, coeffs) -> tuple[list[list[int | Fraction]], WitnessR
 
     The action matrices are 0/1, so X is integral (entries of type ``int``)
     whenever the coefficients are, as in every certificate ``certify``
-    writes.  The determinant is computed twice: as the diagonal product
-    (valid when X is upper triangular) and by independent fraction-free
-    elimination.  Both routes are exact and must agree.
+    writes.  Triangularity is read from the actions' targets, not from X.
+    The determinant is computed twice: as the diagonal product (valid when
+    every action, so X, is upper triangular) and by independent
+    fraction-free elimination.  Both routes are exact and must agree.
     """
+    mats = list(mats)
     x = linear_combination(mats, coeffs)
     m = len(x)
-    triangular = not any(any(row[:i]) for i, row in enumerate(x))
+    triangular = all(mat.is_upper_triangular() for mat in mats)
     diagonal = tuple(Fraction(x[i][i]) for i in range(m))
     diagonal_nonzero = all(v != 0 for v in diagonal)
     det_diag: Fraction | None = None

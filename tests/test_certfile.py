@@ -23,6 +23,7 @@ from semimat.certfile import FORMAT_MAGIC, FORMAT_VERSION, NO_CODE
 from semimat.certifier import CertBlock, Certificate, Factorization
 from semimat.matcat import Morphism
 import semimat.certfile as certfile
+from test_certifier import assert_ends_at_first_failure
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -262,6 +263,19 @@ def parse_reference(text):
                        checks=tuple(checks))
 
 
+def assert_same_text(text, expected):
+    """``text == expected``, reported at the first line that differs.
+
+    pytest would diff two certificates of megabytes with difflib, for
+    minutes; the line number and the two lines say as much.
+    """
+    if text != expected:
+        lines, want = text.split("\n"), expected.split("\n")
+        i = next((i for i, pair in enumerate(zip(lines, want)) if pair[0] != pair[1]),
+                 min(len(lines), len(want)))
+        assert (i + 1, lines[i:i + 1]) == (i + 1, want[i:i + 1])
+
+
 def _outcome(parse, text):
     """What ``parse`` makes of ``text``: the Certificate, or the ParseError's message."""
     try:
@@ -331,8 +345,13 @@ def _mutate(text, rng, order_only):
 def test_block_codec_matches_the_reference_on_certify_output(sr, d, x):
     cert = corpus_certificate(sr, d, x)
     text = render_certificate(cert)
-    assert text == render_reference(cert)
+    assert_same_text(text, render_reference(cert))
     assert parse_certificate(text) == cert == parse_reference(text)
+
+
+# (semiring, d, x, number of mutants)
+MUTATED = [(BOOL, 0, 3, 40), (BOOL, 1, 3, 150), (BOOL, 1, 6, 150), (BOOL, 2, 2, 150),
+           (TROP1, 1, 4, 150), (TROP9, 1, 2, 100)]
 
 
 def _mutants(sr, d, x, count, seed):
@@ -349,9 +368,7 @@ def test_block_parse_matches_the_reference_on_mutated_certificates(block, monkey
     if block is not None:
         monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
     outcomes = set()
-    for sr, d, x, count in [(BOOL, 0, 3, 40), (BOOL, 1, 3, 150), (BOOL, 1, 6, 150),
-                            (BOOL, 2, 2, 150), (TROP1, 1, 4, 150),
-                            (TROP9, 1, 2, 100)]:
+    for sr, d, x, count in MUTATED:
         for text in _mutants(sr, d, x, count, seed=f"{d}/{x}/{sr.size}"):
             new, ref = _outcome(parse_certificate, text), _outcome(parse_reference, text)
             assert new == ref, text
@@ -363,6 +380,21 @@ def test_block_parse_matches_the_reference_on_mutated_certificates(block, monkey
     for needle in ("non-integer entry in order vector", "order vector has",
                    "expected 'f', got", "non-integer matrix entry"):
         assert any(needle in o for o in outcomes), needle
+
+
+def test_every_mutant_report_ends_at_its_first_failure():
+    # the mutants above that parse: each verifies, or its report is the
+    # passing checks followed by one failure
+    failures = set()
+    for sr, d, x, count in MUTATED:
+        for text in _mutants(sr, d, x, count, seed=f"{d}/{x}/{sr.size}"):
+            try:
+                report = verify_certificate(sr, parse_certificate(text), cap_hom=65536)
+            except ParseError:
+                continue
+            assert_ends_at_first_failure(report)
+            failures.update(report.failures)
+    assert {"order-canonical", "layout", "factor-products"} <= failures
 
 
 def test_block_parse_matches_the_reference_on_large_orders():
@@ -466,11 +498,11 @@ def test_render_matches_the_reference_on_unusual_orders(monkeypatch):
             for order in orders:
                 cert = dataclasses.replace(base, semiring_size=n, d=d, x=x, order=order)
                 text = render_certificate(cert)
-                assert text == render_reference(cert)
+                assert_same_text(text, render_reference(cert))
                 assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
         for sr, d, x in CORPUS[:4]:
             cert = corpus_certificate(sr, d, x)
-            assert render_certificate(cert) == render_reference(cert)
+            assert_same_text(render_certificate(cert), render_reference(cert))
 
 
 @pytest.mark.parametrize("n, d, x, order", [

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib
 import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -234,26 +236,35 @@ def swap_order(cert, i, j):
     return dataclasses.replace(cert, order=tuple(order))
 
 
+def assert_ends_at_first_failure(report):
+    """All checks pass, or the passing checks are followed by exactly one failure."""
+    oks = [ok for _, ok in report.checks]
+    assert oks and False not in oks[:-1], report.checks
+
+
 def test_verify_certificate_rejects_mutations():
     cert = certify(BOOL, 1, 3)
     mutants = {
-        "coefficient-zeroed": zero_coefficient(cert, 0),
-        "left-entry-flipped": flip_left_entry(cert, 3),
-        "order-swapped": swap_order(cert, 1, 2),
-        "det-altered": dataclasses.replace(cert, det_x=cert.det_x + 1),
-        "diag-altered": dataclasses.replace(
-            cert, x_diagonal=(Fraction(5),) + cert.x_diagonal[1:]),
-        "y-altered": dataclasses.replace(cert, y=3),
-        "branch-flipped": dataclasses.replace(cert, branch="pad"),
-        "check-flag-flipped": dataclasses.replace(
-            cert, checks=(("fixed-points", False),) + cert.checks[1:]),
-        "check-renamed": dataclasses.replace(
+        "coefficient-zeroed": (zero_coefficient(cert, 0), "x-diagonal-matches"),
+        "left-entry-flipped": (flip_left_entry(cert, 3), "factor-products"),
+        "order-swapped": (swap_order(cert, 1, 2), "order-canonical"),
+        "det-altered": (dataclasses.replace(cert, det_x=cert.det_x + 1), "det-routes-agree"),
+        "diag-altered": (dataclasses.replace(
+            cert, x_diagonal=(Fraction(5),) + cert.x_diagonal[1:]), "x-diagonal-matches"),
+        "y-altered": (dataclasses.replace(cert, y=3), "y-matches"),
+        "branch-flipped": (dataclasses.replace(cert, branch="pad"), "branch-matches-bound"),
+        "check-flag-flipped": (dataclasses.replace(
+            cert, checks=(("fixed-points", False),) + cert.checks[1:]), "recorded-checks-match"),
+        "check-renamed": (dataclasses.replace(
             cert, checks=(("renamed-factor-products", True),) + cert.checks[1:]),
-        "check-dropped": dataclasses.replace(cert, checks=cert.checks[1:]),
+            "recorded-checks-match"),
+        "check-dropped": (dataclasses.replace(cert, checks=cert.checks[1:]),
+                          "recorded-checks-match"),
     }
-    for name, mutant in mutants.items():
+    for name, (mutant, first_failure) in mutants.items():
         report = verify_certificate(BOOL, mutant)
-        assert not report.passed, f"mutation {name} was accepted"
+        assert report.failures == (first_failure,), f"mutation {name}: {report.checks}"
+        assert_ends_at_first_failure(report)
 
 
 def count_calls(monkeypatch, fn):
@@ -308,12 +319,59 @@ def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
     assert report.passed and report.checks[-1] == ("identity-action-is-identity", True)
 
 
+def forged_pad_text(x):
+    """A boolean pad certificate for d = 0 with its x raised to ``x`` > y = 1.
+
+    The branch is wrong, but the factor pair [1 ; ... ; 1] . [1 ... 1]
+    fits the pad layout, so in about 6x bytes the file asks the pad
+    checks for x-by-x matrices.
+    """
+    text = render_certificate(certify(BOOL, 0, 1))
+    assert "\nx 1\n" in text and "\nfactor 1 1 0\nleft 1\nright 1\n" in text
+    return (text.replace("\nx 1\n", f"\nx {x}\n")
+            .replace("\nfactor 1 1 0\nleft 1\nright 1\n",
+                     f"\nfactor {x} 1 0\nleft {' ; '.join('1' * x)}\nright {' '.join('1' * x)}\n"))
+
+
+def test_verify_stops_at_a_wrong_branch_before_any_x_by_x_matrix(monkeypatch):
+    # the pad checks would build the 3000-by-3000 identity and D.E
+    cert = parse_certificate(forged_pad_text(3000))
+    identities = count_calls(monkeypatch, identity)
+    composes = count_calls(monkeypatch, compose)
+    start = time.perf_counter()
+    report = verify_certificate(BOOL, cert)
+    assert time.perf_counter() - start < 0.5
+    assert report.failures == ("branch-matches-bound",)
+    assert report.checks[-1] == ("branch-matches-bound", False)
+    assert identities == [] and composes == []
+
+
+def test_every_benchmark_tamper_kind_ends_at_its_first_failure(monkeypatch):
+    # the tampered copies the benchmark's construct workload verifies
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    first_failure = {"coefficient": "x-diagonal-matches", "det": "det-routes-agree",
+                     "s-flip": "factor-products", "f-swap": "order-canonical",
+                     "check-rename": "recorded-checks-match"}
+    assert set(first_failure) == set(workloads.TAMPER_KINDS)
+    for case in workloads.WORKLOADS["construct"]:
+        sr = BOOL if case.source.n == 2 else TROP1
+        text = render_certificate(certify(sr, case.d, case.x))
+        for seed in range(3):
+            for kind in workloads.TAMPER_KINDS:
+                rng = random.Random(f"{seed}:{case.label}:{kind}")
+                report = verify_certificate(
+                    sr, parse_certificate(workloads.tamper(text, kind, case.source, rng)))
+                assert report.failures == (first_failure[kind],), (case.label, kind)
+                assert_ends_at_first_failure(report)
+
+
 def hostile_certificate(x, seed):
     """certify(BOOL, 1, x) with every s(f) a random permutation matrix and random coefficients.
 
-    The factor pairs are kept, so the layout holds and every branch check
-    runs, but the action matrices are permutations, not upper triangular,
-    and X = sum c_i A(s(f_i)) would need a full elimination.
+    The factor pairs are kept, so the layout holds, but the action
+    matrices are permutations, not upper triangular, and
+    X = sum c_i A(s(f_i)) would need a full elimination.
     """
     cert = certify(BOOL, 1, x)
     rng = random.Random(seed)
@@ -327,28 +385,34 @@ def hostile_certificate(x, seed):
 
 
 def test_verify_rejects_a_hostile_certificate_without_forming_x(monkeypatch):
+    # the kept factor pairs no longer multiply to s(f): the first check on
+    # the blocks fails, and nothing after it runs
     cert = hostile_certificate(8, seed=8)
     witnesses = count_calls(monkeypatch, assemble_witness)
     determinants = count_calls(monkeypatch, linalg.determinant)
+    actions = count_calls(monkeypatch, right_action)
     report = verify_certificate(BOOL, cert)
-    assert not report.passed
-    assert report.failures[-1] == "actions-upper-triangular"
-    assert report.checks[-1] == ("actions-upper-triangular", False)
-    assert witnesses == [] and determinants == []
+    assert report.failures == ("factor-products",)
+    assert report.checks[-1] == ("factor-products", False)
+    assert witnesses == [] and determinants == [] and actions == []
+    for x, seed in [(6, 1), (7, 2), (9, 9)]:
+        assert_ends_at_first_failure(verify_certificate(BOOL, hostile_certificate(x, seed)))
 
 
 def test_certify_names_the_failed_gate(monkeypatch):
-    # reversed columns keep each s(f) factorable through y, but its
-    # action is no longer upper triangular, so X is never formed
+    # reversed columns keep each s(f) factorable through y, but s(f) no
+    # longer fixes f: certify stops at that first failed check, and X is
+    # never formed
     def reversed_preorder(sr, f):
         s = column_preorder(sr, f)
         return Morphism(s.src, s.dst, tuple(row[::-1] for row in s.entries))
 
     monkeypatch.setattr(certifier, "column_preorder", reversed_preorder)
     witnesses = count_calls(monkeypatch, assemble_witness)
-    with pytest.raises(InternalCheckError, match="actions-upper-triangular"):
+    determinants = count_calls(monkeypatch, linalg.determinant)
+    with pytest.raises(InternalCheckError, match="check failed: fixed-points "):
         certify(BOOL, 1, 3)
-    assert witnesses == []
+    assert witnesses == [] and determinants == []
 
 
 def determinant_steps(monkeypatch):
@@ -459,7 +523,7 @@ def test_parse_certificate_rejects_negative_dimensions():
         parse_certificate(good.replace("d 1", "d -1"))
 
 
-def test_verify_rejects_a_non_inflating_s_that_keeps_x_triangular():
+def test_verify_rejects_a_non_inflating_s_that_keeps_x_triangular(monkeypatch):
     # s maps the row (0, 1, 0) to (1, 0, 0): above it in the order but not
     # above it entrywise, so every check but inflation still passes
     cert = certify(BOOL, 1, 3)
@@ -472,7 +536,11 @@ def test_verify_rejects_a_non_inflating_s_that_keeps_x_triangular():
     _, witness = assemble_witness(mats, cert.coefficients)
     forged = dataclasses.replace(cert, blocks=blocks, x_diagonal=witness.diagonal,
                                  det_x=witness.det_by_diagonal)
-    assert verify_certificate(BOOL, forged).failures == ("inflation",)
+    witnesses = count_calls(monkeypatch, assemble_witness)
+    determinants = count_calls(monkeypatch, linalg.determinant)
+    report = verify_certificate(BOOL, forged)
+    assert report.failures == ("inflation",) and report.checks[-1] == ("inflation", False)
+    assert witnesses == [] and determinants == []
 
 
 def test_verify_reports_invalid_on_out_of_range_entries():
@@ -485,8 +553,8 @@ def test_verify_reports_invalid_on_out_of_range_entries():
     blocks = (CertBlock(s=bad_s, factor=blk.factor, v=blk.v),) + cert.blocks[1:]
     mutant = dataclasses.replace(cert, blocks=blocks)
     report = verify_certificate(BOOL, mutant)
-    assert not report.passed
-    assert "layout" in report.failures
+    assert report.failures == ("layout",)
+    assert_ends_at_first_failure(report)
 
 
 def _single_token_mutants(text):
@@ -522,9 +590,11 @@ def _accepted_mutants(sr, cert, mutants):
     for keyword, text in mutants:
         try:
             mutant = parse_certificate(text)
-            passed = verify_certificate(sr, mutant).passed
+            report = verify_certificate(sr, mutant)
         except (ParseError, FingerprintError, CapExceededError):
             continue
+        assert_ends_at_first_failure(report)
+        passed = report.passed
         if passed and mutant != cert and keyword not in ("left", "right"):
             accepted.append(text)
     return accepted

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from semimat import (Semiring, boolean_semiring, certify, format_semiring, parse_certificate,
-                     parse_semiring, render_certificate, tropical_semiring)
+from semimat import (Semiring, boolean_semiring, certify, compose, format_semiring, identity,
+                     parse_certificate, parse_semiring, render_certificate, tropical_semiring)
 from semimat.certfile import FORMAT_VERSION
 from semimat.cli import main
-from test_certifier import hostile_certificate
+from test_certifier import count_calls, forged_pad_text, hostile_certificate
 
 BROKEN_DISTRIBUTIVITY = """\
 # tropical(1) with 1*1 rewired to 0: distributivity breaks
@@ -303,6 +303,33 @@ def test_verify_rejects_a_hostile_certificate_in_bounded_time(tmp_path, capsys):
     assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 1
     assert time.perf_counter() - start < 20
     assert "INVALID" in capsys.readouterr().out
+
+
+def test_verify_stops_at_a_wrong_branch_in_bounded_time(tmp_path, capsys, monkeypatch):
+    # an 18 KB pad file with d 0 and x 3000: the pad checks would build
+    # 3000-by-3000 matrices, growing as x^2
+    out = tmp_path / "forged.txt"
+    out.write_text(forged_pad_text(3000))
+    identities = count_calls(monkeypatch, identity)
+    composes = count_calls(monkeypatch, compose)
+    start = time.perf_counter()
+    assert main(["verify", str(out), "--builtin", "boolean"]) == 1
+    assert time.perf_counter() - start < 0.5
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split() == ["branch-matches-bound", "fail"] and lines[-1] == "INVALID"
+    assert identities == [] and composes == []
+
+
+def test_verify_report_ends_at_a_renamed_check(tmp_path, capsys):
+    text = render_certificate(certify(boolean_semiring(), 1, 3))
+    assert text.count("\ncheck fixed-points pass\n") == 1
+    out = tmp_path / "cert.txt"
+    out.write_text(text.replace("\ncheck fixed-points pass\n",
+                                "\ncheck renamed-fixed-points pass\n"))
+    assert main(["verify", str(out), "--builtin", "boolean"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].split() == ["recorded-checks-match", "fail"] and lines[-1] == "INVALID"
+    assert [line.split()[1] for line in lines[:-2]] == ["pass"] * (len(lines) - 2)
 
 
 TROP1_ARGS = ["--builtin", "tropical", "--tropical-n", "1"]

@@ -338,6 +338,30 @@ def test_row_images_match_the_reference_on_random_matrices(sr):
     assert square >= 12
 
 
+@pytest.mark.parametrize("sr", KERNEL_SEMIRINGS, ids=["boolean", "tropical1", "tropical2", "chain3"])
+def test_an_inflating_action_is_upper_triangular(sr):
+    # h <= h.s for every h puts h.s at a rank no lower than h's, since the
+    # enumeration order extends dominance: certify and verify form X only
+    # once inflation passed, and read its triangularity from the actions.
+    # Half the samples are joined with the identity, so they inflate.
+    rng = random.Random(f"inflating {sr.size}")
+    n, add = sr.size, sr.add_table
+    inflating_samples = 0
+    for d, x in itertools.product(range(1, 4), range(1, 5)):
+        if n ** (d * x) > 4096:
+            continue
+        hom = enumerate_hom(sr, d, x)
+        for k in range(16):
+            vec = [rng.randrange(n) for _ in range(x * x)]
+            if k % 2:  # s + Id: entry i is on the diagonal when x + 1 divides it
+                vec = [add[e][sr.one if i % (x + 1) == 0 else sr.zero] for i, e in enumerate(vec)]
+            targets, inflating = right_action(sr, from_entry_vector(x, x, vec), hom)
+            if inflating:
+                assert all(t >= i for i, t in enumerate(targets)), (d, x, vec)
+                inflating_samples += 1
+    assert inflating_samples >= 72
+
+
 def test_right_action_on_the_empty_matrix_does_not_sweep():
     # Hom(0, 500) is one matrix with no rows; n^500 row codes never sweep
     hom = enumerate_hom(BOOL, 0, 500)
