@@ -9,7 +9,7 @@ Two branches:
 * pad (x <= y): the identity on x factors through y as
   [Id | 0] . [Id ; 0] = Id, and the action matrix of the identity is the
   identity matrix, which spans itself.  That the identity acts as the
-  identity is checked on the n^x row codes, not on the m elements.
+  identity is read off one sweep of the n^x row codes, not the m elements.
 
 * construct (x > y): for every f in Hom(d, x), the column preorder s(f)
   (the 0/1 endomorphism recording which columns of f dominate which)
@@ -49,9 +49,8 @@ from typing import Callable, Mapping
 
 from .domination import ActionMatrix, WitnessReport, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
-from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, acts_as_identity,
-                     capped_power, compose, dominates, enumerate_hom, identity,
-                     power_exceeds, right_action)
+from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, compose,
+                     dominates, enumerate_hom, identity, power_exceeds, right_action)
 from .semiring import Semiring, natural_order, table_hash
 
 DEFAULT_COLUMN_CAP = 4096
@@ -387,9 +386,8 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
 
 def _pad_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration):
     """The pad branch's checks, named as in PAD_CHECK_NAMES."""
-    ident = identity(sr, cert.x)
-    yield "pad-product-identity", cert.pad.product(sr) == ident
-    yield "identity-action-is-identity", acts_as_identity(sr, ident, hom)
+    yield "pad-product-identity", cert.pad.product(sr) == identity(sr, cert.x)
+    yield "identity-action-is-identity", hom.identity_action_is_identity
 
 
 def _action_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,

@@ -33,8 +33,8 @@ from fractions import Fraction
 from .errors import CapExceededError
 from .linalg import determinant, solve_linear
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, code_images,
-                     enumerate_hom, from_code, from_entry_vector, identity, right_action,
-                     row_images, zero_morphism)
+                     enumerate_hom, from_code, from_entry_vector, right_action, row_images,
+                     row_table, zero_morphism)
 from .semiring import Semiring
 
 DEFAULT_PAIR_CAP = 65536
@@ -83,8 +83,8 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     the number of rows of b, exceeds ``cap_pairs``.
 
     For each b, one ``matcat.row_images`` sweep gives the images of the
-    n^y rows of a, decoded through the masks of the n^x rows of width
-    x, and one ``matcat.code_images`` sweep over a's x rows gives the
+    n^y rows of a, decoded through the width-x ``matcat.row_table``, and
+    one ``matcat.code_images`` sweep over a's x rows gives the
     code of a.b for every a; ``matcat.from_code`` builds a ``Morphism``
     only for each distinct code.  With x = 0 or y = 0 every product is
     the x-by-x zero matrix (no entries, or empty sums), and nothing
@@ -100,7 +100,7 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
         raise CapExceededError(f"y = {y} exceeds cap {cap_pairs}", size=y)
     if x == 0 or y == 0:
         return [zero_morphism(sr, x, x)]
-    code_of_mask = {mask: code for code, mask in enumerate(row_images(sr, identity(sr, x)))}
+    _, code_of_mask = row_table(sr, x)
     # per_b[b][a] is the code of a.b, a in the lexicographic order of its entries
     per_b = [code_images(n, list(map(code_of_mask.__getitem__,
                                      row_images(sr, from_entry_vector(y, x, vec)))), x, x)

@@ -18,10 +18,10 @@ first row most significant, i.e. by its row-major entry vector read in
 base n.  Every vector of d*x digits occurs exactly once, so the code is
 a bijection from Hom(d, x) onto range(n^(d*x)).  The code is the one
 representation of an element: ``HomEnumeration.codes`` is the order,
-``rank_of_code`` inverts it and ``from_code`` decodes one into a
-``Morphism`` when one is needed.  The certificate's order section writes
-each code's d*x base-n digits (``certfile``); no other module reads the
-layout.
+the one table ``enumerate_hom`` builds, and ``from_code`` decodes one
+into a ``Morphism`` when one is needed.  The certificate's order section
+writes each code's d*x base-n digits (``certfile``); no other module
+reads the layout.
 
 Row images are bit-sliced.  Element a is embedded as the n-bit mask
 {c : not a <= c} in the natural order.  Because a + b <= c iff a <= c
@@ -31,8 +31,8 @@ hold exactly in every semiring that passes ``verify_axioms``, whichever
 index zero has (its mask is 0).  A row is packed as one integer of n-bit
 fields, so the image of a row under s is one OR per row code, its
 inflation test one AND, and a dict decodes an image back to its code.
-That dict holds all n^x rows of width x, which at d >= 1 is at most
-|Hom(d, x)|.  Row k of a.b is (row k of a).b, so one more prefix sweep,
+That dict (``row_table``) holds all n^x rows of width x, which at d >= 1
+is at most |Hom(d, x)|.  Row k of a.b is (row k of a).b, so one more prefix sweep,
 ``code_images``, turns row images into matrix images; ``right_action``
 (h -> h.s on a hom-set) and the oracle's products a.b share it, and
 ``compose`` and ``dominates`` remain their reference.  A one-element
@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import CapExceededError
 from .semiring import Semiring, natural_order
@@ -178,20 +178,18 @@ class HomEnumeration:
 
     Elements are held as codes only (the entry vector read in base n).
     ``codes[i]`` is the code of rank i, so ``codes`` is the order, and
-    ``rank_of_code`` inverts it, the two sharing their int objects.
-    ``row_masks[r]`` is the packed mask of the row with code r (see
-    ``row_images``) and ``code_of_mask`` inverts it; both are empty when
-    d = 0, which has no rows.  ``morphisms`` decodes every code on first
-    use.
+    the only table ``enumerate_hom`` builds; the pad branch reads it and
+    ``identity_action_is_identity`` alone.  The rest are built on first
+    read: ``rank_of_code`` inverts ``codes`` (with int objects of its
+    own), ``row_masks[r]`` is the packed mask of the row with code r
+    (see ``row_images``) and ``code_of_mask`` inverts it, both empty when
+    d = 0, which has no rows, and ``morphisms`` decodes every code.
     """
 
     d: int
     x: int
-    n: int
+    sr: Semiring = field(repr=False)
     codes: tuple[int, ...] = field(repr=False)
-    rank_of_code: list[int] = field(repr=False)
-    row_masks: list[int] = field(repr=False)
-    code_of_mask: dict[int, int] = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -206,18 +204,42 @@ class HomEnumeration:
     @cached_property
     def morphisms(self) -> tuple[Morphism, ...]:
         # product() yields the entry vectors in code order
-        vecs = list(itertools.product(range(self.n), repeat=self.d * self.x))
+        vecs = list(itertools.product(range(self.sr.size), repeat=self.d * self.x))
         return tuple(from_entry_vector(self.d, self.x, vecs[code]) for code in self.codes)
+
+    @cached_property
+    def rank_of_code(self) -> list[int]:
+        return sorted(range(self.size), key=self.codes.__getitem__)  # the inverse permutation
+
+    @cached_property
+    def _rows(self) -> tuple[list[int], dict[int, int]]:
+        return row_table(self.sr, self.x) if self.d else ([], {})
+
+    @property
+    def row_masks(self) -> list[int]:
+        return self._rows[0]
+
+    @property
+    def code_of_mask(self) -> dict[int, int]:
+        return self._rows[1]
+
+    @property
+    def identity_action_is_identity(self) -> bool:
+        """Whether h.Id = h for every h, read off the identity's one row sweep.
+
+        Row k of h.Id is (row k of h).Id, and the identity's row images are
+        ``row_masks``, so h.Id = h for all h iff ``code_of_mask`` decodes
+        them one to one.  A one-element hom-set never sweeps.
+        """
+        return self.size == 1 or len(self.code_of_mask) == len(self.row_masks)
 
     def position(self, m: Morphism) -> int:
         if m.signature != (self.d, self.x):
             raise ValueError(f"morphism {m.src}x{m.dst} is not in Hom({self.d},{self.x})")
+        _check_entries(self.sr, m)
         code = 0
-        for row in m.entries:
-            for e in row:
-                if e >= self.n:
-                    raise ValueError(f"entry {e} out of range for semiring of size {self.n}")
-                code = code * self.n + e
+        for e in entry_vector(m):
+            code = code * self.sr.size + e
         return self.rank_of_code[code]
 
 
@@ -234,7 +256,6 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     if d * x > cap:  # only when n = 1, since n^(d*x) <= cap bounds d*x otherwise
         raise CapExceededError(f"entries per element of Hom({d},{x}) = {d * x} exceed cap {cap}",
                                size=d * x)
-    n = sr.size
     height = natural_order(sr).height
     # the height sums of all codes, one base-n digit at a time, in code
     # order; a stable sort by height sum breaks ties by code, which orders
@@ -242,14 +263,7 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     sums = [0]
     for _ in range(d * x):
         sums = [t + h for t in sums for h in height]
-    numbers = list(range(len(sums)))
-    codes = tuple(sorted(numbers, key=sums.__getitem__))
-    rank_of_code = sorted(numbers, key=codes.__getitem__)  # the inverse permutation
-    # the rows' masks are their images under the identity, n^x <= m of them
-    row_masks = row_images(sr, identity(sr, x)) if d else []
-    return HomEnumeration(d=d, x=x, n=n, codes=codes, rank_of_code=rank_of_code,
-                          row_masks=row_masks,
-                          code_of_mask={mask: code for code, mask in enumerate(row_masks)})
+    return HomEnumeration(d, x, sr, tuple(sorted(range(len(sums)), key=sums.__getitem__)))
 
 
 def row_images(sr: Semiring, s: Morphism) -> list[int]:
@@ -277,16 +291,23 @@ def row_images(sr: Semiring, s: Morphism) -> list[int]:
     return level
 
 
-def element_masks(sr: Semiring) -> list[int]:
+def row_table(sr: Semiring, x: int) -> tuple[list[int], dict[int, int]]:
+    """The identity's row images: the masks of the n^x rows of width x, and each one's code."""
+    masks = row_images(sr, identity(sr, x))
+    return masks, {mask: code for code, mask in enumerate(masks)}
+
+
+@lru_cache(maxsize=None)
+def element_masks(sr: Semiring) -> tuple[int, ...]:
     """mask(a) = {c : not a <= c} as an n-bit integer, for each element a.
 
     In the natural order a + b <= c iff a <= c and b <= c, so
     mask(a + b) = mask(a) | mask(b); and a <= b iff mask(a) is a subset
     of mask(b), since b is outside mask(b).  Zero lies below everything,
-    so mask(zero) = 0 whatever zero's index.
+    so mask(zero) = 0 whatever zero's index.  Cached per semiring.
     """
     leq = natural_order(sr).leq
-    return [sum(1 << c for c in range(sr.size) if not below[c]) for below in leq]
+    return tuple(sum(1 << c for c in range(sr.size) if not below[c]) for below in leq)
 
 
 def code_images(n: int, row_map: list[int], rows: int, cols: int) -> list[int]:
@@ -313,36 +334,14 @@ def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> tuple[list[i
     image and never sweeps.  Agrees with ``compose`` and ``dominates``,
     which are the reference.
     """
-    _check_action(sr, s, hom)
-    if hom.size == 1:  # d = 0, x = 0 or n = 1, where d or x is unbounded
-        return [0], True
-    images = row_images(sr, s)
-    inflating = not any(map(operator.and_, hom.row_masks, map(operator.invert, images)))
-    image = code_images(hom.n, list(map(hom.code_of_mask.__getitem__, images)), hom.d, hom.x)
-    return list(map(hom.rank_of_code.__getitem__, map(image.__getitem__, hom.codes))), inflating
-
-
-def acts_as_identity(sr: Semiring, s: Morphism, hom: HomEnumeration) -> bool:
-    """Whether h.s = h for every h of ``hom``, decided on the n^x row codes.
-
-    Row k of h.s is (row k of h).s, and at d >= 1 every row code is the
-    first row of some h, so h.s = h for all h iff r.s = r for every row
-    code r: one ``row_images`` sweep of n^x <= |Hom(d, x)| rows, decoded
-    through ``hom.code_of_mask``, instead of one target per element.  A
-    one-element hom-set never sweeps.  Agrees with ``right_action``'s
-    targets being 0, 1, ..., m - 1, which the tests keep as the reference.
-    """
-    _check_action(sr, s, hom)
-    if hom.size == 1:  # d = 0, x = 0 or n = 1, where d or x is unbounded
-        return True
-    images = row_images(sr, s)
-    return list(map(hom.code_of_mask.get, images)) == list(range(len(images)))
-
-
-def _check_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> None:
-    """ValueError unless s is an endomorphism of x with entries in the semiring."""
     if s.src != s.dst:
         raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
     if s.src != hom.x:
         raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
     _check_entries(sr, s)
+    if hom.size == 1:  # d = 0, x = 0 or n = 1, where d or x is unbounded
+        return [0], True
+    images = row_images(sr, s)
+    inflating = not any(map(operator.and_, hom.row_masks, map(operator.invert, images)))
+    image = code_images(sr.size, list(map(hom.code_of_mask.__getitem__, images)), hom.d, hom.x)
+    return list(map(hom.rank_of_code.__getitem__, map(image.__getitem__, hom.codes))), inflating

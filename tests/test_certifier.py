@@ -19,7 +19,7 @@ from semimat import (CapExceededError, CertBlock, Factorization,
 from semimat import certifier, domination, linalg
 from semimat.certfile import FORMAT_VERSION
 from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES
-from semimat.matcat import HomEnumeration, code_images, right_action
+from semimat.matcat import HomEnumeration, code_images, right_action, row_images
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -317,6 +317,26 @@ def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
     report = verify_certificate(BOOL, cert, cap_hom=65536)
     assert cert.branch == "pad" and len(cert.order) == 65536
     assert report.passed and report.checks[-1] == ("identity-action-is-identity", True)
+
+
+@pytest.mark.parametrize("sr, d, x, cap", [(BOOL, 4, 4, 65536), (TROP1, 2, 4, 6561)],
+                         ids=["boolean-4-4", "tropical1-2-4"])
+def test_pad_branch_reads_the_order_and_one_row_sweep(monkeypatch, sr, d, x, cap):
+    # each command sweeps the identity's n^x rows once and never builds
+    # the inverse permutation of the m codes
+    homs = []
+
+    def recorded(*args, **kwargs):
+        homs.append(enumerate_hom(*args, **kwargs))
+        return homs[-1]
+
+    monkeypatch.setattr(certifier, "enumerate_hom", recorded)
+    sweeps = count_calls(monkeypatch, row_images)
+    cert = certify(sr, d, x, cap_hom=cap)
+    assert cert.branch == "pad" and len(sweeps) == 1
+    report = verify_certificate(sr, parse_certificate(render_certificate(cert)), cap_hom=cap)
+    assert report.passed and len(sweeps) == 2
+    assert len(homs) == 2 and all("rank_of_code" not in vars(hom) for hom in homs)
 
 
 def forged_pad_text(x):

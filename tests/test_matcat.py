@@ -9,7 +9,8 @@ from semimat import (CapExceededError, Morphism, Semiring, action_matrix,
                      enumerate_hom, format_morphism, from_entry_vector,
                      hom_size, identity, natural_order, parse_semiring,
                      tropical_semiring, verify_axioms, zero_morphism)
-from semimat.matcat import acts_as_identity, element_masks, right_action, row_images
+from semimat import matcat
+from semimat.matcat import element_masks, right_action, row_images
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -371,7 +372,7 @@ def test_right_action_on_the_empty_matrix_does_not_sweep():
 
 
 def identity_by_sweep(sr, s, hom):
-    """The full sweep ``acts_as_identity`` replaced: h.s = h for all m elements h."""
+    """The full sweep the identity check replaced: h.s = h for all m elements h."""
     return action_matrix(sr, s, hom).is_identity()
 
 
@@ -381,21 +382,66 @@ UNIT = Semiring(1, ("e",), 0, 0, ((0,),), ((0,),))
 @pytest.mark.parametrize("sr", KERNEL_SEMIRINGS + [UNIT],
                          ids=["boolean", "tropical1", "tropical2", "chain3", "one-element"])
 def test_acts_as_identity_matches_the_full_sweep(sr):
-    # the identity and other endomorphisms of x, on every Hom(d, x) with
-    # d 0-3 and m <= 4096, the one-element hom-sets among them
-    rng = random.Random(12)
+    # the identity on every Hom(d, x) with d 0-3 and m <= 4096, the
+    # one-element hom-sets among them
     n = sr.size
     shapes = [(d, x) for d in range(4) for x in range(5) if n ** (d * x) <= 4096]
     assert (0, 4) in shapes and (3, 1) in shapes
     for d, x in shapes:
         hom = enumerate_hom(sr, d, x)
-        ident = identity(sr, x)
-        assert acts_as_identity(sr, ident, hom) is identity_by_sweep(sr, ident, hom) is True
-        if n ** (x * x) <= 64:
-            others = all_morphisms(sr, x, x)
-        else:
-            others = [from_entry_vector(x, x, [rng.randrange(n) for _ in range(x * x)])
-                      for _ in range(12)]
-        for s in others:
-            assert acts_as_identity(sr, s, hom) == identity_by_sweep(sr, s, hom)
-            assert acts_as_identity(sr, s, hom) == (hom.size == 1 or s == ident)
+        assert hom.identity_action_is_identity is identity_by_sweep(sr, identity(sr, x), hom) is True
+
+
+# Two elements whose masks collide (both are 2): verify_axioms rejects the
+# table, natural_order accepts it, and the identity's row images do not
+# decode one to one
+COLLIDING = Semiring(2, ("0", "1"), 0, 1, ((0, 0), (0, 0)), ((0, 0), (0, 1)))
+
+
+def test_colliding_masks_fail_the_identity_check():
+    assert verify_axioms(COLLIDING) != []
+    assert element_masks(COLLIDING) == (2, 2)
+    for d, x, holds in [(1, 2, False), (2, 1, False), (0, 3, True), (1, 0, True)]:
+        assert enumerate_hom(COLLIDING, d, x).identity_action_is_identity is holds, (d, x)
+
+
+def test_enumerate_hom_builds_the_order_only():
+    # the inverse permutation and the row tables are built on first read
+    for sr, d, x in [(BOOL, 1, 3), (BOOL, 2, 2), (TROP1, 1, 2), (TROP1, 2, 1), (BOOL, 0, 3)]:
+        hom = enumerate_hom(sr, d, x)
+        assert not {"rank_of_code", "_rows", "morphisms"} & set(vars(hom))
+        hom.row_masks
+        assert "_rows" in vars(hom) and "rank_of_code" not in vars(hom)
+        hom.position(zero_morphism(sr, d, x))
+        assert "rank_of_code" in vars(hom)
+
+
+def test_the_empty_matrix_has_no_row_table(monkeypatch):
+    # Hom(0, 500) has no rows, so reading its row table sweeps nothing,
+    # and one-element Hom(2, 2000) never builds the 2000-by-2000 identity
+    sweeps = []
+    monkeypatch.setattr(matcat, "row_images", lambda *args: sweeps.append(args))
+    hom = enumerate_hom(BOOL, 0, 500)
+    assert hom.row_masks == [] and hom.code_of_mask == {}
+    assert hom.identity_action_is_identity
+    assert enumerate_hom(UNIT, 2, 2000).identity_action_is_identity
+    assert sweeps == []
+
+
+@pytest.mark.parametrize("sr", KERNEL_SEMIRINGS, ids=["boolean", "tropical1", "tropical2", "chain3"])
+def test_the_lazy_tables_match_their_definitions(sr):
+    n = sr.size
+    for d, x in itertools.product(range(4), range(5)):
+        if n ** (d * x) > 4096:
+            continue
+        hom = enumerate_hom(sr, d, x)
+        assert all(hom.rank_of_code[code] == i for i, code in enumerate(hom.codes))
+        assert sorted(hom.rank_of_code) == list(range(hom.size))
+        if d == 0:
+            assert hom.row_masks == [] and hom.code_of_mask == {}
+            continue
+        # the masks are the identity's row images, and code_of_mask inverts them
+        assert hom.row_masks == row_images(sr, identity(sr, x))
+        assert len(hom.row_masks) == n ** x
+        assert [hom.code_of_mask[mask] for mask in hom.row_masks] == list(range(n ** x))
+        assert len(hom.code_of_mask) == n ** x
