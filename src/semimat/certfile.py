@@ -282,13 +282,13 @@ class _Reader:
         """``count`` lines ``f`` followed by ``width`` entries, as codes read in ``base``.
 
         A block is the whole lines that end within about ``_PARSE_BLOCK``
-        characters.  One that is all order lines as rendered decodes at
-        once (see ``_block_codes``); any other, with a comment, a blank
-        line, a defect, an out-of-range entry or another spelling, in a
-        base above 10, or running past the order section, is taken line
-        by line, which skips blank and comment lines, raises the first
-        bad line's error and decodes each line alone (see
-        ``_order_code``).
+        characters, cut at the section's last line when the section ends
+        sooner.  One that is all order lines as rendered decodes at once
+        (see ``_block_codes``); any other, with a comment, a blank line,
+        a defect, an out-of-range entry or another spelling, or in a base
+        above 10, is taken line by line, which skips blank and comment
+        lines, raises the first bad line's error and decodes each line
+        alone (see ``_order_code``).
         """
         order: list[int] = []
         text = self.text
@@ -299,9 +299,14 @@ class _Reader:
                 stop = len(text)
             block = text[start:stop]
             lines = block.count("\n") + 1
-            codes = _block_codes(block, lines, width, base) if lines <= due else None
+            if lines > due:
+                # the section ends in the block: cut it where the
+                # section's last line ends if its lines are as rendered
+                lines, stop = due, start + due * (2 * width + 2) - 1
+                block = text[start:stop] if text[stop:stop + 1] in ("", "\n") else ""
+            codes = _block_codes(block, lines, width, base)
             if codes is None:
-                for _ in range(min(lines, due)):
+                for _ in range(lines):
                     lineno, rest = self.take("f")
                     order.append(_order_code(lineno, rest, width, base))
             else:
@@ -319,12 +324,13 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
     the digits at even ones.  Each line's digits then read as its code
     with one ``int(digits, base)``; only ASCII digits below ``base``
     reach ``int``, so no digit carries and no ``_`` or other script's
-    digit is read there.  None outright for a base outside 2..10, and
-    for a width past the digits ``int`` reads in one string.
+    digit is read there; with width 0 each line is ``f`` alone, code 0.
+    None outright for a base outside 2..10, and for a width past the
+    digits ``int`` reads in one string.
     """
     # 0, or no such function (Python before 3.10.7), sets no limit
     limit = getattr(sys, "get_int_max_str_digits", int)() or width
-    if base is None or not 2 <= base <= 10 or not 0 < width <= limit:
+    if base is None or not 2 <= base <= 10 or not 0 <= width <= limit:
         return None
     even = block[::2]
     if (len(block) != lines * (2 * width + 2) - 1
@@ -332,6 +338,8 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
             or even[::width + 1] != "f" * lines or even.count("f") != lines
             or even.strip("f" + _DIGITS[:base])):
         return None
+    if not width:
+        return [0] * lines
     digits = even.split("f")
     del digits[0]
     return list(map(int, digits, repeat(base)))

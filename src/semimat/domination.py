@@ -14,12 +14,18 @@ the identity matrix.  ``span_oracle`` decides that definition directly
 and cross-checks the constructive certificates.  ``endomorphisms_through``
 lists every product a.b through y as a code, from b's row images by
 ``matcat.code_images``, and builds a ``Morphism`` only per distinct
-product.  ``identity_in_span`` hands one sparse 0/1 column
-per action matrix to ``linalg.solve_linear``, a sparse integer
-elimination that stops once the identity is reached.  Its cost is still
+product.  ``span_oracle`` then builds the action matrices in that order
+and only as far as it reads them: first until their fixed points cover
+the diagonal (if they never do, the answer is negative with no solve),
+then one sparse 0/1 column at a time as ``linalg.solve_linear``, a
+sparse integer elimination, takes it; the solve stops once the identity
+is reached, so no later action is built.  ``identity_in_span`` runs the
+same check and solve on matrices already built.  The cost is still
 exponential in x*y (the pairs) and in d*x (the hom-set), so the caps
 bound it.  The tests keep the slow versions as references:
-``endomorphisms_through_reference`` (one ``compose`` per pair) and
+``endomorphisms_through_reference`` (one ``compose`` per pair),
+``span_oracle_reference`` (every action, then the solve),
+``linear_combination_reference`` (one ``+=`` per row) and
 ``gauss_jordan_oracle`` (dense Gauss-Jordan over ``Fraction``).
 """
 
@@ -27,8 +33,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CapExceededError
 from .linalg import determinant, solve_linear
@@ -109,14 +117,55 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
     return [from_code(x, x, n, code) for code in codes]
 
 
+class _Stream:
+    """The ``count`` items of an iterator, read only as far as the reader goes."""
+
+    def __init__(self, items, count: int):
+        self._items, self._count = items, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self):
+        return self._items
+
+
+def _span_solve(mats, count: int, m: int) -> list[Fraction] | None:
+    """Coefficients with sum(c_t * M_t) = Id over ``count`` matrices of dimension m, or None.
+
+    ``mats`` is read in order and only as far as needed.  First the
+    matrices are read until their fixed points cover the diagonal: a
+    diagonal entry no matrix has is the equation 1 = 0, so if they never
+    cover it the answer is None with no solve.  Then matrix t is the
+    sparse column {(f, targets[f]): 1}, with (f, g) keyed as f * m + g,
+    built only when ``solve_linear`` takes it; the solve stops once the
+    identity is reached, so no later matrix is read.
+    """
+    mats = iter(mats)
+    read = []
+    diagonal = range(m)
+    uncovered = set(diagonal)
+    for mat in mats:
+        read.append(mat)
+        fixed = map(operator.eq, mat.targets, diagonal)
+        uncovered.difference_update(itertools.compress(diagonal, fixed))
+        if not uncovered:
+            break
+    else:
+        return None
+    offsets = range(0, m * m, m)
+    columns = (dict.fromkeys(map(operator.add, offsets, mat.targets), 1)
+               for mat in itertools.chain(read, mats))
+    return solve_linear(_Stream(columns, count),
+                        dict.fromkeys(map(operator.add, offsets, diagonal), 1))
+
+
 def identity_in_span(mats) -> list[Fraction] | None:
     """Exact rational coefficients with sum(c_t * M_t) = Id, or None.
 
     The entrywise equations form a linear system in the coefficients,
     solved exactly by ``solve_linear``, so the answer is definitive
-    either way.  Matrix t is the sparse column {(f, targets[f]): 1}, with
-    (f, g) keyed as f * m + g; equations no matrix touches read 0 = 0,
-    except missing diagonal entries, which force a negative.
+    either way; see ``_span_solve``, which ``span_oracle`` shares.
     """
     mats = list(mats)
     if not mats:
@@ -125,18 +174,16 @@ def identity_in_span(mats) -> list[Fraction] | None:
     for mat in mats:
         if mat.dim != m:
             raise ValueError(f"mixed dimensions {mat.dim} and {m}")
-    diagonal = {f for mat in mats for f, g in enumerate(mat.targets) if f == g}
-    if len(diagonal) < m:
-        return None
-    columns = [{f * m + g: 1 for f, g in enumerate(mat.targets)} for mat in mats]
-    return solve_linear(columns, {f * m + f: 1 for f in range(m)})
+    return _span_solve(mats, len(mats), m)
 
 
 def linear_combination(mats, coeffs) -> list[list[int | Fraction]]:
     """Dense matrix sum(coeffs[i] * mats[i]), integral when the coefficients are.
 
     Integral coefficients are added as ``int``, so each entry is an ``int``
-    unless a non-integral coefficient reaches it.
+    unless a non-integral coefficient reaches it.  The matrices are
+    grouped by coefficient, and row i of a group is the count of each
+    target among the group's targets[i] times the coefficient.
     """
     mats = list(mats)
     coeffs = list(coeffs)
@@ -145,7 +192,7 @@ def linear_combination(mats, coeffs) -> list[list[int | Fraction]]:
     if not mats:
         raise ValueError("need at least one matrix")
     m = mats[0].dim
-    out: list[list[int | Fraction]] = [[0] * m for _ in range(m)]
+    groups: dict[int | Fraction, list[tuple[int, ...]]] = {}
     for mat, c in zip(mats, coeffs):
         if mat.dim != m:
             raise ValueError(f"mixed dimensions {mat.dim} and {m}")
@@ -154,20 +201,31 @@ def linear_combination(mats, coeffs) -> list[list[int | Fraction]]:
         c = Fraction(c)
         if c.denominator == 1:
             c = c.numerator
-        for i, t in enumerate(mat.targets):
-            out[i][t] += c
+        groups.setdefault(c, []).append(mat.targets)
+    out: list[list[int | Fraction]] = [[0] * m for _ in range(m)]
+    for c, targets in groups.items():
+        for row, counts in zip(out, map(Counter, zip(*targets))):
+            for t, k in counts.items():
+                row[t] += c * k
     return out
 
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Verdict of the brute-force span oracle, with the witness when positive."""
+    """Verdict of the brute-force span oracle, with the witness when positive.
+
+    ``matrices``, the action matrix of each of ``endos``, is built on
+    first read; deciding the verdict builds only the ones it reads.
+    """
 
     holds: bool
     coefficients: tuple[Fraction, ...] | None
     endos: tuple[Morphism, ...]
-    matrices: tuple[ActionMatrix, ...]
     hom: HomEnumeration
+
+    @cached_property
+    def matrices(self) -> tuple[ActionMatrix, ...]:
+        return tuple(action_matrix(self.hom.sr, t, self.hom) for t in self.endos)
 
 
 def span_oracle(sr: Semiring, d: int, x: int, y: int,
@@ -175,16 +233,18 @@ def span_oracle(sr: Semiring, d: int, x: int, y: int,
                 cap_pairs: int = DEFAULT_PAIR_CAP) -> OracleResult:
     """Decide by brute force whether the identity lies in the action-matrix span.
 
-    Enumerates Hom(d, x) and every endomorphism of x factoring through y,
-    builds all action matrices, and solves for the identity exactly.
+    Enumerates Hom(d, x) and every endomorphism of x factoring through
+    y, then solves for the identity exactly (``_span_solve``).  The
+    action matrices are built in ``endos`` order and only as far as the
+    diagonal check and the solve read them.
     """
     hom = enumerate_hom(sr, d, x, cap_hom)
     endos = endomorphisms_through(sr, x, y, cap_pairs)
-    mats = tuple(action_matrix(sr, t, hom) for t in endos)
-    coeffs = identity_in_span(mats)
+    mats = (action_matrix(sr, t, hom) for t in endos)
+    coeffs = _span_solve(mats, len(endos), hom.size)
     return OracleResult(holds=coeffs is not None,
                         coefficients=tuple(coeffs) if coeffs is not None else None,
-                        endos=tuple(endos), matrices=mats, hom=hom)
+                        endos=tuple(endos), hom=hom)
 
 
 def nonvanishing_coefficients(table) -> list[Fraction]:

@@ -5,14 +5,19 @@ from __future__ import annotations
 import bisect
 import math
 from fractions import Fraction
+from itertools import compress, count, islice
 
 
 def _integral(pairs) -> tuple[int, dict]:
-    """(den, w) for a vector given as (key, value) pairs: w = den * vector, sparse and integral.
+    """(den, w) for a vector given as nonzero (key, value) pairs: w = den * vector, integral.
 
-    ``den`` is the lcm of the values' denominators; zeros are dropped.
+    ``den`` is the lcm of the values' denominators; a vector whose
+    values are all ``int`` is returned as it is, with ``den`` 1.
     """
-    vals = {k: v if isinstance(v, int) else Fraction(v) for k, v in pairs if v}
+    vals = dict(pairs)
+    if set(map(type, vals.values())) <= {int}:
+        return 1, vals
+    vals = {k: v if isinstance(v, int) else Fraction(v) for k, v in vals.items()}
     den = math.lcm(*(v.denominator for v in vals.values()))
     return den, {k: v.numerator * (den // v.denominator) for k, v in vals.items()}
 
@@ -58,14 +63,19 @@ def _reduce(v: dict, basis, where: dict, steps: list) -> None:
         steps.append((j, m, n))
 
 
-def _expansion(steps) -> tuple[dict[int, Fraction], Fraction]:
-    """(coef, lam) with v_before = lam * v_after + sum_j coef[j] * B_j for these steps."""
-    coef: dict[int, Fraction] = {}
-    lam = Fraction(1)
-    for j, m, n in steps:
-        coef[j] = lam * n / m
-        lam /= m
-    return coef, lam
+def _expansion(steps) -> tuple[dict[int, int], int]:
+    """(coef, den) with den * v_before = v_after + sum_j coef[j] * B_j for these steps.
+
+    All integers: a step v <- m v - n B_j contributes n times the
+    multipliers of the steps after it, and ``den`` is the product of all
+    multipliers.
+    """
+    coef: dict[int, int] = {}
+    den = 1
+    for j, m, n in reversed(steps):
+        coef[j] = n * den
+        den *= m
+    return coef, den
 
 
 def solve_linear(columns, rhs) -> list[Fraction] | None:
@@ -74,61 +84,75 @@ def solve_linear(columns, rhs) -> list[Fraction] | None:
     Each column, and ``rhs``, is a sparse vector: a mapping from key to
     an ``int`` or ``Fraction``, absent keys being zero.  A column with
     rational entries is scaled to integers by the lcm of its
-    denominators, and the scale is undone in the answer.
+    denominators, and the scale is undone in the answer.  ``columns``
+    is any sized iterable; its ``len`` is the length of the answer.
 
     The columns are read in order and reduced by sparse integer
     elimination against the pivot columns before them; a column becomes
     a pivot column iff it is independent of the earlier ones.  After
-    each new pivot the residue of ``rhs`` is reduced by it, and the solve
-    stops as soon as the residue is zero.  The answer is the unique
-    representation of ``rhs`` in the pivot columns, with every other
-    unknown 0.  Dense Gauss-Jordan elimination with free unknowns set to
-    0 returns the same vector: its pivot columns are the same greedy
-    independent set, later pivots included, and a representation in an
-    independent set is unique.
+    each new pivot the residue of ``rhs`` is reduced by it.  The residue
+    is checked before each column is taken, so the solve stops as soon
+    as it is zero and takes nothing more from ``columns``.  The answer
+    is the unique representation of ``rhs`` in the pivot columns, with
+    every other unknown 0.  Dense Gauss-Jordan elimination with free
+    unknowns set to 0 returns the same vector: its pivot columns are the
+    same greedy independent set, later pivots included, and a
+    representation in an independent set is unique.
 
     The pivot columns are kept in echelon form B_1..B_r (B_j is zero at
-    the pivot keys of the earlier ones), and each is recorded as a
-    combination of B_1..B_j; the coefficients are found from the
-    residue's combination of the B_j by one back-substitution.
+    the pivot keys of the earlier ones).  The bookkeeping is in
+    integers: each pivot column, and the rhs, is recorded as an integer
+    combination of the B_j over one common denominator (``_expansion``),
+    and the pivot key is a first key of least magnitude.  ``Fraction``
+    appears only in the back-substitution that finds the coefficients.
     """
-    rhs_den, residue = _integral(rhs.items())
+    rhs_den, residue = _integral(compress(rhs.items(), rhs.values()))
     basis: list[tuple[object, dict]] = []
     where: dict[object, int] = {}        # pivot key -> basis index
     unknowns: list[tuple[int, int]] = []  # (t, den) of each basis vector's column
-    lower: list[dict[int, Fraction]] = []  # column of basis[j] = sum_i lower[j][i] B_i
+    # (coef, scale) of basis vector j: scale * den * columns[t] = sum_{i <= j} coef[i] B_i
+    lower: list[tuple[dict[int, int], int]] = []
     residue_steps: list[tuple[int, int, int]] = []
-    for t, column in enumerate(columns):
+    pending = iter(columns)
+    for t in count():
         if not residue:
             break
-        den, v = _integral(column.items())
+        column = next(pending, None)
+        if column is None:
+            break
+        den, v = _integral(compress(column.items(), column.values()))
         steps: list[tuple[int, int, int]] = []
         _reduce(v, basis, where, steps)
         if not v:
             continue
         h = math.gcd(*v.values())
-        for k in v:
-            v[k] //= h
-        p = min(v, key=lambda k: abs(v[k]))
-        coef, lam = _expansion(steps)
-        coef[len(basis)] = lam * h
+        if h != 1:
+            for k in v:
+                v[k] //= h
+        mags = list(map(abs, v.values()))
+        p = next(islice(v, mags.index(min(mags)), None))
+        coef, scale = _expansion(steps)
+        coef[len(basis)] = h
         where[p] = len(basis)
         basis.append((p, v))
         unknowns.append((t, den))
-        lower.append(coef)
+        lower.append((coef, scale))
         _reduce(residue, basis, where, residue_steps)
     if residue:
         return None
-    acc, _ = _expansion(residue_steps)
+    # acc_den * rhs_den * rhs = sum_j acc[j] B_j, and the back-substitution
+    # finds the y_j with sum_j y_j * scale_j * den_j * columns[t_j] equal to it
+    acc, acc_den = _expansion(residue_steps)
     sol = [Fraction(0)] * len(columns)
     for j in reversed(range(len(basis))):
-        xj = acc.get(j, 0) / lower[j][j]
-        if xj:
-            for i, l in lower[j].items():
+        coef, scale = lower[j]
+        yj = Fraction(acc.get(j, 0), coef[j])
+        if yj:
+            for i, l in coef.items():
                 if i != j:
-                    acc[i] = acc.get(i, 0) - xj * l
+                    acc[i] = acc.get(i, 0) - yj * l
             t, den = unknowns[j]
-            sol[t] = xj * den / rhs_den
+            sol[t] = yj * scale * den / (acc_den * rhs_den)
     return sol
 
 
@@ -159,7 +183,7 @@ def determinant(rows) -> Fraction:
     m = len(rows)
     if any(len(row) != m for row in rows):
         raise ValueError("determinant needs a square matrix")
-    integral = [_integral(enumerate(row)) for row in rows]
+    integral = [_integral(compress(enumerate(row), row)) for row in rows]
     low = m
     for c in reversed(range(m)):
         low = min(low, min(integral[c][1], default=m))

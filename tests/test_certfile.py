@@ -559,3 +559,24 @@ def test_hostile_order_headers_parse_in_bounded_memory():
         outcome = _outcome(parse_certificate, case)
         assert time.perf_counter() - start < 2
         assert outcome == _outcome(parse_reference, case)
+
+
+@pytest.mark.parametrize("block", [None, 1, 23, 100])
+def test_rendered_order_sections_never_parse_line_by_line(block, monkeypatch):
+    # every block of a rendered order section, its last one and the only
+    # block of a small one included, decodes at once in bases 2-10
+    if block is not None:
+        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
+    calls = []
+    order_code = certfile._order_code
+    monkeypatch.setattr(certfile, "_order_code",
+                        lambda *args: calls.append(args) or order_code(*args))
+    certs = [corpus_certificate(sr, d, x) for sr, d, x in CORPUS if sr.size <= 10]
+    for n in range(2, 11):
+        sr = tropical_semiring(n - 2)
+        certs += [corpus_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
+    for n, d, x in [(2, 3, 3), (3, 3, 2), (5, 1, 4), (7, 2, 2), (10, 1, 3)]:
+        certs.append(corpus_certificate(tropical_semiring(n - 2), d, x))
+    for cert in certs:
+        assert parse_certificate(render_certificate(cert)).order == cert.order
+    assert calls == []

@@ -12,6 +12,7 @@ from semimat import (ActionMatrix, CapExceededError, Morphism, action_matrix,
                      identity_in_span, linear_combination,
                      nonvanishing_coefficients, span_oracle, tropical_semiring,
                      zero_morphism)
+import semimat.domination as domination
 from semimat.domination import DEFAULT_PAIR_CAP
 from semimat.linalg import identity_fractions
 from test_matcat import CHAIN3
@@ -172,6 +173,107 @@ def test_identity_in_span_full_hom222():
 def test_identity_in_span_rejects_mixed_dims():
     with pytest.raises(ValueError):
         identity_in_span([ActionMatrix(2, (0, 1)), ActionMatrix(3, (0, 1, 2))])
+
+
+def span_oracle_reference(sr, d, x, y, cap_hom, cap_pairs):
+    """The eager oracle: every action matrix, then ``identity_in_span``.
+
+    The library's oracle before it built the actions only as far as its
+    diagonal check and solve read them; kept as the reference the stream
+    is checked against.  Returns (coefficients or None, endomorphisms).
+    """
+    hom = enumerate_hom(sr, d, x, cap_hom)
+    endos = endomorphisms_through(sr, x, y, cap_pairs)
+    return identity_in_span([action_matrix(sr, t, hom) for t in endos]), endos
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(None) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("sr", [BOOL, TROP1, tropical_semiring(2)],
+                         ids=["boolean", "tropical1", "tropical2"])
+def test_span_oracle_matches_the_eager_reference(sr, monkeypatch):
+    solves = _count_calls(monkeypatch, domination, "solve_linear")
+    outcomes = set()
+    for d, x, y in itertools.product(range(3), range(4), range(4)):
+        try:
+            coeffs, endos = span_oracle_reference(sr, d, x, y, 256, 4096)
+        except CapExceededError:
+            with pytest.raises(CapExceededError):
+                span_oracle(sr, d, x, y, cap_hom=256, cap_pairs=4096)
+            continue
+        solves.clear()
+        res = span_oracle(sr, d, x, y, cap_hom=256, cap_pairs=4096)
+        assert res.holds == (coeffs is not None), (d, x, y)
+        assert res.coefficients == (None if coeffs is None else tuple(coeffs)), (d, x, y)
+        assert list(res.endos) == endos, (d, x, y)
+        if y == 0 < d * x:
+            # the zero map alone fixes only the zero morphism: no solve
+            assert not res.holds and solves == [], (d, x, y)
+        outcomes.add(res.holds)
+    assert outcomes == {True, False}
+
+
+def test_span_oracle_builds_only_the_actions_its_solve_reads(monkeypatch):
+    # the solve reaches the identity at column 134 of 356, and the
+    # diagonal is covered before it
+    actions = _count_calls(monkeypatch, domination, "action_matrix")
+    res = span_oracle(BOOL, 1, 3, 2)
+    assert res.holds and len(res.endos) == 356
+    assert len(actions) == 134
+
+
+@pytest.mark.parametrize("sr, d, x, y", [(BOOL, 2, 3, 1), (BOOL, 1, 3, 0), (BOOL, 2, 2, 0),
+                                         (TROP1, 1, 4, 0), (tropical_semiring(2), 1, 2, 0)])
+def test_span_oracle_decides_an_uncovered_diagonal_without_a_solve(sr, d, x, y, monkeypatch):
+    # boolean 2/3/1 covers 22 of its 64 diagonal entries; a y = 0 instance
+    # has only the zero endomorphism, whose one fixed point is the zero map
+    solves = _count_calls(monkeypatch, domination, "solve_linear")
+    res = span_oracle(sr, d, x, y)
+    assert not res.holds and res.coefficients is None
+    assert solves == []
+    covered = {f for mat in res.matrices for f, g in enumerate(mat.targets) if f == g}
+    assert len(covered) == (22 if y else 1) < len(res.hom)
+
+
+def linear_combination_reference(mats, coeffs):
+    """sum(coeffs[i] * mats[i]) by one ``+=`` per row of each matrix.
+
+    The library's loop before it counted each row's targets per
+    coefficient; kept as the reference for values and entry types.
+    """
+    m = mats[0].dim
+    out = [[0] * m for _ in range(m)]
+    for mat, c in zip(mats, coeffs):
+        if c == 0:
+            continue
+        c = Fraction(c)
+        if c.denominator == 1:
+            c = c.numerator
+        for i, t in enumerate(mat.targets):
+            out[i][t] += c
+    return out
+
+
+def test_linear_combination_matches_the_reference_in_values_and_types():
+    rng = random.Random(7919)
+    choices = [0, 0, 1, 1, 2, -1, -3, Fraction(0), Fraction(1), Fraction(4, 2), Fraction(1, 2),
+               Fraction(-2, 3), Fraction(3, 3)]
+    kinds = set()
+    for _ in range(300):
+        m, k = rng.randrange(1, 9), rng.randrange(1, 9)
+        mats = [ActionMatrix(m, [rng.randrange(m) for _ in range(m)]) for _ in range(k)]
+        coeffs = [rng.choice(choices) for _ in range(k)]
+        got = linear_combination(mats, coeffs)
+        want = linear_combination_reference(mats, coeffs)
+        assert got == want
+        assert [[type(v) for v in row] for row in got] == [[type(v) for v in row] for row in want]
+        kinds.update(type(v) for row in got for v in row)
+    assert kinds == {int, Fraction}
 
 
 def test_span_oracle_verdicts():
