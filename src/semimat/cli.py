@@ -16,8 +16,7 @@ from pathlib import Path
 from .certfile import parse_certificate, render_certificate
 from .certifier import DEFAULT_COLUMN_CAP, certify, verify_certificate
 from .domination import DEFAULT_PAIR_CAP, span_oracle
-from .errors import (CapExceededError, FingerprintError, InternalCheckError,
-                     ParseError)
+from .errors import CapExceededError, InternalCheckError, ParseError
 from .matcat import DEFAULT_HOM_CAP, format_morphism
 from .semiring import (AXIOM_NAMES, Semiring, builtin_semiring, check_verify_size,
                        parse_semiring, verify_axioms, verify_order_laws)
@@ -219,17 +218,12 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FingerprintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
-        # covers ParseError, StructureError and bad argument values
+    except (OSError, ValueError) as exc:
+        # ValueError covers FingerprintError, ParseError, StructureError and
+        # bad argument values
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

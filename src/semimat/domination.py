@@ -36,7 +36,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import CapExceededError
 from .linalg import determinant, solve_linear
@@ -63,17 +63,11 @@ class ActionMatrix:
             t = next(t for t in self.targets if not 0 <= t < self.dim)
             raise ValueError(f"target {t} out of range [0, {self.dim})")
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(1) if self.targets[i] == j else Fraction(0)
-
     def dense(self) -> list[list[Fraction]]:
-        return [[self.entry(i, j) for j in range(self.dim)] for i in range(self.dim)]
-
-    def is_identity(self) -> bool:
-        return all(map(operator.eq, self.targets, range(self.dim)))
-
-    def is_upper_triangular(self) -> bool:
-        return all(map(operator.ge, self.targets, range(self.dim)))
+        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for row, t in zip(rows, self.targets):
+            row[t] = Fraction(1)
+        return rows
 
 
 def action_matrix(sr: Semiring, s: Morphism, hom: HomEnumeration) -> ActionMatrix:
@@ -285,19 +279,18 @@ def nonvanishing_coefficients(table) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Whether every action (so X) is upper triangular, X's diagonal, two det routes."""
+    """X's diagonal, whether it is nonzero, and X's determinant by two routes.
 
-    triangular: bool
+    ``det_by_diagonal`` is the diagonal product, which is det X when X is
+    upper triangular; the caller establishes that (``certifier`` forms X
+    only once ``inflation`` has passed).  ``det_by_elimination`` holds
+    for any X.
+    """
+
     diagonal: tuple[Fraction, ...]
     diagonal_nonzero: bool
-    det_by_diagonal: Fraction | None
+    det_by_diagonal: Fraction
     det_by_elimination: Fraction
-
-    @property
-    def certified(self) -> bool:
-        return (self.triangular and self.diagonal_nonzero
-                and self.det_by_diagonal == self.det_by_elimination
-                and self.det_by_elimination != 0)
 
 
 def assemble_witness(mats, coeffs) -> tuple[list[list[int | Fraction]], WitnessReport]:
@@ -305,23 +298,15 @@ def assemble_witness(mats, coeffs) -> tuple[list[list[int | Fraction]], WitnessR
 
     The action matrices are 0/1, so X is integral (entries of type ``int``)
     whenever the coefficients are, as in every certificate ``certify``
-    writes.  Triangularity is read from the actions' targets, not from X.
-    The determinant is computed twice: as the diagonal product (valid when
-    every action, so X, is upper triangular) and by independent
-    fraction-free elimination.  Both routes are exact and must agree.
+    writes.  The determinant is computed twice: as the diagonal product,
+    and by independent fraction-free elimination.  Both routes are exact,
+    and they agree whenever X is upper triangular, which this function
+    does not check: in the check path the passed ``inflation`` check
+    proves it.
     """
-    mats = list(mats)
     x = linear_combination(mats, coeffs)
-    m = len(x)
-    triangular = all(mat.is_upper_triangular() for mat in mats)
-    diagonal = tuple(Fraction(x[i][i]) for i in range(m))
-    diagonal_nonzero = all(v != 0 for v in diagonal)
-    det_diag: Fraction | None = None
-    if triangular:
-        det_diag = Fraction(1)
-        for v in diagonal:
-            det_diag *= v
-    det_elim = determinant(x)
-    return x, WitnessReport(triangular=triangular, diagonal=diagonal,
-                            diagonal_nonzero=diagonal_nonzero,
-                            det_by_diagonal=det_diag, det_by_elimination=det_elim)
+    diagonal = tuple(Fraction(x[i][i]) for i in range(len(x)))
+    return x, WitnessReport(diagonal=diagonal,
+                            diagonal_nonzero=all(diagonal),
+                            det_by_diagonal=reduce(operator.mul, diagonal, Fraction(1)),
+                            det_by_elimination=determinant(x))

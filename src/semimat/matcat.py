@@ -88,12 +88,15 @@ def zero_morphism(sr: Semiring, x: int, y: int) -> Morphism:
     return Morphism(x, y, tuple(tuple(sr.zero for _ in range(y)) for _ in range(x)))
 
 
+def entries_in_range(sr: Semiring, m: Morphism) -> bool:
+    """Whether every entry of m is below the semiring's size (entries are never negative)."""
+    return max(map(max, filter(None, m.entries)), default=0) < sr.size
+
+
 def _check_entries(sr: Semiring, m: Morphism) -> None:
-    n = sr.size
-    for row in m.entries:
-        for e in row:
-            if e >= n:
-                raise ValueError(f"entry {e} out of range for semiring of size {n}")
+    if not entries_in_range(sr, m):
+        e = next(e for row in m.entries for e in row if e >= sr.size)
+        raise ValueError(f"entry {e} out of range for semiring of size {sr.size}")
 
 
 def compose(sr: Semiring, a: Morphism, b: Morphism) -> Morphism:
@@ -123,11 +126,6 @@ def dominates(sr: Semiring, f: Morphism, g: Morphism) -> bool:
     leq = natural_order(sr).leq
     return all(leq[a][b] for frow, grow in zip(f.entries, g.entries)
                for a, b in zip(frow, grow))
-
-
-def entry_vector(m: Morphism) -> tuple[int, ...]:
-    """Row-major flattening of the entries."""
-    return tuple(itertools.chain.from_iterable(m.entries))
 
 
 def from_entry_vector(src: int, dst: int, vec) -> Morphism:
@@ -184,6 +182,9 @@ class HomEnumeration:
     own), ``row_masks[r]`` is the packed mask of the row with code r
     (see ``row_images``) and ``code_of_mask`` inverts it, both empty when
     d = 0, which has no rows, and ``morphisms`` decodes every code.
+    ``right_action`` reads ``rank_of_code`` and the row tables for a
+    whole action at once; the tests keep the lookup of one element's
+    rank as its reference.
     """
 
     d: int
@@ -232,15 +233,6 @@ class HomEnumeration:
         them one to one.  A one-element hom-set never sweeps.
         """
         return self.size == 1 or len(self.code_of_mask) == len(self.row_masks)
-
-    def position(self, m: Morphism) -> int:
-        if m.signature != (self.d, self.x):
-            raise ValueError(f"morphism {m.src}x{m.dst} is not in Hom({self.d},{self.x})")
-        _check_entries(self.sr, m)
-        code = 0
-        for e in entry_vector(m):
-            code = code * self.sr.size + e
-        return self.rank_of_code[code]
 
 
 def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> HomEnumeration:

