@@ -68,30 +68,9 @@ class Semiring:
         object.__setattr__(self, "add_table", tuple(tuple(row) for row in self.add_table))
         object.__setattr__(self, "mul_table", tuple(tuple(row) for row in self.mul_table))
 
-    @property
-    def elements(self) -> range:
-        return range(self.size)
-
-    def _check_element(self, a: int) -> None:
+    def label(self, a: int) -> str:
         if not 0 <= a < self.size:
             raise ValueError(f"element index {a} out of range for semiring of size {self.size}")
-
-    def add(self, a: int, b: int) -> int:
-        self._check_element(a)
-        self._check_element(b)
-        return self.add_table[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        self._check_element(a)
-        self._check_element(b)
-        return self.mul_table[a][b]
-
-    def natural_leq(self, a: int, b: int) -> bool:
-        """True when a is below b in the natural order, i.e. a + b = b."""
-        return self.add(a, b) == b
-
-    def label(self, a: int) -> str:
-        self._check_element(a)
         return self.labels[a]
 
 

@@ -1,6 +1,12 @@
+import argparse
 import hashlib
+import io
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -430,3 +436,91 @@ def test_negative_object_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# SHA-256 of argparse's help and usage-error texts at COLUMNS=80 (Python
+# 3.11 layout), recorded before the parser was declared once per option:
+# (argv, exit code, the stream written, digest); the other stream stays empty.
+HELP_AND_USAGE_SHA256 = [
+    (["--help"], 0, "out", "505ccf5df87b8268a641f1ce718dd60254a1575cdaec4de3bea2458afb004b78"),
+    (["check-semiring", "--help"], 0, "out",
+     "33a9076463b8357e0d1e248cd37c41bf06a76bcaf2197104baa2cfb454fa6dec"),
+    (["certify", "--help"], 0, "out",
+     "4aca964cba866e9bba411bf6d952a18349020728884b5c7e207178c069a5a67b"),
+    (["oracle", "--help"], 0, "out",
+     "f3cb2a9c132caef53c570d5aa3fc12c0368e93c11f479ff64db3a061cfb807d7"),
+    (["verify", "--help"], 0, "out",
+     "6bc28f2de645fcb7dd39a25623cd8d49f4887854d94c0fc5c8bba349efb8086b"),
+    ([], 2, "err", "f18f4e8f724313f9b961492747badaad7c3b34f5a45c7d9248c4132e7f65784a"),
+    (["certify"], 2, "err", "fcc3f5b2b0cf0e9e346c002754d78ca609851c2f93e7031958f0b478b389428e"),
+    (["certify", "--builtin", "boolean", "-d", "a", "-x", "2"], 2, "err",
+     "0153d6c02040e4eb481dac369f5a520b4711a103766bcf3b35a2a10450cc0440"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stream, digest", HELP_AND_USAGE_SHA256,
+                         ids=["help", "check-semiring-help", "certify-help", "oracle-help",
+                              "verify-help", "no-command", "certify-no-args", "certify-bad-d"])
+def test_help_and_usage_errors_are_pinned(argv, code, stream, digest, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    text, other = (captured.out, captured.err) if stream == "out" else (captured.err, captured.out)
+    assert other == ""
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def test_a_second_call_builds_no_parser(capsys, monkeypatch):
+    argv = ["check-semiring", "--builtin", "boolean", "--quiet"]
+    assert main(argv) == 0  # builds the parser, unless an earlier call has
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert main(argv) == 0
+    assert calls == []
+    assert capsys.readouterr().out == "pass\npass\n"
+    # the reused parser reports a usage error on the stderr of the call
+    # that makes it, not on the one current when it was built
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stderr", err)
+    assert main(["certify"]) == 2
+    assert err.getvalue().startswith("usage: semimat certify ")
+    assert "error: the following arguments are required: -d, -x" in err.getvalue()
+    assert capsys.readouterr().err == ""
+
+
+def _semimat(*argv, cwd):
+    """Run ``python -m semimat.cli`` on this checkout's sources in a child process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    return subprocess.run([sys.executable, "-m", "semimat.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_the_module_entry_point_exits_with_each_code(tmp_path):
+    certified = _semimat("certify", "--builtin", "boolean", "-d", "1", "-x", "3",
+                         "--out", "cert.txt", "--quiet", cwd=tmp_path)
+    assert (certified.returncode, certified.stdout, certified.stderr) == (0, "", "")
+    verified = _semimat("verify", "cert.txt", "--builtin", "boolean", "--quiet", cwd=tmp_path)
+    assert (verified.returncode, verified.stdout) == (0, "valid\n")
+
+    text = (tmp_path / "cert.txt").read_text()
+    assert "\nc 1\n" in text
+    (tmp_path / "edited.txt").write_text(text.replace("\nc 1\n", "\nc 0\n", 1))
+    edited = _semimat("verify", "edited.txt", "--builtin", "boolean", "--quiet", cwd=tmp_path)
+    assert (edited.returncode, edited.stdout) == (1, "INVALID\n")
+
+    unknown = _semimat("certify", "--builtin", "boolean", "-d", "1", "-x", "3", "--bogus",
+                       cwd=tmp_path)
+    assert (unknown.returncode, unknown.stdout) == (2, "")
+    assert unknown.stderr.startswith("usage: semimat ")
+    assert "unrecognized arguments: --bogus" in unknown.stderr
+
+    capped = _semimat("certify", "--builtin", "boolean", "-d", "1", "-x", "3", "--cap-hom", "0",
+                      cwd=tmp_path)
+    assert (capped.returncode, capped.stdout) == (3, "")
+    assert capped.stderr.startswith("error: ")

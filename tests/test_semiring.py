@@ -1,5 +1,6 @@
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -10,6 +11,25 @@ from semimat import (ParseError, Semiring, StructureError, boolean_semiring,
 from semimat.semiring import AXIOM_NAMES
 
 BUILTINS = [boolean_semiring()] + [tropical_semiring(n) for n in range(4)]
+
+
+def elements(sr: Semiring) -> range:
+    return range(sr.size)
+
+
+def add(sr: Semiring, a: int, b: int) -> int:
+    assert a in elements(sr) and b in elements(sr)
+    return sr.add_table[a][b]
+
+
+def mul(sr: Semiring, a: int, b: int) -> int:
+    assert a in elements(sr) and b in elements(sr)
+    return sr.mul_table[a][b]
+
+
+def natural_leq(sr: Semiring, a: int, b: int) -> bool:
+    """True when a is below b in the natural order, i.e. a + b = b."""
+    return add(sr, a, b) == b
 
 
 def mutate(sr: Semiring, which: str, i, j, val) -> Semiring:
@@ -36,10 +56,18 @@ def test_builtins_pass_axioms(sr):
 
 def test_boolean_lookups():
     b = boolean_semiring()
-    assert b.add(1, 1) == 1
-    assert b.mul(1, 0) == 0
-    assert b.natural_leq(0, 1)
-    assert not b.natural_leq(1, 0)
+    assert add(b, 1, 1) == 1
+    assert mul(b, 1, 0) == 0
+    assert natural_leq(b, 0, 1)
+    assert not natural_leq(b, 1, 0)
+
+
+def test_label_rejects_an_index_outside_the_carrier():
+    b = boolean_semiring()
+    assert [b.label(a) for a in elements(b)] == ["0", "1"]
+    for a in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            b.label(a)
 
 
 def test_tropical_tables_match_min_plus_formulas():
@@ -56,28 +84,28 @@ def test_tropical_tables_match_min_plus_formulas():
     def idx(v):
         return inf if v is None else v
 
-    for a in t.elements:
-        for b in t.elements:
+    for a in elements(t):
+        for b in elements(t):
             va, vb = val(a), val(b)
             expect_add = vb if va is None else va if vb is None else min(va, vb)
             expect_mul = None if va is None or vb is None else min(va + vb, 2)
-            assert t.add(a, b) == idx(expect_add)
-            assert t.mul(a, b) == idx(expect_mul)
+            assert add(t, a, b) == idx(expect_add)
+            assert mul(t, a, b) == idx(expect_mul)
     # x + inf = x and x * 0 = x, the two identity laws
-    for a in t.elements:
-        assert t.add(a, t.zero) == a
-        assert t.mul(a, t.one) == a
+    for a in elements(t):
+        assert add(t, a, t.zero) == a
+        assert mul(t, a, t.one) == a
 
 
 def test_tropical_mul_is_capped():
     t = tropical_semiring(2)
-    assert t.mul(1, 2) == 2  # 1 + 2 capped at 2
+    assert mul(t, 1, 2) == 2  # 1 + 2 capped at 2
 
 
 def test_tropical_inf_is_minimal():
     t = tropical_semiring(2)
-    for a in t.elements:
-        assert t.natural_leq(t.zero, a)
+    for a in elements(t):
+        assert natural_leq(t, t.zero, a)
 
 
 def test_tropical_0_isomorphic_to_boolean():
@@ -90,8 +118,8 @@ def test_tropical_0_isomorphic_to_boolean():
     assert phi[t.one] == b.one
     for x in range(2):
         for y in range(2):
-            assert phi[t.add(x, y)] == b.add(phi[x], phi[y])
-            assert phi[t.mul(x, y)] == b.mul(phi[x], phi[y])
+            assert phi[add(t, x, y)] == add(b, phi[x], phi[y])
+            assert phi[mul(t, x, y)] == mul(b, phi[x], phi[y])
 
 
 BOOLEAN_MUTATIONS = [
@@ -154,17 +182,20 @@ def test_some_tropical_mul_mutations_are_genuinely_valid():
 
 def first_failures(sr: Semiring) -> dict:
     """Each broken axiom's lexicographically least failing tuple, by brute force."""
-    n, z, o, add, mul = sr.size, sr.zero, sr.one, sr.add, sr.mul
+    n, z, o = sr.size, sr.zero, sr.one
+    plus, times = partial(add, sr), partial(mul, sr)
     laws = {
-        "add-identity": (1, lambda a: add(z, a) == a and add(a, z) == a),
-        "add-idempotent": (1, lambda a: add(a, a) == a),
-        "add-commutative": (2, lambda a, b: add(a, b) == add(b, a)),
-        "add-associative": (3, lambda a, b, c: add(add(a, b), c) == add(a, add(b, c))),
-        "mul-identity": (1, lambda a: mul(o, a) == a and mul(a, o) == a),
-        "mul-associative": (3, lambda a, b, c: mul(mul(a, b), c) == mul(a, mul(b, c))),
-        "distributive-left": (3, lambda a, b, c: mul(a, add(b, c)) == add(mul(a, b), mul(a, c))),
-        "distributive-right": (3, lambda a, b, c: mul(add(a, b), c) == add(mul(a, c), mul(b, c))),
-        "zero-annihilates": (1, lambda a: mul(z, a) == z and mul(a, z) == z),
+        "add-identity": (1, lambda a: plus(z, a) == a and plus(a, z) == a),
+        "add-idempotent": (1, lambda a: plus(a, a) == a),
+        "add-commutative": (2, lambda a, b: plus(a, b) == plus(b, a)),
+        "add-associative": (3, lambda a, b, c: plus(plus(a, b), c) == plus(a, plus(b, c))),
+        "mul-identity": (1, lambda a: times(o, a) == a and times(a, o) == a),
+        "mul-associative": (3, lambda a, b, c: times(times(a, b), c) == times(a, times(b, c))),
+        "distributive-left": (3, lambda a, b, c:
+                               times(a, plus(b, c)) == plus(times(a, b), times(a, c))),
+        "distributive-right": (3, lambda a, b, c:
+                               times(plus(a, b), c) == plus(times(a, c), times(b, c))),
+        "zero-annihilates": (1, lambda a: times(z, a) == z and times(a, z) == z),
     }
     found = {}
     for name, (arity, law) in laws.items():
@@ -193,8 +224,8 @@ def test_violations_report_each_broken_law_at_its_first_tuple():
 def test_order_antisymmetry_and_heights():
     for sr in BUILTINS:
         order = natural_order(sr)
-        for a in sr.elements:
-            for b in sr.elements:
+        for a in elements(sr):
+            for b in elements(sr):
                 if a != b:
                     assert not (order.leq[a][b] and order.leq[b][a])
                 if order.leq[a][b] and a != b:
