@@ -128,11 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     cap_hom = ("--cap-hom", dict(type=int, default=DEFAULT_HOM_CAP,
                                  help="max |Hom(d,x)| (default %(default)s)"))
+    probe = ("-d", dict(type=int, required=True, help="probe object d"))
     _add_command(sub, "check-semiring", _cmd_check_semiring,
                  "verify all semiring axioms and order laws")
     _add_command(sub, "certify", _cmd_certify, "emit a certificate that x is dominated by n^d",
-                 ("-d", dict(type=int, required=True, help="probe object d")),
-                 ("-x", dict(type=int, required=True, help="object to certify")),
+                 probe, ("-x", dict(type=int, required=True, help="object to certify")),
                  cap_hom,
                  ("--cap-cols", dict(type=int, default=DEFAULT_COLUMN_CAP,
                                      help="max n^d columns, and max x (default %(default)s)")),
@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
                                                      "(default: stdout, report on stderr)")),
                  quiet_help="suppress the report")
     _add_command(sub, "oracle", _cmd_oracle, "brute-force span membership for arbitrary y",
-                 *((flag, dict(type=int, required=True)) for flag in ("-d", "-x", "-y")),
+                 probe, ("-x", dict(type=int, required=True, help="object to test")),
+                 ("-y", dict(type=int, required=True, help="target object y")),
                  cap_hom,
                  ("--cap-pairs", dict(type=int, default=DEFAULT_PAIR_CAP,
                                       help="max factoring pairs, and max x^2 and y "

@@ -32,10 +32,12 @@ index zero has (its mask is 0).  A row is packed as one integer of n-bit
 fields, so the image of a row under s is one OR per row code, its
 inflation test one AND, and a dict decodes an image back to its code.
 That dict (``row_table``) holds all n^x rows of width x, which at d >= 1
-is at most |Hom(d, x)|.  Row k of a.b is (row k of a).b, so one more prefix sweep,
-``code_images``, turns row images into matrix images; ``right_action``
-(h -> h.s on a hom-set) and the oracle's products a.b share it, and
-``compose`` and ``dominates`` remain their reference.  A one-element
+is at most |Hom(d, x)|; it is cached per semiring and width, so every
+hom-set and oracle call of one width reads the same one.  Row k of a.b
+is (row k of a).b, so one more prefix sweep, ``code_images``, turns row
+images into matrix images; ``right_action`` (h -> h.s on a hom-set) and
+the oracle's products a.b share it, and ``compose`` and ``dominates``
+remain their reference.  A one-element
 hom-set (d = 0, x = 0 or n = 1) never sweeps: d or x may be huge there.
 """
 
@@ -176,12 +178,13 @@ class HomEnumeration:
 
     Elements are held as codes only (the entry vector read in base n).
     ``codes[i]`` is the code of rank i, so ``codes`` is the order, and
-    the only table ``enumerate_hom`` builds; the pad branch reads it and
-    ``identity_action_is_identity`` alone.  The rest are built on first
-    read: ``rank_of_code`` inverts ``codes`` (with int objects of its
-    own), ``row_masks[r]`` is the packed mask of the row with code r
-    (see ``row_images``) and ``code_of_mask`` inverts it, both empty when
-    d = 0, which has no rows, and ``morphisms`` decodes every code.
+    the only table ``enumerate_hom`` builds; the pad branch reads it
+    alone.  The rest are built on first read: ``rank_of_code`` inverts
+    ``codes`` (with int objects of its own), and ``morphisms`` decodes
+    every code.  ``row_masks[r]`` is the packed mask of the row with code
+    r (see ``row_images``) and ``code_of_mask`` inverts it; both read
+    ``row_table``, cached per semiring and width, and are empty when
+    d = 0, which has no rows.
     ``right_action`` reads ``rank_of_code`` and the row tables for a
     whole action at once; the tests keep the lookup of one element's
     rank as its reference.
@@ -212,27 +215,13 @@ class HomEnumeration:
     def rank_of_code(self) -> list[int]:
         return sorted(range(self.size), key=self.codes.__getitem__)  # the inverse permutation
 
-    @cached_property
-    def _rows(self) -> tuple[list[int], dict[int, int]]:
-        return row_table(self.sr, self.x) if self.d else ([], {})
-
     @property
     def row_masks(self) -> list[int]:
-        return self._rows[0]
+        return row_table(self.sr, self.x)[0] if self.d else []
 
     @property
     def code_of_mask(self) -> dict[int, int]:
-        return self._rows[1]
-
-    @property
-    def identity_action_is_identity(self) -> bool:
-        """Whether h.Id = h for every h, read off the identity's one row sweep.
-
-        Row k of h.Id is (row k of h).Id, and the identity's row images are
-        ``row_masks``, so h.Id = h for all h iff ``code_of_mask`` decodes
-        them one to one.  A one-element hom-set never sweeps.
-        """
-        return self.size == 1 or len(self.code_of_mask) == len(self.row_masks)
+        return row_table(self.sr, self.x)[1] if self.d else {}
 
 
 def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> HomEnumeration:
@@ -283,8 +272,12 @@ def row_images(sr: Semiring, s: Morphism) -> list[int]:
     return level
 
 
+@lru_cache(maxsize=None)
 def row_table(sr: Semiring, x: int) -> tuple[list[int], dict[int, int]]:
-    """The identity's row images: the masks of the n^x rows of width x, and each one's code."""
+    """The identity's row images: the masks of the n^x rows of width x, and each one's code.
+
+    Cached per semiring and width; callers only read the two tables.
+    """
     masks = row_images(sr, identity(sr, x))
     return masks, {mask: code for code, mask in enumerate(masks)}
 

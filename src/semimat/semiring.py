@@ -11,7 +11,12 @@ library targets.
 
 The natural order puts a below b exactly when a + b = b; on a valid
 semiring it is a partial order with minimal element zero, and addition
-computes the least upper bound of its arguments.
+computes the least upper bound of its arguments.  Those six order laws
+follow from the axioms, and ``check-semiring`` still reports them.  Both
+sets of laws are rows of one law table shape (a name, an arity and a law
+over the tables and the elements), and one evaluator finds each row's
+lexicographically first failing tuple for ``verify_axioms`` and
+``verify_order_laws`` alike.
 """
 
 from __future__ import annotations
@@ -50,6 +55,17 @@ _AXIOMS = (
      "zero does not annihilate"),
 )
 AXIOM_NAMES = tuple(name for name, _, _, _ in _AXIOMS)
+
+# The natural-order laws, rows as in _AXIOMS, over (leq, add table, zero, *elements).
+_ORDER_LAWS = (
+    ("reflexive", 1, lambda L, A, z, a: L[a][a]),
+    ("antisymmetric", 2, lambda L, A, z, a, b: a == b or not (L[a][b] and L[b][a])),
+    ("transitive", 3, lambda L, A, z, a, b, c: not (L[a][b] and L[b][c]) or L[a][c]),
+    ("zero-minimal", 1, lambda L, A, z, a: L[z][a]),
+    ("join-upper-bound", 2, lambda L, A, z, a, b: L[a][A[a][b]]),
+    ("join-least-upper-bound", 3,
+     lambda L, A, z, a, b, c: not (L[a][c] and L[b][c]) or L[A[a][b]][c]),
+)
 
 
 @dataclass(frozen=True)
@@ -134,6 +150,21 @@ def check_verify_size(n: int) -> None:
         raise StructureError(f"semiring size {n} exceeds the verification limit {MAX_VERIFY_SIZE}")
 
 
+def _first_failures(laws, n: int, *tables) -> list[tuple[str, tuple[int, ...] | None]]:
+    """Each law row's name and lexicographically first failing tuple, None where it holds."""
+    found = []
+    for name, arity, law, *_ in laws:
+        holds = partial(law, *tables)
+        found.append((name, next((w for w in itertools.product(range(n), repeat=arity)
+                                  if not holds(*w)), None)))
+    return found
+
+
+def _natural_leq(sr: Semiring) -> tuple[tuple[bool, ...], ...]:
+    """leq[a][b] is a + b = b."""
+    return tuple(tuple(a_plus[b] == b for b in range(sr.size)) for a_plus in sr.add_table)
+
+
 def verify_axioms(sr: Semiring) -> list[Violation]:
     """Exhaustively check every semiring axiom; empty result means valid.
 
@@ -142,13 +173,10 @@ def verify_axioms(sr: Semiring) -> list[Violation]:
     axioms are then never checked).
     """
     check_structure(sr)
-    n = sr.size
-    check_verify_size(n)
+    check_verify_size(sr.size)
     out: list[Violation] = []
-    for name, arity, law, prefix in _AXIOMS:
-        holds = partial(law, sr.add_table, sr.mul_table, sr.zero, sr.one)
-        witness = next((w for w in itertools.product(range(n), repeat=arity)
-                        if not holds(*w)), None)
+    found = _first_failures(_AXIOMS, sr.size, sr.add_table, sr.mul_table, sr.zero, sr.one)
+    for (_, _, _, prefix), (name, witness) in zip(_AXIOMS, found):
         if witness is not None:
             at = ", ".join(f"{v}={sr.labels[e]}" for v, e in zip("abc", witness))
             out.append(Violation(name, witness, f"{prefix} at {at}"))
@@ -162,30 +190,10 @@ def verify_order_laws(sr: Semiring) -> OrderLawReport:
     a is below a + b for all a, b; and whenever a and b are both below c,
     so is a + b.  Assumes ``verify_axioms`` passed.
     """
-    n = sr.size
-    add = sr.add_table
-    leq = [[add[a][b] == b for b in range(n)] for a in range(n)]
-    checks: list[tuple[str, bool]] = []
-    counter: list[tuple[str, tuple[int, ...]]] = []
-
-    def record(name: str, witness) -> None:
-        checks.append((name, witness is None))
-        if witness is not None:
-            counter.append((name, witness))
-
-    record("reflexive", next(((a,) for a in range(n) if not leq[a][a]), None))
-    record("antisymmetric", next(((a, b) for a in range(n) for b in range(n)
-                                  if a != b and leq[a][b] and leq[b][a]), None))
-    record("transitive", next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                               if leq[a][b] and leq[b][c] and not leq[a][c]), None))
-    record("zero-minimal", next(((a,) for a in range(n) if not leq[sr.zero][a]), None))
-    record("join-upper-bound", next(((a, b) for a in range(n) for b in range(n)
-                                     if not leq[a][add[a][b]]), None))
-    record("join-least-upper-bound",
-           next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
-                 if leq[a][c] and leq[b][c] and not leq[add[a][b]][c]), None))
-    return OrderLawReport(checks=tuple(checks), counterexamples=tuple(counter),
-                          triples_checked=n ** 3)
+    found = _first_failures(_ORDER_LAWS, sr.size, _natural_leq(sr), sr.add_table, sr.zero)
+    return OrderLawReport(checks=tuple((name, w is None) for name, w in found),
+                          counterexamples=tuple((name, w) for name, w in found if w is not None),
+                          triples_checked=sr.size ** 3)
 
 
 @lru_cache(maxsize=None)
@@ -193,36 +201,23 @@ def natural_order(sr: Semiring) -> NaturalOrder:
     """The natural order of a (valid) semiring plus longest-chain heights.
 
     ``height[a]`` is the length of the longest strictly increasing chain
-    below a; zero always sits at height 0.  Raises StructureError if the
-    relation has a cycle, which can only happen on an invalid semiring.
+    below a; zero always sits at height 0.  In a partial order b < a
+    leaves fewer elements below b than below a, so one pass over the
+    elements by down-set size meets every b < a before a.  Raises
+    StructureError when two elements lie below each other, or when some
+    b < a has a down-set no smaller than a's, as every cycle has; both
+    happen only on an invalid semiring.
     """
     n = sr.size
-    add = sr.add_table
-    leq = tuple(tuple(add[a][b] == b for b in range(n)) for a in range(n))
+    leq = _natural_leq(sr)
+    below = [[b for b in range(n) if leq[b][a] and b != a] for a in range(n)]
     height = [0] * n
-    state = [0] * n  # 0 new, 1 on stack, 2 done
-
-    def visit(a: int) -> int:
-        if state[a] == 1:
-            raise StructureError("natural order contains a cycle; the semiring is invalid")
-        if state[a] == 2:
-            return height[a]
-        state[a] = 1
-        best = 0
-        for b in range(n):
-            if b != a and leq[b][a] and not leq[a][b]:
-                best = max(best, 1 + visit(b))
-        # a two-cycle (a <= b and b <= a, a != b) breaks antisymmetry but is
-        # skipped by the strictness test above; catch it explicitly
-        for b in range(n):
-            if b != a and leq[b][a] and leq[a][b]:
-                raise StructureError("natural order is not antisymmetric; the semiring is invalid")
-        height[a] = best
-        state[a] = 2
-        return best
-
-    for a in range(n):
-        visit(a)
+    for a in sorted(range(n), key=lambda a: len(below[a])):
+        for b in below[a]:
+            if leq[a][b] or len(below[b]) >= len(below[a]):
+                raise StructureError(
+                    "natural order is not a partial order; the semiring is invalid")
+            height[a] = max(height[a], height[b] + 1)
     return NaturalOrder(leq=leq, height=tuple(height))
 
 

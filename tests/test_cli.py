@@ -15,6 +15,7 @@ from semimat import (Semiring, boolean_semiring, certify, compose, format_semiri
 from semimat.certfile import FORMAT_VERSION
 from semimat.cli import main
 from test_certifier import count_calls, forged_pad_text, hostile_certificate
+from test_matcat import CHAIN3
 
 BROKEN_DISTRIBUTIVITY = """\
 # tropical(1) with 1*1 rewired to 0: distributivity breaks
@@ -54,6 +55,35 @@ def test_check_semiring_broken_distributivity(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "distributive" in out
     assert "a=1, b=1, c=0" in out or "a=1, b=0, c=1" in out
+
+
+# SHA-256 of the full check-semiring stdout, recorded while the order laws
+# were still checked by their own generator expressions: (name, argv, exit code, digest)
+CHECK_SEMIRING_SHA256 = [
+    ("boolean", ["--builtin", "boolean"], 0,
+     "be0e51e165fe90d2bb8a6e0aabf62ce9200cb02ccba740403bd922b914d4c8db"),
+    *((f"tropical{k}", ["--builtin", "tropical", "--tropical-n", str(k)], 0, digest)
+      for k, digest in enumerate([
+          "a24eda9e86c3f58d260b66b24c6e524f5f12227306fd5aac507919ed98b220b7",
+          "fd1622a541c6fde9b3bbb95a97a56e7f78cec73dec6802f179a713a27b339293",
+          "0519014f77b2f1788005a5234ff21f6925feec9aa8168b800c4e048b25ed93a4",
+          "3fa14ed5afd9ea96cead7dc93d092a7bcfad8d3fd36f7701689827cacfb14773"])),
+    ("chain3", format_semiring(CHAIN3), 0,
+     "548bdebfd2aeecc643f497ec85b94383a81df54ff665ed30f4f6ea1f6f811d7d"),
+    ("broken-distributivity", BROKEN_DISTRIBUTIVITY, 1,
+     "08859fef622fb4336f8b93aa88612e7db4908ed0bac662a6842327cccce81c1a"),
+]
+
+
+@pytest.mark.parametrize("source, code, digest", [case[1:] for case in CHECK_SEMIRING_SHA256],
+                         ids=[case[0] for case in CHECK_SEMIRING_SHA256])
+def test_check_semiring_stdout_is_pinned(source, code, digest, tmp_path, capsys):
+    if isinstance(source, str):  # a definition file's text
+        (tmp_path / "s.semiring").write_text(source)
+        source = ["--semiring", str(tmp_path / "s.semiring")]
+    assert main(["check-semiring", *source]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
 
 
 def test_check_semiring_file_round_trip(tmp_path):
@@ -439,8 +469,10 @@ def test_help_exits_zero(capsys):
 
 
 # SHA-256 of argparse's help and usage-error texts at COLUMNS=80 (Python
-# 3.11 layout), recorded before the parser was declared once per option:
-# (argv, exit code, the stream written, digest); the other stream stays empty.
+# 3.11 layout), recorded before the parser was declared once per option,
+# apart from ``oracle --help``, recorded once -d, -x and -y had their help
+# lines: (argv, exit code, the stream written, digest); the other stream
+# stays empty.
 HELP_AND_USAGE_SHA256 = [
     (["--help"], 0, "out", "505ccf5df87b8268a641f1ce718dd60254a1575cdaec4de3bea2458afb004b78"),
     (["check-semiring", "--help"], 0, "out",
@@ -448,7 +480,7 @@ HELP_AND_USAGE_SHA256 = [
     (["certify", "--help"], 0, "out",
      "4aca964cba866e9bba411bf6d952a18349020728884b5c7e207178c069a5a67b"),
     (["oracle", "--help"], 0, "out",
-     "f3cb2a9c132caef53c570d5aa3fc12c0368e93c11f479ff64db3a061cfb807d7"),
+     "9ac2f9333bc09c100319581328578250d0885dd7c5ced946d2f09e71e03cb1d1"),
     (["verify", "--help"], 0, "out",
      "6bc28f2de645fcb7dd39a25623cd8d49f4887854d94c0fc5c8bba349efb8086b"),
     ([], 2, "err", "f18f4e8f724313f9b961492747badaad7c3b34f5a45c7d9248c4132e7f65784a"),

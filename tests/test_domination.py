@@ -15,6 +15,7 @@ from semimat import (ActionMatrix, CapExceededError, Morphism, action_matrix,
 import semimat.domination as domination
 from semimat.domination import DEFAULT_PAIR_CAP
 from semimat.linalg import identity_fractions
+from semimat.matcat import row_table
 from test_matcat import CHAIN3, is_identity, is_upper_triangular
 
 BOOL = boolean_semiring()
@@ -230,6 +231,18 @@ def test_span_oracle_builds_only_the_actions_its_solve_reads(monkeypatch):
     res = span_oracle(BOOL, 1, 3, 2)
     assert res.holds and len(res.endos) == 356
     assert len(actions) == 134
+
+
+def test_span_oracle_builds_its_row_table_once():
+    # endomorphisms_through and every action read the one width-x table,
+    # and a later call of the same width builds none
+    for sr, d, x, y in [(BOOL, 1, 3, 2), (TROP1, 2, 2, 1), (CHAIN3, 1, 2, 1)]:
+        row_table.cache_clear()
+        span_oracle(sr, d, x, y)
+        info = row_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 2, (sr.size, d, x, y)
+        span_oracle(sr, d + 1, x, y)
+        assert row_table.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("sr, d, x, y", [(BOOL, 2, 3, 1), (BOOL, 1, 3, 0), (BOOL, 2, 2, 0),

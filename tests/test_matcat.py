@@ -5,12 +5,13 @@ import time
 import pytest
 
 from semimat import (CapExceededError, Morphism, Semiring, action_matrix,
-                     boolean_semiring, compose, dominates, enumerate_hom,
-                     format_morphism, from_entry_vector, hom_size, identity,
-                     natural_order, parse_semiring, tropical_semiring,
-                     verify_axioms, zero_morphism)
-from semimat import matcat
-from semimat.matcat import element_masks, right_action, row_images
+                     boolean_semiring, certify, compose, dominates, enumerate_hom,
+                     format_morphism, format_semiring, from_entry_vector, hom_size,
+                     identity, natural_order, parse_semiring, render_certificate,
+                     tropical_semiring, verify_axioms, verify_certificate,
+                     zero_morphism)
+from semimat import cli, matcat
+from semimat.matcat import element_masks, right_action, row_images, row_table
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -409,14 +410,16 @@ UNIT = Semiring(1, ("e",), 0, 0, ((0,),), ((0,),))
 @pytest.mark.parametrize("sr", KERNEL_SEMIRINGS + [UNIT],
                          ids=["boolean", "tropical1", "tropical2", "chain3", "one-element"])
 def test_acts_as_identity_matches_the_full_sweep(sr):
-    # the identity on every Hom(d, x) with d 0-3 and m <= 4096, the
+    # the pad branch records identity-action-is-identity as proved by
+    # mul-identity, zero-annihilates and add-identity; the full sweep
+    # confirms h.Id = h on every Hom(d, x) with d 0-3 and m <= 4096, the
     # one-element hom-sets among them
+    assert verify_axioms(sr) == []
     n = sr.size
     shapes = [(d, x) for d in range(4) for x in range(5) if n ** (d * x) <= 4096]
     assert (0, 4) in shapes and (3, 1) in shapes
     for d, x in shapes:
-        hom = enumerate_hom(sr, d, x)
-        assert hom.identity_action_is_identity is identity_by_sweep(sr, identity(sr, x), hom) is True
+        assert identity_by_sweep(sr, identity(sr, x), enumerate_hom(sr, d, x)) is True, (d, x)
 
 
 # Two elements whose masks collide (both are 2): verify_axioms rejects the
@@ -425,33 +428,60 @@ def test_acts_as_identity_matches_the_full_sweep(sr):
 COLLIDING = Semiring(2, ("0", "1"), 0, 1, ((0, 0), (0, 0)), ((0, 0), (0, 1)))
 
 
-def test_colliding_masks_fail_the_identity_check():
+def test_colliding_masks_fail_the_identity_check(tmp_path, capsys, monkeypatch):
     assert verify_axioms(COLLIDING) != []
     assert element_masks(COLLIDING) == (2, 2)
     for d, x, holds in [(1, 2, False), (2, 1, False), (0, 3, True), (1, 0, True)]:
-        assert enumerate_hom(COLLIDING, d, x).identity_action_is_identity is holds, (d, x)
+        hom = enumerate_hom(COLLIDING, d, x)
+        assert identity_by_sweep(COLLIDING, identity(COLLIDING, x), hom) is holds, (d, x)
+    # the pad branch takes h.Id = h from the axioms, so the command line
+    # refuses such a table with exit 1 before any check runs; a boolean
+    # certificate would otherwise be a fingerprint mismatch, exit 2
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran on a semiring that fails the axioms")
+
+    for name in ("certify", "verify_certificate", "span_oracle", "parse_certificate"):
+        monkeypatch.setattr(cli, name, refuse)
+    path, cert = tmp_path / "colliding.semiring", tmp_path / "boolean.cert"
+    path.write_text(format_semiring(COLLIDING))
+    cert.write_text(render_certificate(certify(BOOL, 1, 2)))
+    for argv in (["certify", "-d", "1", "-x", "2"], ["verify", str(cert)],
+                 ["oracle", "-d", "1", "-x", "2", "-y", "2"]):
+        assert cli.main([*argv, "--semiring", str(path)]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "semiring fails axiom verification" in captured.err
 
 
 def test_enumerate_hom_builds_the_order_only():
-    # the inverse permutation and the row tables are built on first read
+    # the inverse permutation and the row tables are built on first read,
+    # the row tables once per semiring and width
     for sr, d, x in [(BOOL, 1, 3), (BOOL, 2, 2), (TROP1, 1, 2), (TROP1, 2, 1), (BOOL, 0, 3)]:
+        row_table.cache_clear()
         hom = enumerate_hom(sr, d, x)
-        assert not {"rank_of_code", "_rows", "morphisms"} & set(vars(hom))
+        assert not {"rank_of_code", "morphisms"} & set(vars(hom))
+        assert row_table.cache_info().currsize == 0
         hom.row_masks
-        assert "_rows" in vars(hom) and "rank_of_code" not in vars(hom)
+        assert row_table.cache_info().currsize == (1 if d else 0)
+        assert "rank_of_code" not in vars(hom)
+        if d:
+            assert hom.row_masks is row_table(sr, x)[0]
+            assert enumerate_hom(sr, d + 1, x).code_of_mask is row_table(sr, x)[1]
+            assert row_table.cache_info().misses == 1
         position(hom, zero_morphism(sr, d, x))
         assert "rank_of_code" in vars(hom)
 
 
 def test_the_empty_matrix_has_no_row_table(monkeypatch):
-    # Hom(0, 500) has no rows, so reading its row table sweeps nothing,
-    # and one-element Hom(2, 2000) never builds the 2000-by-2000 identity
+    # Hom(0, 500) has no rows, so reading its row table or acting on it
+    # sweeps nothing, and the pad branch never reads a row table
+    row_table.cache_clear()
     sweeps = []
     monkeypatch.setattr(matcat, "row_images", lambda *args: sweeps.append(args))
     hom = enumerate_hom(BOOL, 0, 500)
     assert hom.row_masks == [] and hom.code_of_mask == {}
-    assert hom.identity_action_is_identity
-    assert enumerate_hom(UNIT, 2, 2000).identity_action_is_identity
+    assert right_action(BOOL, identity(BOOL, 500), hom) == ([0], True)
+    cert = certify(BOOL, 2, 3)
+    assert cert.branch == "pad" and verify_certificate(BOOL, cert).passed
     assert sweeps == []
 
 

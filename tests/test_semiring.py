@@ -8,7 +8,9 @@ from semimat import (ParseError, Semiring, StructureError, boolean_semiring,
                      builtin_semiring, format_semiring, natural_order,
                      parse_semiring, table_hash, tropical_semiring,
                      verify_axioms, verify_order_laws)
-from semimat.semiring import AXIOM_NAMES
+from semimat.semiring import AXIOM_NAMES, OrderLawReport
+from test_matcat import CHAIN3
+from test_small_semirings import small_semirings
 
 BUILTINS = [boolean_semiring()] + [tropical_semiring(n) for n in range(4)]
 
@@ -339,3 +341,111 @@ def test_table_hash_ignores_labels_only():
     assert table_hash(relabeled) == table_hash(b)
     assert table_hash(mutate(b, "add", 0, 0, 1)) != table_hash(b)
     assert table_hash(mutate(b, "zero", None, None, 1)) != table_hash(b)
+
+
+def verify_order_laws_reference(sr: Semiring) -> OrderLawReport:
+    """The generator expressions ``verify_order_laws`` replaced with its law table."""
+    n = sr.size
+    add = sr.add_table
+    leq = [[add[a][b] == b for b in range(n)] for a in range(n)]
+    checks: list[tuple[str, bool]] = []
+    counter: list[tuple[str, tuple[int, ...]]] = []
+
+    def record(name: str, witness) -> None:
+        checks.append((name, witness is None))
+        if witness is not None:
+            counter.append((name, witness))
+
+    record("reflexive", next(((a,) for a in range(n) if not leq[a][a]), None))
+    record("antisymmetric", next(((a, b) for a in range(n) for b in range(n)
+                                  if a != b and leq[a][b] and leq[b][a]), None))
+    record("transitive", next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                               if leq[a][b] and leq[b][c] and not leq[a][c]), None))
+    record("zero-minimal", next(((a,) for a in range(n) if not leq[sr.zero][a]), None))
+    record("join-upper-bound", next(((a, b) for a in range(n) for b in range(n)
+                                     if not leq[a][add[a][b]]), None))
+    record("join-least-upper-bound",
+           next(((a, b, c) for a in range(n) for b in range(n) for c in range(n)
+                 if leq[a][c] and leq[b][c] and not leq[add[a][b]][c]), None))
+    return OrderLawReport(checks=tuple(checks), counterexamples=tuple(counter),
+                          triples_checked=n ** 3)
+
+
+def dfs_heights(sr: Semiring) -> tuple[int, ...]:
+    """The recursive three-state DFS ``natural_order`` replaced with one pass by down-set size."""
+    n = sr.size
+    add = sr.add_table
+    leq = tuple(tuple(add[a][b] == b for b in range(n)) for a in range(n))
+    height = [0] * n
+    state = [0] * n  # 0 new, 1 on stack, 2 done
+
+    def visit(a: int) -> int:
+        if state[a] == 1:
+            raise StructureError("natural order contains a cycle; the semiring is invalid")
+        if state[a] == 2:
+            return height[a]
+        state[a] = 1
+        best = 0
+        for b in range(n):
+            if b != a and leq[b][a] and not leq[a][b]:
+                best = max(best, 1 + visit(b))
+        for b in range(n):
+            if b != a and leq[b][a] and leq[a][b]:
+                raise StructureError("natural order is not antisymmetric; the semiring is invalid")
+        height[a] = best
+        state[a] = 2
+        return best
+
+    for a in range(n):
+        visit(a)
+    return tuple(height)
+
+
+def longest_chain_heights(sr: Semiring) -> tuple[int, ...]:
+    """Each element's longest chain b_0 < ... < b_k = a, by trying every sequence of elements."""
+    n = sr.size
+
+    def less(b, a):
+        return b != a and natural_leq(sr, b, a)
+
+    return tuple(max(k for k in range(n) for chain in itertools.permutations(range(n), k + 1)
+                     if chain[-1] == a and all(map(less, chain, chain[1:])))
+                 for a in elements(sr))
+
+
+def drawn_tables():
+    """The 400 mutated builtins of the ``first_failures`` test, drawn the same way."""
+    rng = random.Random(3)
+    for _ in range(400):
+        sr = rng.choice(BUILTINS)
+        for _ in range(rng.randint(1, 3)):
+            sr = mutate(sr, rng.choice(("add", "mul")), rng.randrange(sr.size),
+                        rng.randrange(sr.size), rng.randrange(sr.size))
+        yield sr
+
+
+def test_order_laws_and_heights_match_the_references():
+    # the law table against the generators everywhere; the one pass
+    # against the DFS and against the longest chains on every valid
+    # table, and, on any table, it raises wherever the DFS raised and
+    # otherwise gives the DFS's heights
+    tables = [*BUILTINS, CHAIN3, *small_semirings(3), *small_semirings(4), *drawn_tables()]
+    valid = raised = 0
+    for sr in tables:
+        assert verify_order_laws(sr) == verify_order_laws_reference(sr)
+        try:
+            height = natural_order(sr).height
+        except StructureError:
+            height = None
+        try:
+            reference = dfs_heights(sr)
+        except StructureError:
+            assert height is None
+            raised += 1
+            continue
+        if verify_axioms(sr) == []:
+            assert height == reference == longest_chain_heights(sr)
+            valid += 1
+        elif height is not None:
+            assert height == reference
+    assert (len(tables), valid, raised) == (429, 122, 42)
