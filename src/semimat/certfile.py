@@ -12,7 +12,9 @@ written as its d*x base-n digits, and the parsed order holds codes,
 never entry tuples.  It is written and read a block of lines at a time,
 at C speed.  A block renders with one ``%`` format from a table of the
 texts of digit chunks.  A block laid out exactly as rendered, in a base
-from 2 to 10, parses at once with one ``int(digits, n)`` per line.  Any
+from 2 to 10, parses at once with one ``int(digits, n)`` per line; its
+digits are checked, before ``int`` sees them, to be ASCII ``f`` and
+digits below n with ``isascii`` and one ``bytes.translate``.  Any
 other line (a comment, a blank line, a defect, an out-of-range entry,
 another spelling, a base above 10) is read line by line under the same
 rules as every other line, which raises the first bad line's error.
@@ -54,7 +56,7 @@ _PARSE_BLOCK = 4096
 _DIGIT_TABLE = 4096
 # what a parsed f line holds when it is no code of Hom(d, x)
 NO_CODE = -1
-_DIGITS = "0123456789"
+_DIGITS = b"0123456789"
 
 
 class _Spellings(dict):
@@ -321,10 +323,14 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
     Such a line is ``f`` and ``width`` digits below ``base``, one
     character each and each after one space, so with its break it has
     2*width + 2 characters: spaces and breaks at odd offsets, ``f`` and
-    the digits at even ones.  Each line's digits then read as its code
-    with one ``int(digits, base)``; only ASCII digits below ``base``
-    reach ``int``, so no digit carries and no ``_`` or other script's
-    digit is read there; with width 0 each line is ``f`` alone, code 0.
+    the digits at even ones.  The even characters must be ASCII
+    (``isascii``, which also keeps a lone surrogate from ``encode``), and
+    one ``bytes.translate`` that deletes ``f`` and the digits below
+    ``base`` must leave nothing of them.  Each line's digits then read as
+    its code with one ``int(digits, base)``; only ASCII digits below
+    ``base`` reach ``int``, so no digit carries and no ``_`` or other
+    script's digit is read there; with width 0 each line is ``f`` alone,
+    code 0.
     None outright for a base outside 2..10, and for a width past the
     digits ``int`` reads in one string.
     """
@@ -336,7 +342,8 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
     if (len(block) != lines * (2 * width + 2) - 1
             or block[1::2] != ((" " * width + "\n") * lines)[:-1]
             or even[::width + 1] != "f" * lines or even.count("f") != lines
-            or even.strip("f" + _DIGITS[:base])):
+            or not even.isascii()
+            or even.encode("ascii").translate(None, b"f" + _DIGITS[:base])):
         return None
     if not width:
         return [0] * lines

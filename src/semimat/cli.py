@@ -125,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="semimat",
         description="Exact matrix algebra over finite idempotent semirings "
                     "with machine-checkable domination certificates.")
-    sub = p.add_subparsers(dest="command", required=True)
+    # not required here, so that an unknown option before the subcommand
+    # is named (``main`` reports a missing subcommand itself)
+    sub = p.add_subparsers(dest="command")
     cap_hom = ("--cap-hom", dict(type=int, default=DEFAULT_HOM_CAP,
                                  help="max |Hom(d,x)| (default %(default)s)"))
     probe = ("-d", dict(type=int, required=True, help="probe object d"))
@@ -167,8 +169,11 @@ def _load_semiring(args) -> Semiring:
 
 
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.error("the following arguments are required: command")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

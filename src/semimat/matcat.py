@@ -8,7 +8,8 @@ Every operation is pure and every value immutable.
 Hom-sets are enumerated in a fixed total order (ascending entry-height sum,
 ties broken by the row-major entry vector).  Because a strictly dominated
 matrix has a strictly smaller height sum, this order is a linear extension
-of the entrywise dominance order.
+of the entrywise dominance order.  ``enumerate_hom`` builds it one total
+height at a time from the two halves of a code's digits, with no sort.
 
 Hom(d, x) is every d-by-x matrix, so it is coded without a lookup table.
 A row is coded as the base-n integer of its entries, first column most
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -178,13 +180,13 @@ class HomEnumeration:
 
     Elements are held as codes only (the entry vector read in base n).
     ``codes[i]`` is the code of rank i, so ``codes`` is the order, and
-    the only table ``enumerate_hom`` builds; the pad branch reads it
-    alone.  The rest are built on first read: ``rank_of_code`` inverts
-    ``codes`` (with int objects of its own), and ``morphisms`` decodes
-    every code.  ``row_masks[r]`` is the packed mask of the row with code
-    r (see ``row_images``) and ``code_of_mask`` inverts it; both read
-    ``row_table``, cached per semiring and width, and are empty when
-    d = 0, which has no rows.
+    the only table ``enumerate_hom`` builds per hom-set; the pad branch
+    reads it alone.  The rest are built on first read: ``rank_of_code``
+    inverts ``codes`` (with int objects of its own), and ``morphisms``
+    decodes every code.  ``row_masks[r]`` is the packed mask of the row
+    with code r (see ``row_images``) and ``code_of_mask`` inverts it;
+    both read ``row_table``, cached per semiring and width, and are
+    empty when d = 0, which has no rows.
     ``right_action`` reads ``rank_of_code`` and the row tables for a
     whole action at once; the tests keep the lookup of one element's
     rank as its reference.
@@ -227,6 +229,9 @@ class HomEnumeration:
 def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> HomEnumeration:
     """Enumerate all |R|^(d*x) morphisms d -> x, sorted by (height sum, entry vector).
 
+    The order is built per height from two halves of each code's digits,
+    with no sort (see ``_order_plan``), and concatenated at C speed.
+
     Raises CapExceededError (carrying the true size) when the hom-set would
     exceed ``cap``, or when d*x does: with one element the hom-set has one
     member, but its entry vector still has d*x entries.
@@ -237,14 +242,53 @@ def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> H
     if d * x > cap:  # only when n = 1, since n^(d*x) <= cap bounds d*x otherwise
         raise CapExceededError(f"entries per element of Hom({d},{x}) = {d * x} exceed cap {cap}",
                                size=d * x)
-    height = natural_order(sr).height
-    # the height sums of all codes, one base-n digit at a time, in code
-    # order; a stable sort by height sum breaks ties by code, which orders
-    # as the entry vector does
-    sums = [0]
-    for _ in range(d * x):
-        sums = [t + h for t in sums for h in height]
-    return HomEnumeration(d, x, sr, tuple(sorted(range(len(sums)), key=sums.__getitem__)))
+    adders, runs = _order_plan(sr, d * x)
+    return HomEnumeration(d, x, sr, tuple(itertools.chain.from_iterable(map(map, adders, runs))))
+
+
+@lru_cache(maxsize=None)
+def _order_plan(sr: Semiring, width: int) -> tuple[tuple[Callable[[int], int], ...],
+                                                   tuple[tuple[int, ...], ...]]:
+    """The codes of ``width`` base-n digits in (height sum, code) order, as runs to concatenate.
+
+    A code is its high digits times n^lo plus its ``lo`` low digits, so
+    its height sum is the sum of its two halves'.  For each total height
+    in turn, the walk goes through the high halves in ascending code
+    order, and each is followed by the low halves whose height sum makes
+    up the total, in ascending code order: that is ascending by (height
+    sum, code), and the code orders as the entry vector does.  Returns
+    the walk step by step: the adder (high * n^lo).__add__ and the run
+    of low halves it applies to.
+
+    With T + 1 totals (T is width times the greatest height), the walk
+    takes T + 1 steps per high half.  The low half takes digits while it
+    holds at most (T + 1)^2 times as many codes as the high half, so the
+    walk has about sqrt(n^width) steps and the low runs hold about
+    (T + 1) * sqrt(n^width) codes; a hom-set of at most (T + 1)^2
+    elements has no high digit.  Cached per semiring and width, as
+    ``row_table`` is, so a later call only concatenates.
+    """
+    n, height = sr.size, natural_order(sr).height
+    totals = max(height) * width + 1
+    lo = (width + 1) // 2
+    while lo < width and n ** (2 * lo + 2 - width) <= totals ** 2:
+        lo += 1
+    # sums[k]: the height sums of all codes of k digits, in code order,
+    # one digit at a time
+    sums = [[0]]
+    for _ in range(lo):
+        sums.append([t + h for t in sums[-1] for h in height])
+    groups: list[list[int]] = [[] for _ in range(max(height) * lo + 1)]
+    for code, h in enumerate(sums[lo]):
+        groups[h].append(code)
+    low_runs, span = tuple(map(tuple, groups)), n ** lo
+    adders, runs = [], []
+    for total in range(totals):
+        for high, h in enumerate(sums[width - lo]):
+            if 0 <= total - h < len(low_runs):
+                adders.append((high * span).__add__)
+                runs.append(low_runs[total - h])
+    return tuple(adders), tuple(runs)
 
 
 def row_images(sr: Semiring, s: Morphism) -> list[int]:

@@ -444,6 +444,50 @@ def test_block_parse_matches_the_reference_on_crafted_order_sections(order, bloc
     assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
 
 
+# what replaces one character of an order line: a function of the
+# rendered character, and whether it replaces the f or a digit
+DIGIT_MUTANTS = {
+    "fullwidth": (lambda c: chr(0xFF10 + int(c)), "digit"),  # int() reads it, as c
+    "superscript": (lambda c: "\u00b9", "digit"),
+    "nul": (lambda c: "\x00", "digit"),
+    "surrogate": (lambda c: "\ud800", "digit"),
+    "past-base": (lambda c: "2", "digit"),
+    "uppercase-f": (lambda c: "F", "f"),
+}
+
+
+@pytest.mark.parametrize("block", [1, 5, 12, None])
+@pytest.mark.parametrize("kind", list(DIGIT_MUTANTS))
+def test_block_parse_matches_the_reference_on_non_ascii_and_foreign_digits(kind, block,
+                                                                           monkeypatch):
+    # characters a Unicode-aware digit check could let through, at the
+    # first, a middle and the last line of the order section, on the f,
+    # the first, a middle and the last digit: with the default block the
+    # section is one block, with the smaller ones each line is its own
+    if block is not None:
+        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
+    replace, where = DIGIT_MUTANTS[kind]
+    cert = corpus_certificate(BOOL, 1, 6)
+    lines = render_certificate(cert).split("\n")
+    first = lines.index("order " + str(len(cert.order))) + 1
+    outcomes = set()
+    for i in (0, 31, 63):
+        for offset in ((0,) if where == "f" else (2, 8, 12)):
+            line = lines[first + i]
+            changed = list(lines)
+            changed[first + i] = line[:offset] + replace(line[offset]) + line[offset + 1:]
+            text = "\n".join(changed)
+            outcome = _outcome(parse_certificate, text)
+            assert outcome == _outcome(parse_reference, text), (i, offset)
+            if kind == "fullwidth":
+                assert outcome == cert
+            elif kind == "past-base":
+                assert outcome.order == cert.order[:i] + (NO_CODE,) + cert.order[i + 1:]
+            else:
+                outcomes.add(outcome.split(":", 2)[2].strip())
+    assert outcomes <= {"non-integer entry in order vector", "expected 'f', got 'F'"}
+
+
 @pytest.mark.parametrize("block", [None, 1, 23])
 def test_an_out_of_range_entry_reads_as_no_code_in_every_block(block, monkeypatch):
     # one f line's last entry outside range(n), at a block's start, middle

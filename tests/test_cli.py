@@ -487,12 +487,16 @@ HELP_AND_USAGE_SHA256 = [
     (["certify"], 2, "err", "fcc3f5b2b0cf0e9e346c002754d78ca609851c2f93e7031958f0b478b389428e"),
     (["certify", "--builtin", "boolean", "-d", "a", "-x", "2"], 2, "err",
      "0153d6c02040e4eb481dac369f5a520b4711a103766bcf3b35a2a10450cc0440"),
+    # an unknown option before the subcommand is named, not reported as a
+    # missing subcommand
+    (["--bogus"], 2, "err", "bfa7954d2a9112fa34f6abed99b60f405fade301d4a991de9c3c0ffe34c1b6d6"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, stream, digest", HELP_AND_USAGE_SHA256,
                          ids=["help", "check-semiring-help", "certify-help", "oracle-help",
-                              "verify-help", "no-command", "certify-no-args", "certify-bad-d"])
+                              "verify-help", "no-command", "certify-no-args", "certify-bad-d",
+                              "unknown-option"])
 def test_help_and_usage_errors_are_pinned(argv, code, stream, digest, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert main(argv) == code

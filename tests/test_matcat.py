@@ -12,6 +12,7 @@ from semimat import (CapExceededError, Morphism, Semiring, action_matrix,
                      zero_morphism)
 from semimat import cli, matcat
 from semimat.matcat import element_masks, right_action, row_images, row_table
+from test_small_semirings import small_semirings
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -221,6 +222,62 @@ def test_enumerate_hom_degenerate():
         hom = enumerate_hom(BOOL, d, x)
         assert len(hom) == 1
         assert hom.morphisms[0].signature == (d, x)
+
+
+def enumerate_hom_reference(sr, d, x):
+    """The codes of Hom(d, x) by a stable sort of all n^(d*x) of them by height sum.
+
+    The enumeration the per-height walk replaced, kept as its reference:
+    the height sums of all codes, one base-n digit at a time, in code
+    order; a stable sort breaks ties by code, which orders as the entry
+    vector does.
+    """
+    height = natural_order(sr).height
+    sums = [0]
+    for _ in range(d * x):
+        sums = [t + h for t in sums for h in height]
+    return tuple(sorted(range(len(sums)), key=sums.__getitem__))
+
+
+WALK_SEMIRINGS = [BOOL, *map(tropical_semiring, range(4)), CHAIN3,
+                  *small_semirings(3), *small_semirings(4)]
+
+
+@pytest.mark.parametrize("sr", WALK_SEMIRINGS,
+                         ids=["boolean", *(f"tropical{k}" for k in range(4)), "chain3",
+                              *(f"small3-{i}" for i in range(len(small_semirings(3)))),
+                              *(f"small4-{i}" for i in range(len(small_semirings(4))))])
+def test_enumerate_hom_matches_the_sort(sr):
+    # every (d, x) with n^(d*x) <= 65536; the order depends on d*x alone,
+    # so the reference is sorted once per width
+    n, width = sr.size, 0
+    while n ** width <= 65536:
+        reference = enumerate_hom_reference(sr, 1, width)
+        shapes = [(d, width // d) for d in range(1, width + 1) if width % d == 0]
+        for d, x in shapes or [(0, 0), (0, 7), (5, 0)]:
+            assert enumerate_hom(sr, d, x, cap=65536).codes == reference, (d, x)
+        width += 1
+
+
+def test_enumerate_hom_matches_the_sort_at_the_edges():
+    # d*x = 0, one element with d*x up to the cap, and boolean 5/4
+    # (m = 2^20) under a raised cap
+    for d, x in [(0, 0), (0, 500), (500, 0)]:
+        assert enumerate_hom(BOOL, d, x).codes == enumerate_hom_reference(BOOL, d, x) == (0,)
+    for d, x in [(1, 1), (3, 7), (64, 64), (1, 4096)]:
+        assert enumerate_hom(UNIT, d, x).codes == enumerate_hom_reference(UNIT, d, x) == (0,)
+    hom = enumerate_hom(BOOL, 5, 4, cap=1 << 20)
+    assert hom.codes == enumerate_hom_reference(BOOL, 5, 4)
+
+
+def test_enumerate_hom_never_sorts(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate_hom sorted")
+
+    monkeypatch.setattr(matcat, "sorted", refuse, raising=False)
+    for sr, d, x in [(BOOL, 4, 4), (TROP1, 2, 3), (CHAIN3, 1, 1), (BOOL, 0, 9)]:
+        matcat._order_plan.cache_clear()
+        assert enumerate_hom(sr, d, x, cap=65536).codes == enumerate_hom_reference(sr, d, x)
 
 
 def test_enumerate_hom_cap():
