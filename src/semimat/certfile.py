@@ -14,13 +14,28 @@ at C speed.  A block renders with one ``%`` format from a table of the
 texts of digit chunks.  A block laid out exactly as rendered, in a base
 from 2 to 10, parses at once with one ``int(digits, n)`` per line; its
 digits are checked, before ``int`` sees them, to be ASCII ``f`` and
-digits below n with ``isascii`` and one ``bytes.translate``.  Any
-other line (a comment, a blank line, a defect, an out-of-range entry,
-another spelling, a base above 10) is read line by line under the same
-rules as every other line, which raises the first bad line's error.
-Entries there decode through a small table of the canonical spellings
-that falls back to ``int``, so every spelling ``int`` accepts (``01``,
-``+1``, ``1_0``, other scripts' digits) still parses.
+digits below n with ``isascii`` and one ``bytes.translate``.  In a base
+from 11 to 36 a block as rendered splits into tokens, and one table
+maps each entry's spelling to one base-36 digit, so each line again
+reads with one ``int(digits, n)``.  Any other line (a comment, a blank
+line, a defect, an out-of-range entry, another spelling) is read line
+by line under the same rules as every other line, which raises the
+first bad line's error.  Entries there decode through a small table of
+the canonical spellings that falls back to ``int``, so every spelling
+``int`` accepts (``01``, ``+1``, ``1_0``, other scripts' digits) still
+parses.
+
+The construct section after the order is read a section at a time in
+the same way: the m blocks at once, then the ``c`` lines, the ``diag``
+lines and ``det``.  A block section laid out exactly as rendered with
+one-digit entries, as in every base from 2 to 10, decodes each
+distinct block text, and each distinct matrix line, once: a matrix
+line's layout is checked with one ``bytes.translate``, its values read
+with another and cut into rows by ``zip``, and blocks with the same
+text share one ``CertBlock``.  Fraction lines that are all plain
+integers read with ``Fraction(int(token))``.  Any other section goes to
+the line reader from its first line, so every input gives the same
+Certificate, or the same ParseError, as reading line by line.
 
 An entry never carries into another code: a line with an entry outside
 range(n) reads as ``NO_CODE``, which no canonical order holds, so it
@@ -57,6 +72,11 @@ _DIGIT_TABLE = 4096
 # what a parsed f line holds when it is no code of Hom(d, x)
 NO_CODE = -1
 _DIGITS = b"0123456789"
+_BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
+# bytes.translate tables: each digit to NUL and NUL to \x01, so a line
+# marks as a matrix layout only where it has digits; each digit to its value
+_MARK = bytes.maketrans(_DIGITS + b"\0", b"\0" * 10 + b"\1")
+_VALUE = bytes.maketrans(_DIGITS, bytes(range(10)))
 
 
 class _Spellings(dict):
@@ -225,6 +245,19 @@ class _Reader:
         self.pos, self.lineno = end, lineno + 1
         return lineno, tokens[1:]
 
+    def _lines(self, count: int) -> list[str] | None:
+        """The next ``count`` lines as they stand, none skipped; None when fewer remain."""
+        lines = self.text[self.pos:].split("\n", count)
+        if len(lines) <= count:
+            return None
+        del lines[count]
+        return lines
+
+    def _skip(self, lines: list[str]) -> None:
+        """Move past ``lines``, the lines ``_lines`` returned."""
+        self.pos += sum(map(len, lines)) + len(lines)
+        self.lineno += len(lines)
+
     def take_end(self) -> None:
         self.take("end")
         line = self._next()
@@ -252,6 +285,63 @@ class _Reader:
             return Fraction(rest[0])
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"line {lineno}: bad fraction {rest[0]!r}") from None
+
+    def take_fractions(self, keyword: str, count: int) -> tuple[Fraction, ...]:
+        """``count`` lines ``keyword <fraction>``.
+
+        Lines that are all exactly ``keyword``, a space and ASCII digits,
+        as rendered, are read at once, each with ``Fraction(int(token))``.
+        Any other text, and an integer too long for ``int`` to read from
+        one string, is read line by line by ``take_fraction``, which
+        raises the first bad line's error.
+        """
+        lines = self._lines(count)
+        if lines is not None:
+            head = keyword + " "
+            tokens = [line[len(head):] for line in lines]
+            digits = "".join(tokens)
+            if (all(map(str.startswith, lines, repeat(head)))
+                    and digits.isascii() and digits.isdigit()):
+                try:
+                    values = tuple(map(Fraction, map(int, tokens)))
+                except ValueError:
+                    pass
+                else:
+                    self._skip(lines)
+                    return values
+        return tuple(self.take_fraction(keyword) for _ in range(count))
+
+    def take_blocks(self, count: int, x: int) -> list[CertBlock]:
+        """The ``count`` blocks of the construct section, ``block i`` and its five lines each.
+
+        A section laid out exactly as rendered with one-digit entries, as
+        in every base from 2 to 10, is read at once: each distinct block
+        text is decoded once (see ``_rendered_block``), as is each
+        distinct matrix line, and blocks with the same text share one
+        ``CertBlock``.  Any other text is read line by line, which raises
+        the first bad line's error.
+        """
+        lines = self._lines(6 * count)
+        if lines is not None and lines[::6] == [f"block {i}" for i in range(count)]:
+            texts = list(zip(*(lines[k::6] for k in range(1, 6))))
+            shared = dict.fromkeys(texts)
+            matrices: dict[tuple[str, int, int], Morphism | None] = {}
+            for text in shared:
+                shared[text] = _rendered_block(x, matrices, *text)
+                if shared[text] is None:
+                    break
+            else:
+                self._skip(lines)
+                return list(map(shared.__getitem__, texts))
+        return [self._take_block(i, x) for i in range(count)]
+
+    def _take_block(self, i: int, x: int) -> CertBlock:
+        lineno, rest = self.take("block")
+        if rest != [str(i)]:
+            raise ParseError(f"line {lineno}: expected 'block {i}'")
+        s = self.take_matrix("s", x, x)
+        fact = _parse_factor(self)
+        return CertBlock(s=s, factor=fact, v=self.take_int("v"))
 
     def take_matrix(self, keyword: str, rows: int, cols: int) -> Morphism:
         lineno, rest = self.take(keyword)
@@ -288,7 +378,7 @@ class _Reader:
         sooner.  One that is all order lines as rendered decodes at once
         (see ``_block_codes``); any other, with a comment, a blank line,
         a defect, an out-of-range entry or another spelling, or in a base
-        above 10, is taken line by line, which skips blank and comment
+        above 36, is taken line by line, which skips blank and comment
         lines, raises the first bad line's error and decodes each line
         alone (see ``_order_code``).
         """
@@ -303,8 +393,13 @@ class _Reader:
             lines = block.count("\n") + 1
             if lines > due:
                 # the section ends in the block: cut it where the
-                # section's last line ends if its lines are as rendered
-                lines, stop = due, start + due * (2 * width + 2) - 1
+                # section's last line ends, found from the length of a
+                # rendered line in bases to 10 and at its break above
+                if base is not None and base > 10:
+                    stop = start + len(block) - len(block.split("\n", due)[due]) - 1
+                else:
+                    stop = start + due * (2 * width + 2) - 1
+                lines = due
                 block = text[start:stop] if text[stop:stop + 1] in ("", "\n") else ""
             codes = _block_codes(block, lines, width, base)
             if codes is None:
@@ -320,24 +415,27 @@ class _Reader:
 def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[int] | None:
     """The codes of ``block`` if it is ``lines`` lines exactly as rendered, else None.
 
-    Such a line is ``f`` and ``width`` digits below ``base``, one
-    character each and each after one space, so with its break it has
-    2*width + 2 characters: spaces and breaks at odd offsets, ``f`` and
-    the digits at even ones.  The even characters must be ASCII
-    (``isascii``, which also keeps a lone surrogate from ``encode``), and
-    one ``bytes.translate`` that deletes ``f`` and the digits below
-    ``base`` must leave nothing of them.  Each line's digits then read as
-    its code with one ``int(digits, base)``; only ASCII digits below
-    ``base`` reach ``int``, so no digit carries and no ``_`` or other
-    script's digit is read there; with width 0 each line is ``f`` alone,
-    code 0.
-    None outright for a base outside 2..10, and for a width past the
-    digits ``int`` reads in one string.
+    In a base from 2 to 10 such a line is ``f`` and ``width`` digits
+    below ``base``, one character each and each after one space, so with
+    its break it has 2*width + 2 characters: spaces and breaks at odd
+    offsets, ``f`` and the digits at even ones.  The even characters
+    must be ASCII (``isascii``, which also keeps a lone surrogate from
+    ``encode``), and one ``bytes.translate`` that deletes ``f`` and the
+    digits below ``base`` must leave nothing of them.  Each line's
+    digits then read as its code with one ``int(digits, base)``; only
+    ASCII digits below ``base`` reach ``int``, so no digit carries and
+    no ``_`` or other script's digit is read there; with width 0 each
+    line is ``f`` alone, code 0.  A base from 11 to 36, whose entries
+    take one or two digits, goes to ``_spelled_codes``.  None outright
+    for a base outside 2..36, and for a width past the digits ``int``
+    reads in one string.
     """
     # 0, or no such function (Python before 3.10.7), sets no limit
     limit = getattr(sys, "get_int_max_str_digits", int)() or width
-    if base is None or not 2 <= base <= 10 or not 0 <= width <= limit:
+    if base is None or not 2 <= base <= 36 or not 0 <= width <= limit:
         return None
+    if base > 10:
+        return _spelled_codes(block, lines, width, base)
     even = block[::2]
     if (len(block) != lines * (2 * width + 2) - 1
             or block[1::2] != ((" " * width + "\n") * lines)[:-1]
@@ -350,6 +448,93 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
     digits = even.split("f")
     del digits[0]
     return list(map(int, digits, repeat(base)))
+
+
+def _spelled_codes(block: str, lines: int, width: int, base: int) -> list[int] | None:
+    """The codes of ``block``, in a base from 11 to 36, if it is ``lines`` lines as rendered.
+
+    Such a line is ``f`` and ``width`` entries below ``base`` in their
+    canonical spellings, one or two digits, each after one space.  With
+    its breaks made spaces the block splits into tokens, an ``f`` at
+    every (width + 1)-th and nowhere else, and every break must come
+    before an ``f``.  One table maps each ``f`` to a space and each
+    entry's spelling to its one base-36 digit character, so the joined
+    text splits into each line's digits, read with one
+    ``int(digits, base)``.  None when a token is no canonical spelling
+    below ``base`` or an ``f`` or a break is out of place.
+    """
+    tokens = block.replace("\n", " ").split(" ")
+    if (len(tokens) != lines * (width + 1) or tokens[::width + 1] != ["f"] * lines
+            or tokens.count("f") != lines or block.count("\nf") != lines - 1):
+        return None
+    table = {str(e): _BASE36[e] for e in range(base)}
+    table["f"] = " "
+    try:
+        digits = "".join(map(table.__getitem__, tokens))
+    except KeyError:
+        return None
+    if not width:
+        return [0] * lines
+    return list(map(int, digits.split(), repeat(base)))
+
+
+def _plain_int(token: str) -> int | None:
+    """``int(token)`` when ``token`` is at most 18 ASCII digits, which ``int`` always reads."""
+    if token.isascii() and token.isdigit() and len(token) <= 18:
+        return int(token)
+    return None
+
+
+def _rendered_block(x: int, matrices: dict[tuple[str, int, int], Morphism | None],
+                    s_line: str, factor_line: str, left_line: str, right_line: str,
+                    v_line: str) -> CertBlock | None:
+    """The block of these five lines if each is exactly as rendered, else None.
+
+    The ``factor`` and ``v`` lines must be their keyword and plain
+    decimal integers, single-spaced, and each matrix line must be as
+    ``_rendered_matrix`` requires; the line reader reads such lines to
+    the same block.  ``matrices`` holds each matrix line decoded so far,
+    with its shape, so a line that recurs is decoded once.
+    """
+    head = factor_line.split(" ")
+    if len(head) != 4 or head[0] != "factor" or v_line[:2] != "v ":
+        return None
+    source, width, pad, v = map(_plain_int, (*head[1:], v_line[2:]))
+    if None in (source, width, pad, v):
+        return None
+    found = []
+    for line, keyword, rows, cols in ((s_line, "s", x, x), (left_line, "left", source, width),
+                                      (right_line, "right", width, source)):
+        key = (line, rows, cols)
+        if key not in matrices:
+            matrices[key] = _rendered_matrix(line, keyword, rows, cols)
+        if matrices[key] is None:
+            return None
+        found.append(matrices[key])
+    s, left, right = found
+    return CertBlock(s=s, factor=Factorization(left=left, pad=pad, right=right), v=v)
+
+
+def _rendered_matrix(line: str, keyword: str, rows: int, cols: int) -> Morphism | None:
+    """The ``rows``-by-``cols`` matrix of ``line`` if it is as rendered with one-digit entries.
+
+    The line is then ``keyword``, a space, and the rows joined by
+    `` ; ``, each its entries joined by a space: its length is fixed,
+    and one ``bytes.translate`` that marks each digit must give exactly
+    that layout, marks in place of entries.  A second one reads each
+    digit's value, and ``zip`` cuts the values into rows.  None for any
+    other line, and for a matrix with no entries, whose line has no
+    such layout; the line reader reads them.
+    """
+    if (rows < 1 or cols < 1 or len(line) != len(keyword) + 2 * rows * (cols + 1) - 2
+            or not line.isascii()):
+        return None
+    data = line.encode("ascii")
+    layout = keyword + " " + " ; ".join([" ".join("\0" * cols)] * rows)
+    if data.translate(_MARK) != layout.encode("ascii"):
+        return None
+    values = data[len(keyword):].translate(_VALUE, b" ;")
+    return Morphism(rows, cols, tuple(zip(*[iter(values)] * cols)))
 
 
 def _parse_factor(reader: _Reader) -> Factorization:
@@ -401,19 +586,10 @@ def parse_certificate(text: str) -> Certificate:
     if branch == "pad":
         pad = _parse_factor(reader)
     else:
-        for i in range(count):
-            lineno, rest = reader.take("block")
-            if rest != [str(i)]:
-                raise ParseError(f"line {lineno}: expected 'block {i}'")
-            s = reader.take_matrix("s", x, x)
-            fact = _parse_factor(reader)
-            v = reader.take_int("v")
-            blocks.append(CertBlock(s=s, factor=fact, v=v))
-        ncoeff = reader.take_int("coefficients")
-        coefficients = tuple(reader.take_fraction("c") for _ in range(ncoeff))
-        ndiag = reader.take_int("diagonal")
-        diagonal = tuple(reader.take_fraction("diag") for _ in range(ndiag))
-        det = reader.take_fraction("det")
+        blocks = reader.take_blocks(count, x)
+        coefficients = reader.take_fractions("c", reader.take_int("coefficients"))
+        diagonal = reader.take_fractions("diag", reader.take_int("diagonal"))
+        det = reader.take_fractions("det", 1)[0]
 
     checks = []
     while reader.peek_keyword() == "check":

@@ -26,14 +26,21 @@ a lazy sequence of ``(name, ok)`` in the recorded order, and one stopping
 rule serves both: the first failing check ends the run.
 ``verify_certificate`` reports the passing checks and that failure;
 ``certify`` raises naming it, since the mathematics guarantees success.
-In the construct branch every product h.s(f) is computed once, with one
-``right_action`` call per s(f): the fixed points and X are read from its
-targets and inflation from its flag, and ``certify`` takes X's diagonal
-and determinant from the report the checks read.  X is formed only once
-``inflation`` has passed, and is then upper triangular: h <= h.s(f) puts
-h.s(f) at a rank no lower than h's, since the enumeration order extends
-dominance, so every action matrix is upper triangular, and so is X.  So
-``inflation`` is the one check that decides triangularity:
+In the construct branch many f share one s(f), and each fact is derived
+once per distinct block or s(f).  ``certify`` builds one block per
+distinct s(f), shared by every f with it.  The checks run
+``factor-products`` and ``v-counts`` once per distinct block, and every
+product h.s(f) is computed once, with one ``right_action`` call per
+distinct s(f), whose action every block with that s(f) shares: the
+fixed points and X are read from its targets and inflation from its
+flag, and ``certify`` takes X's diagonal and determinant from the report
+the checks read.  ``factor-products`` compares D.E with s(f) row by row
+as packed masks (``product_is``) and builds no product.  X is formed
+only once ``inflation`` has passed, and is then upper triangular:
+h <= h.s(f) puts h.s(f) at a rank no lower than h's, since the
+enumeration order extends dominance, so every action matrix is upper
+triangular, and so is X.  So ``inflation`` is the one check that
+decides triangularity:
 ``actions-upper-triangular`` and ``x-upper-triangular`` record what it
 proves, and nothing scans the actions or X for it.  X's determinant is
 its diagonal product, and its elimination takes no step.
@@ -48,14 +55,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
+from operator import getitem, or_
 from typing import Callable, Mapping
 
 from .domination import ActionMatrix, WitnessReport, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, compose,
-                     dominates, entries_in_range, enumerate_hom, identity, power_exceeds,
-                     right_action)
-from .semiring import Semiring, natural_order, table_hash
+                     dominates, element_masks, entries_in_range, enumerate_hom, identity,
+                     power_exceeds, right_action, scaled_rows)
+from .semiring import Semiring, table_hash
 
 DEFAULT_COLUMN_CAP = 4096
 
@@ -77,19 +86,19 @@ CONSTRUCT_CHECK_NAMES = (
 def column_preorder(sr: Semiring, f: Morphism) -> Morphism:
     """The x-by-x 0/1 matrix with (i, j) one iff column i of f is below column j.
 
-    Columns are compared entrywise in the natural order; an empty f
+    Columns are compared entrywise in the natural order, through element
+    masks (see ``matcat``): packed one n-bit field per entry, column i
+    lies below column j iff its mask lies inside column j's.  An empty f
     (d = 0) yields the all-ones matrix.  The diagonal is always one, and
     the relation is transitive, so this is the matrix of a preorder.
     """
-    d, x = f.src, f.dst
-    leq = natural_order(sr).leq
-    cols = [tuple(f.entries[k][j] for k in range(d)) for j in range(x)]
+    n, masks = sr.size, element_masks(sr)
+    packed = [0] * f.dst
+    for row in f.entries:
+        packed = [p << n | masks[e] for p, e in zip(packed, row)]
+    outside = [~q for q in packed]
     one, zero = sr.one, sr.zero
-    rows = tuple(
-        tuple(one if all(leq[cols[i][k]][cols[j][k]] for k in range(d)) else zero
-              for j in range(x))
-        for i in range(x))
-    return Morphism(x, x, rows)
+    return Morphism(f.dst, f.dst, tuple([zero if p & o else one for o in outside] for p in packed))
 
 
 @dataclass(frozen=True)
@@ -149,21 +158,32 @@ def factor_through(sr: Semiring, m: Morphism, y: int) -> Factorization:
     if m.src != m.dst:
         raise ValueError(f"expected an endomorphism, got {m.src}x{m.dst}")
     x = m.src
-    cols = [tuple(m.entries[i][j] for i in range(x)) for j in range(x)]
-    distinct: list[tuple[int, ...]] = []
-    index: dict[tuple[int, ...], int] = {}
-    for col in cols:
-        if col not in index:
-            index[col] = len(distinct)
-            distinct.append(col)
-    v = len(distinct)
+    cols = list(zip(*m.entries))  # none when x = 0
+    index = {col: k for k, col in enumerate(dict.fromkeys(cols))}
+    v = len(index)
     if v > y:
         raise ValueError(f"cannot factor through {y}: matrix has {v} distinct columns")
     one, zero = sr.one, sr.zero
-    left = Morphism(x, v, tuple(tuple(distinct[k][i] for k in range(v)) for i in range(x)))
-    right = Morphism(v, x, tuple(tuple(one if index[cols[j]] == k else zero for j in range(x))
-                                 for k in range(v)))
+    picks = list(map(index.__getitem__, cols))
+    left = Morphism(x, v, tuple(zip(*index)))
+    right = Morphism(v, x, tuple(tuple(one if p == k else zero for p in picks) for k in range(v)))
     return Factorization(left=left, pad=y - v, right=right)
+
+
+def product_is(sr: Semiring, fact: Factorization, s: Morphism) -> bool:
+    """Whether ``fact.product(sr) == s``, compared row by row as packed masks.
+
+    With M the scaled-row table of ``fact.right`` (``matcat.scaled_rows``),
+    row i of left.right is the OR over k of M[k][left[i][k]], and row i
+    of s is its row scaled by one; masks are one to one on rows, so the
+    rows are equal iff their masks are.  Builds no product matrix.
+    Entries must lie in range, as the ``layout`` check ensures.
+    """
+    if s.signature != (fact.source, fact.source):
+        return False
+    scaled = scaled_rows(sr, fact.right)
+    return all(reduce(or_, map(getitem, scaled, lrow), 0) == srow
+               for lrow, (srow,) in zip(fact.left.entries, scaled_rows(sr, s, (sr.one,))))
 
 
 def pad_identity(sr: Semiring, x: int, y: int) -> Factorization:
@@ -292,11 +312,13 @@ def certify(sr: Semiring, d: int, x: int,
         cert = Certificate(branch="pad", pad=pad_identity(sr, x, y), blocks=(),
                            coefficients=(), x_diagonal=(), det_x=None, **base)
         return replace(cert, checks=_required(_pad_checks(sr, cert)))
-    blocks = []
-    for f in hom.morphisms:
-        s = column_preorder(sr, f)
+    # one block per distinct s(f), shared by every f with that preorder
+    preorders = [column_preorder(sr, f) for f in hom.morphisms]
+    shared = dict.fromkeys(preorders)
+    for s in shared:
         fact = factor_through(sr, s, y)
-        blocks.append(CertBlock(s=s, factor=fact, v=fact.width))
+        shared[s] = CertBlock(s=s, factor=fact, v=fact.width)
+    blocks = list(map(shared.__getitem__, preorders))
     # On the 0/1 fixed-point table, whose diagonal is one, the greedy
     # induction of nonvanishing_coefficients never forbids 1, so every
     # coefficient is one.
@@ -376,13 +398,12 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
     yield "layout", (cert.pad is None and len(cert.blocks) == m
                      and len(cert.coefficients) == m and len(cert.x_diagonal) == m
                      and cert.det_x is not None
-                     and all(blk.s.src == cert.x and blk.s.dst == cert.x for blk in cert.blocks)
-                     and all(blk.factor.source == cert.x and blk.factor.target == y
-                             for blk in cert.blocks)
-                     and all(entries_in_range(sr, blk.s)
+                     and all(blk.s.signature == (cert.x, cert.x)
+                             and blk.factor.source == cert.x and blk.factor.target == y
+                             and entries_in_range(sr, blk.s)
                              and entries_in_range(sr, blk.factor.left)
                              and entries_in_range(sr, blk.factor.right)
-                             for blk in cert.blocks))
+                             for blk in dict.fromkeys(cert.blocks)))
     mats: list[ActionMatrix] = []
     yield from _action_checks(sr, cert, hom, mats)
     yield from _witness_checks(cert, assemble_witness(mats, cert.coefficients)[1])
@@ -401,20 +422,24 @@ def _action_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
     """The construct branch's checks up to ``inflation``; fills ``mats``.
 
     They run after ``layout``, so every entry is a semiring element.
-    After ``v-counts``, one ``right_action`` call per block computes
+    ``factor-products`` and ``v-counts`` run once per distinct block.
+    After them, one ``right_action`` call per distinct s(f) computes
     every product h.s(f) the construct branch needs, and the action of
-    every s(f) on the canonical enumeration of Hom(d, x) goes to ``mats``.
-    Ranks are unique, so target i of row i is i exactly when
-    f_i.s(f_i) = f_i.
+    each block's s(f) on the canonical enumeration of Hom(d, x) goes to
+    ``mats``, one shared ``ActionMatrix`` per distinct s(f).  Ranks are
+    unique, so target i of row i is i exactly when f_i.s(f_i) = f_i.
     """
-    yield "factor-products", all(blk.factor.product(sr) == blk.s for blk in cert.blocks)
-    yield "v-counts", all(blk.v == blk.factor.width == _distinct_column_count(blk.s)
-                          and blk.v <= cert.y for blk in cert.blocks)
+    distinct = dict.fromkeys(cert.blocks)
+    yield "factor-products", all(product_is(sr, blk.factor, blk.s) for blk in distinct)
+    yield "v-counts", all(blk.v == blk.factor.width == len(set(zip(*blk.s.entries)))
+                          and blk.v <= cert.y for blk in distinct)
+    actions = dict.fromkeys(blk.s for blk in distinct)
     inflating = True
-    for blk in cert.blocks:
-        targets, inflates = right_action(sr, blk.s, hom)
-        mats.append(ActionMatrix(dim=hom.size, targets=targets))
+    for s in actions:
+        targets, inflates = right_action(sr, s, hom)
+        actions[s] = ActionMatrix(dim=hom.size, targets=targets)
         inflating = inflating and inflates
+    mats.extend(actions[blk.s] for blk in cert.blocks)
     yield "fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))
     yield "inflation", inflating
 
@@ -437,6 +462,3 @@ def _witness_checks(cert: Certificate, witness: WitnessReport):
     yield "det-routes-agree", witness.det_by_diagonal == det == cert.det_x
     yield "det-nonzero", det != 0
 
-
-def _distinct_column_count(m: Morphism) -> int:
-    return len({tuple(m.entries[i][j] for i in range(m.src)) for j in range(m.dst)})

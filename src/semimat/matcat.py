@@ -32,6 +32,9 @@ hold exactly in every semiring that passes ``verify_axioms``, whichever
 index zero has (its mask is 0).  A row is packed as one integer of n-bit
 fields, so the image of a row under s is one OR per row code, its
 inflation test one AND, and a dict decodes an image back to its code.
+The ORs read one table, ``scaled_rows``: each row of s scaled by each
+element, packed; ``certifier.product_is`` reads it too, to compare a
+product D.E with a matrix row by row without forming the product.
 That dict (``row_table``) holds all n^x rows of width x, which at d >= 1
 is at most |Hom(d, x)|; it is cached per semiring and width, so every
 hom-set and oracle call of one width reads the same one.  Row k of a.b
@@ -291,27 +294,42 @@ def _order_plan(sr: Semiring, width: int) -> tuple[tuple[Callable[[int], int], .
     return tuple(adders), tuple(runs)
 
 
+def scaled_rows(sr: Semiring, s: Morphism, scalars=None) -> list[list[int]]:
+    """M[k][j], the packed mask of a_j.(row k of s), for each row k of s.
+
+    a_0, a_1, ... are ``scalars``, by default every element in order, so
+    that M[k][a] scales by a.  A row of width w is packed as w fields of
+    n bits, first column most significant, field j holding the mask
+    {c : not e_j <= c} of entry e_j.  Masks are one to one on elements,
+    so two rows are equal iff their packed masks are; one.(row k) is
+    row k itself, and with every scalar the row r.s is the OR over k of
+    M[k][r_k].
+    """
+    n, products = sr.size, _product_masks(sr)
+    if scalars is not None:
+        products = [products[a] for a in scalars]
+    table = []
+    for srow in s.entries:
+        step = []
+        for masks in products:
+            packed = 0
+            for e in srow:
+                packed = packed << n | masks[e]
+            step.append(packed)
+        table.append(step)
+    return table
+
+
 def row_images(sr: Semiring, s: Morphism) -> list[int]:
     """The mask of r.s for every row code r of s's height, in code order.
 
-    A row of width w is packed as w fields of n bits, first column most
-    significant, field j holding the mask {c : not e_j <= c} of entry
-    e_j.  For each row k of s and element a, M[k][a] is the packed mask
-    of a.(row k of s); then r.s is the OR over k of M[k][r_k], and the
+    r.s is the OR over k of M[k][r_k] (see ``scaled_rows``), and the
     sweep below forms all n^y of them with one OR each, a row code's
     images following its prefix's.  A matrix with no rows has one image,
     the empty sum: the zero row, mask 0.
     """
-    n, mul_t = sr.size, sr.mul_table
-    masks = element_masks(sr)
     level = [0]
-    for srow in s.entries:
-        step = []
-        for prod in mul_t:
-            packed = 0
-            for e in srow:
-                packed = packed << n | masks[prod[e]]
-            step.append(packed)
+    for step in scaled_rows(sr, s):
         level = [p | q for p in level for q in step]
     return level
 
@@ -337,6 +355,13 @@ def element_masks(sr: Semiring) -> tuple[int, ...]:
     """
     leq = natural_order(sr).leq
     return tuple(sum(1 << c for c in range(sr.size) if not below[c]) for below in leq)
+
+
+@lru_cache(maxsize=None)
+def _product_masks(sr: Semiring) -> tuple[tuple[int, ...], ...]:
+    """P[a][e] = mask(a * e): the multiplication table as masks, cached per semiring."""
+    masks = element_masks(sr)
+    return tuple(tuple(masks[p] for p in prod) for prod in sr.mul_table)
 
 
 def code_images(n: int, row_map: list[int], rows: int, cols: int) -> list[int]:

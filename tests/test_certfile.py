@@ -299,11 +299,15 @@ def corpus_certificate(sr, d, x):
 SPELLINGS = ["01", "+1", "++1", "1_0", "١", "1;2", "1;", "-0", "f", "f1", ";", "1#"]
 
 
-def _mutate(text, rng, order_only):
-    """``text`` with one line-level or token-level change, at an ``f`` line if ``order_only``."""
+# the keywords of the lines of a construct section
+CONSTRUCT_KEYWORDS = ("block", "s", "factor", "left", "right", "v", "c", "diag")
+
+
+def _mutate(text, rng, keywords=None):
+    """``text`` with one line-level or token-level change, at a line of ``keywords`` if given."""
     lines = text.split("\n")
-    if order_only:
-        i = rng.choice([i for i, line in enumerate(lines) if line.split(" ", 1)[0] == "f"])
+    if keywords:
+        i = rng.choice([i for i, line in enumerate(lines) if line.split(" ", 1)[0] in keywords])
     else:
         i = rng.randrange(len(lines) - 1)
     kind = rng.choice(["delete", "duplicate", "merge", "comment", "comment-line", "blank",
@@ -358,7 +362,7 @@ def _mutants(sr, d, x, count, seed):
     text = render_certificate(corpus_certificate(sr, d, x))
     rng = random.Random(seed)
     for k in range(count):
-        yield _mutate(text, rng, order_only=k % 2 == 1)
+        yield _mutate(text, rng, ("f",) if k % 2 == 1 else None)
 
 
 @pytest.mark.parametrize("block", [None, 1, 23])
@@ -380,6 +384,54 @@ def test_block_parse_matches_the_reference_on_mutated_certificates(block, monkey
     for needle in ("non-integer entry in order vector", "order vector has",
                    "expected 'f', got", "non-integer matrix entry"):
         assert any(needle in o for o in outcomes), needle
+
+
+# (semiring, d, x, number of mutants), the construct certificates of MUTATED
+CONSTRUCT_MUTATED = [(BOOL, 0, 3, 100), (BOOL, 1, 3, 200), (BOOL, 1, 6, 150), (TROP1, 1, 4, 150)]
+
+
+def test_block_parse_matches_the_reference_on_mutated_construct_sections():
+    # one change at a block, s, factor, left, right, v, c or diag line:
+    # the section goes to the line reader unless it is still as rendered
+    outcomes = set()
+    for sr, d, x, count in CONSTRUCT_MUTATED:
+        assert corpus_certificate(sr, d, x).branch == "construct"
+        text = render_certificate(corpus_certificate(sr, d, x))
+        rng = random.Random(f"construct {d}/{x}/{sr.size}")
+        for _ in range(count):
+            mutant = _mutate(text, rng, CONSTRUCT_KEYWORDS)
+            new, ref = _outcome(parse_certificate, mutant), _outcome(parse_reference, mutant)
+            assert new == ref, mutant
+            outcomes.add(new if isinstance(new, str) else "parsed")
+    assert "parsed" in outcomes
+    for needle in ("expected 'block", "expected 's', got", "non-integer matrix entry",
+                   "entries per row", "rows, got", "non-integer factor dimensions",
+                   "expected 'v <integer>'", "bad fraction", "expected 'c', got",
+                   "expected 'diag', got"):
+        assert any(needle in o for o in outcomes), needle
+
+
+# tokens int or Fraction reads, or not, that the renderer never writes
+CRAFTED_TOKENS = ["01", "+1", "1_0", "\u0661", "\u00b9", "\uff11", "9", "10", "-1", "1/1",
+                  "x", "", "1\x1f"]
+
+
+@pytest.mark.parametrize("keyword", CONSTRUCT_KEYWORDS + ("det",))
+def test_block_parse_matches_the_reference_on_crafted_construct_tokens(keyword):
+    # the first and the last token after the keyword, on the first and
+    # the last such line of boolean 0/3 and 1/3
+    for d in (0, 1):
+        lines = render_certificate(corpus_certificate(BOOL, d, 3)).split("\n")
+        where = [i for i, line in enumerate(lines) if line.split(" ", 1)[0] == keyword]
+        for i in {where[0], where[-1]}:
+            tokens = lines[i].split(" ")
+            for j in {1, len(tokens) - 1}:
+                for token in CRAFTED_TOKENS:
+                    changed = list(lines)
+                    changed[i] = " ".join(tokens[:j] + [token] + tokens[j + 1:])
+                    mutant = "\n".join(changed)
+                    assert _outcome(parse_certificate, mutant) == _outcome(parse_reference,
+                                                                           mutant), changed[i]
 
 
 def test_every_mutant_report_ends_at_its_first_failure():
@@ -598,6 +650,14 @@ def test_hostile_order_headers_parse_in_bounded_memory():
     # n^(d*x) far above the count, on a wide certificate
     hostile += [wide.replace("\nsemiring-size 2\n", f"\nsemiring-size {size}\n")
                 for size in (3, 10 ** 400)]
+    # a construct section whose header sizes its matrices or counts
+    construct = render_certificate(corpus_certificate(BOOL, 0, 3))
+    hostile += [construct.replace(old, new) for old, new in [
+        ("\nx 3\n", f"\nx {10 ** 30}\n"),
+        ("\nfactor 3 1 0\n", f"\nfactor {10 ** 30} 1 0\n"),
+        ("\nfactor 3 1 0\n", f"\nfactor 3 {10 ** 30} 0\n"),
+        ("\ncoefficients 1\n", "\ncoefficients 1000000000000\n"),
+        ("\ndiagonal 1\n", "\ndiagonal 1000000000000\n")]]
     for case in hostile:
         start = time.perf_counter()
         outcome = _outcome(parse_certificate, case)
@@ -621,6 +681,62 @@ def test_rendered_order_sections_never_parse_line_by_line(block, monkeypatch):
         certs += [corpus_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
     for n, d, x in [(2, 3, 3), (3, 3, 2), (5, 1, 4), (7, 2, 2), (10, 1, 3)]:
         certs.append(corpus_certificate(tropical_semiring(n - 2), d, x))
+    # and in bases 11-36, whose entries take one or two digits
+    certs += [corpus_certificate(sr, d, x) for sr, d, x in CORPUS if sr.size > 10]
+    for n in range(11, 37):
+        sr = tropical_semiring(n - 2)
+        certs += [corpus_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
+    for n, d, x in [(11, 1, 3), (16, 1, 3), (36, 1, 2)]:
+        certs.append(corpus_certificate(tropical_semiring(n - 2), d, x))
     for cert in certs:
         assert parse_certificate(render_certificate(cert)).order == cert.order
+    assert calls == []
+
+
+@pytest.mark.parametrize("block", [1, 5, 12, None])
+@pytest.mark.parametrize("order", [
+    "f 10 10 f\n9 10\nf 10 9\n",
+    "f 10\n10 f 9 10\nf 10 9\n",
+    "f 10 10\nf 9 010\nf 10 9\n",
+    "f 10 10\nf 9 1_0\nf 10 9\n",
+    "f 10 10\nf 9 11\nf 10 9\n",
+    "f 10 10\nf 9 a\nf 10 9\n",
+    "f 10 10\nf 9  10\nf 10 9\n",
+    "f 10 10\nf 9 10 \nf 10 9\n",
+    "f 10 10\nf 9\t10\nf 10 9\n",
+    "f 10 10\nf f 10\nf 10 9\n",
+    "f 10 10\nf 9 10\nf 10 9 # a remark\n",
+    "f 10 10\n\nf 9 10\nf 10 9\n",
+    "f 10 10\nf 9 ١٠\nf 10 9\n",
+], ids=lambda order: repr(order))
+def test_spelled_order_blocks_match_the_reference_on_crafted_sections(order, block, monkeypatch):
+    # the first three lines of a base-11 order section, each breaking one
+    # premise of a spelled block: a break or an f out of place, a
+    # spelling int reads but the renderer never writes, an entry past
+    # the base, a stray space, tab, comment or blank line
+    if block is not None:
+        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
+    cert = corpus_certificate(TROP9, 1, 2)
+    text = render_certificate(cert)
+    rendered = "f 10 10\nf 9 10\nf 10 9\n"
+    assert rendered in text
+    mutant = text.replace(rendered, order)
+    assert _outcome(parse_certificate, mutant) == _outcome(parse_reference, mutant)
+
+
+CONSTRUCT_CORPUS = [(sr, d, x) for sr, d, x in CORPUS if sr.size <= 10 and x > sr.size ** d]
+
+
+@pytest.mark.parametrize("sr, d, x", CONSTRUCT_CORPUS,
+                         ids=[f"{'boolean' if sr.size == 2 else f'tropical{sr.size - 2}'}-{d}-{x}"
+                              for sr, d, x in CONSTRUCT_CORPUS])
+def test_rendered_construct_sections_never_parse_line_by_line(sr, d, x, monkeypatch):
+    # blocks, coefficients, diagonal and det, each read a section at once
+    calls = []
+    for name in ("take_matrix", "take_fraction"):
+        method = getattr(certfile._Reader, name)
+        monkeypatch.setattr(certfile._Reader, name,
+                            lambda *args, method=method: calls.append(args) or method(*args))
+    cert = corpus_certificate(sr, d, x)
+    assert parse_certificate(render_certificate(cert)) == cert
     assert calls == []

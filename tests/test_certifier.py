@@ -18,9 +18,12 @@ from semimat import (CapExceededError, CertBlock, Factorization,
                      verify_certificate, verify_preorder_map)
 from semimat import certifier, domination, linalg
 from semimat.certfile import FORMAT_VERSION
-from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES
+from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES, product_is
+from semimat.domination import linear_combination
 from semimat.matcat import HomEnumeration, code_images, right_action, row_images, row_table
+from semimat.semiring import natural_order
 from test_matcat import CHAIN3, is_upper_triangular
+from test_small_semirings import small_semirings
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -91,6 +94,110 @@ def test_factor_through_reproduces_every_column_preorder():
             fact = factor_through(sr, s, y)
             assert fact.width <= y
             assert fact.product(sr) == s
+
+
+# the built-ins, the 3-chain and every idempotent semiring of size 3 and 4
+SEMIRINGS = [BOOL, TROP1, tropical_semiring(2), CHAIN3, *small_semirings(3),
+             *small_semirings(4)]
+SEMIRING_IDS = ["boolean", "tropical1", "tropical2", "chain3",
+                *(f"small3-{i}" for i in range(len(small_semirings(3)))),
+                *(f"small4-{i}" for i in range(len(small_semirings(4))))]
+
+
+def column_preorder_reference(sr, f):
+    """s(f) compared entry by entry through ``natural_order(sr).leq``."""
+    leq = natural_order(sr).leq
+    d, x = f.src, f.dst
+    cols = [tuple(f.entries[k][j] for k in range(d)) for j in range(x)]
+    return Morphism(x, x, tuple(
+        tuple(sr.one if all(leq[cols[i][k]][cols[j][k]] for k in range(d)) else sr.zero
+              for j in range(x))
+        for i in range(x)))
+
+
+def factor_through_reference(sr, m, y):
+    """The distinct columns of m, found one index at a time."""
+    x = m.src
+    cols = [tuple(m.entries[i][j] for i in range(x)) for j in range(x)]
+    distinct, index = [], {}
+    for col in cols:
+        if col not in index:
+            index[col] = len(distinct)
+            distinct.append(col)
+    v = len(distinct)
+    if v > y:
+        raise ValueError(f"cannot factor through {y}: matrix has {v} distinct columns")
+    left = Morphism(x, v, tuple(tuple(distinct[k][i] for k in range(v)) for i in range(x)))
+    right = Morphism(v, x, tuple(tuple(sr.one if index[cols[j]] == k else sr.zero
+                                       for j in range(x)) for k in range(v)))
+    return Factorization(left=left, pad=y - v, right=right)
+
+
+def random_morphism(sr, rng, src, dst):
+    return Morphism(src, dst, tuple(tuple(rng.randrange(sr.size) for _ in range(dst))
+                                    for _ in range(src)))
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=SEMIRING_IDS)
+def test_column_preorder_and_factor_through_match_their_references(sr):
+    # every f of the small hom-sets, d = 0 and x = 0 among them
+    rng = random.Random(f"preorder {sr}")
+    for d, x in [(0, 0), (0, 3), (2, 0), (1, 1), (1, 3), (2, 2), (3, 2)]:
+        for f in enumerate_hom(sr, d, x, cap=65536):
+            s = column_preorder(sr, f)
+            assert s == column_preorder_reference(sr, f)
+            assert factor_through(sr, s, x) == factor_through_reference(sr, s, x)
+    for _ in range(20):  # any endomorphism, not only a preorder
+        m = random_morphism(sr, rng, 4, 4)
+        assert factor_through(sr, m, 4) == factor_through_reference(sr, m, 4)
+
+
+@pytest.mark.parametrize("sr", SEMIRINGS, ids=SEMIRING_IDS)
+def test_product_is_agrees_with_compose(sr):
+    # random D (x by v) and E (v by x) over the whole carrier, v from 0
+    # to x: the product itself passes, and a copy with one entry changed
+    # fails, exactly as compose says
+    rng = random.Random(f"product {sr}")
+    verdicts = set()
+    for _ in range(60):
+        x = rng.randrange(6)
+        v = rng.randint(0, x)
+        fact = Factorization(left=random_morphism(sr, rng, x, v), pad=rng.randrange(3),
+                             right=random_morphism(sr, rng, v, x))
+        product = compose(sr, fact.left, fact.right)
+        candidates = [product, random_morphism(sr, rng, x, x)]
+        if x:
+            i, j = rng.randrange(x), rng.randrange(x)
+            rows = [list(row) for row in product.entries]
+            rows[i][j] = rng.choice([e for e in range(sr.size) if e != rows[i][j]])
+            candidates.append(Morphism(x, x, tuple(map(tuple, rows))))
+        for s in candidates:
+            verdict = product_is(sr, fact, s)
+            assert verdict == (fact.product(sr) == s), (fact, s)
+            verdicts.add(verdict)
+        assert not product_is(sr, fact, identity(sr, x + 1))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("sr, d, x", [(BOOL, 0, 3), (BOOL, 1, 3), (BOOL, 1, 6), (TROP1, 1, 4),
+                                      (CHAIN3, 1, 4), (small_semirings(3)[1], 1, 4)],
+                         ids=["boolean-0-3", "boolean-1-3", "boolean-1-6", "tropical1-1-4",
+                              "chain3-1-4", "small3-1-1-4"])
+def test_shared_actions_give_the_x_of_one_action_per_block(sr, d, x):
+    # the checks act once per distinct s(f); X, under coefficients that
+    # tell the blocks apart, is the X of one right_action call per block
+    cert = certify(sr, d, x)
+    assert cert.branch == "construct"
+    rng = random.Random(f"shared {d}/{x}")
+    coefficients = [Fraction(rng.randrange(1, 100)) for _ in cert.blocks]
+    hom = enumerate_hom(sr, d, x)
+    mats = []
+    checks = list(certifier._action_checks(sr, cert, hom, mats))
+    assert checks == [(name, True) for name in CONSTRUCT_CHECK_NAMES[:4]]
+    per_block = [action_matrix(sr, blk.s, hom) for blk in cert.blocks]
+    assert [mat.targets for mat in mats] == [mat.targets for mat in per_block]
+    assert linear_combination(mats, coefficients) == linear_combination(per_block, coefficients)
+    assert len({id(mat) for mat in mats}) == len({blk.s for blk in cert.blocks})
 
 
 def test_pad_identity():
@@ -288,17 +395,17 @@ def test_each_product_is_composed_once(monkeypatch):
     composes = count_calls(monkeypatch, compose)
     actions = count_calls(monkeypatch, right_action)
     cert = certify(BOOL, 1, 6)
-    m = len(cert.order)
-    # the m^2 products h.s(f) in m kernel calls, one per s(f); compose
-    # only for the m products D.E
-    assert m == 64
-    assert len(actions) == m
-    assert len(composes) <= m
-    composes.clear()
-    actions.clear()
+    # the m^2 products h.s(f) in one kernel call per distinct s(f): 63
+    # of the 64 blocks differ; the products D.E are compared as packed
+    # row masks, so nothing composes
+    assert len(cert.order) == 64
+    distinct = len({blk.s for blk in cert.blocks})
+    assert distinct == 63
+    assert len(actions) == distinct
+    assert composes == []
     assert verify_certificate(BOOL, cert).passed
-    assert len(actions) == m
-    assert len(composes) <= m
+    assert len(actions) == 2 * distinct
+    assert composes == []
 
 
 def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
