@@ -246,7 +246,15 @@ class _Reader:
         return lineno, tokens[1:]
 
     def _lines(self, count: int) -> list[str] | None:
-        """The next ``count`` lines as they stand, none skipped; None when fewer remain."""
+        """The next ``count`` lines as they stand, none skipped; None when fewer remain.
+
+        Also None for a negative ``count`` and for one past the characters
+        left, which cannot hold that many breaks: a header's count is
+        untrusted, and ``split`` reads a negative one as no limit and
+        cannot take one past ``sys.maxsize``.
+        """
+        if not 0 <= count <= len(self.text) - self.pos:
+            return None
         lines = self.text[self.pos:].split("\n", count)
         if len(lines) <= count:
             return None

@@ -57,12 +57,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
 from operator import getitem, or_
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from .domination import ActionMatrix, WitnessReport, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, compose,
-                     dominates, element_masks, entries_in_range, enumerate_hom, identity,
+                     dominates, entries_in_range, enumerate_hom, identity, packed_rows,
                      power_exceeds, right_action, scaled_rows)
 from .semiring import Semiring, table_hash
 
@@ -86,16 +86,14 @@ CONSTRUCT_CHECK_NAMES = (
 def column_preorder(sr: Semiring, f: Morphism) -> Morphism:
     """The x-by-x 0/1 matrix with (i, j) one iff column i of f is below column j.
 
-    Columns are compared entrywise in the natural order, through element
-    masks (see ``matcat``): packed one n-bit field per entry, column i
-    lies below column j iff its mask lies inside column j's.  An empty f
-    (d = 0) yields the all-ones matrix.  The diagonal is always one, and
-    the relation is transitive, so this is the matrix of a preorder.
+    Columns are compared entrywise in the natural order, packed as
+    ``matcat.packed_rows`` packs a row: column i lies below column j iff
+    its mask lies inside column j's.  An empty f (d = 0) yields the
+    all-ones matrix.  The diagonal is always one, and the relation is
+    transitive, so this is the matrix of a preorder.
     """
-    n, masks = sr.size, element_masks(sr)
-    packed = [0] * f.dst
-    for row in f.entries:
-        packed = [p << n | masks[e] for p, e in zip(packed, row)]
+    # with no rows (d = 0) zip gives no columns: each is empty, mask 0
+    packed = packed_rows(sr, zip(*f.entries)) if f.src else [0] * f.dst
     outside = [~q for q in packed]
     one, zero = sr.one, sr.zero
     return Morphism(f.dst, f.dst, tuple([zero if p & o else one for o in outside] for p in packed))
@@ -174,16 +172,16 @@ def product_is(sr: Semiring, fact: Factorization, s: Morphism) -> bool:
     """Whether ``fact.product(sr) == s``, compared row by row as packed masks.
 
     With M the scaled-row table of ``fact.right`` (``matcat.scaled_rows``),
-    row i of left.right is the OR over k of M[k][left[i][k]], and row i
-    of s is its row scaled by one; masks are one to one on rows, so the
-    rows are equal iff their masks are.  Builds no product matrix.
-    Entries must lie in range, as the ``layout`` check ensures.
+    row i of left.right is the OR over k of M[k][left[i][k]], packed as
+    ``matcat.packed_rows`` packs row i of s; masks are one to one on
+    rows, so the rows are equal iff their masks are.  Builds no product
+    matrix.  Entries must lie in range, as the ``layout`` check ensures.
     """
     if s.signature != (fact.source, fact.source):
         return False
     scaled = scaled_rows(sr, fact.right)
     return all(reduce(or_, map(getitem, scaled, lrow), 0) == srow
-               for lrow, (srow,) in zip(fact.left.entries, scaled_rows(sr, s, (sr.one,))))
+               for lrow, srow in zip(fact.left.entries, packed_rows(sr, s.entries)))
 
 
 def pad_identity(sr: Semiring, x: int, y: int) -> Factorization:
@@ -326,7 +324,7 @@ def certify(sr: Semiring, d: int, x: int,
     cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
                        coefficients=coefficients, x_diagonal=(), det_x=None, **base)
     mats: list[ActionMatrix] = []
-    checks = _required(_action_checks(sr, cert, hom, mats))
+    checks = _required(_action_checks(sr, cert, hom, shared.values(), mats))
     # X is formed, and its diagonal and determinant claimed, only now
     _, witness = assemble_witness(mats, coefficients)
     cert = replace(cert, x_diagonal=witness.diagonal, det_x=witness.det_by_diagonal)
@@ -395,6 +393,7 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
         yield from _pad_checks(sr, cert)
         return
     m = hom.size
+    distinct = dict.fromkeys(cert.blocks)  # the blocks, each once
     yield "layout", (cert.pad is None and len(cert.blocks) == m
                      and len(cert.coefficients) == m and len(cert.x_diagonal) == m
                      and cert.det_x is not None
@@ -403,9 +402,9 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
                              and entries_in_range(sr, blk.s)
                              and entries_in_range(sr, blk.factor.left)
                              and entries_in_range(sr, blk.factor.right)
-                             for blk in dict.fromkeys(cert.blocks)))
+                             for blk in distinct))
     mats: list[ActionMatrix] = []
-    yield from _action_checks(sr, cert, hom, mats)
+    yield from _action_checks(sr, cert, hom, distinct, mats)
     yield from _witness_checks(cert, assemble_witness(mats, cert.coefficients)[1])
 
 
@@ -418,18 +417,18 @@ def _pad_checks(sr: Semiring, cert: Certificate):
 
 
 def _action_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
-                   mats: list[ActionMatrix]):
+                   distinct: Collection[CertBlock], mats: list[ActionMatrix]):
     """The construct branch's checks up to ``inflation``; fills ``mats``.
 
     They run after ``layout``, so every entry is a semiring element.
-    ``factor-products`` and ``v-counts`` run once per distinct block.
+    ``factor-products`` and ``v-counts`` run once per block of
+    ``distinct``, which holds each of ``cert.blocks`` once.
     After them, one ``right_action`` call per distinct s(f) computes
     every product h.s(f) the construct branch needs, and the action of
     each block's s(f) on the canonical enumeration of Hom(d, x) goes to
     ``mats``, one shared ``ActionMatrix`` per distinct s(f).  Ranks are
     unique, so target i of row i is i exactly when f_i.s(f_i) = f_i.
     """
-    distinct = dict.fromkeys(cert.blocks)
     yield "factor-products", all(product_is(sr, blk.factor, blk.s) for blk in distinct)
     yield "v-counts", all(blk.v == blk.factor.width == len(set(zip(*blk.s.entries)))
                           and blk.v <= cert.y for blk in distinct)

@@ -33,8 +33,9 @@ index zero has (its mask is 0).  A row is packed as one integer of n-bit
 fields, so the image of a row under s is one OR per row code, its
 inflation test one AND, and a dict decodes an image back to its code.
 The ORs read one table, ``scaled_rows``: each row of s scaled by each
-element, packed; ``certifier.product_is`` reads it too, to compare a
-product D.E with a matrix row by row without forming the product.
+element, packed as ``packed_rows`` packs a row; ``certifier.product_is``
+reads it too, to compare a product D.E with a matrix's ``packed_rows``
+row by row without forming the product.
 That dict (``row_table``) holds all n^x rows of width x, which at d >= 1
 is at most |Hom(d, x)|; it is cached per semiring and width, so every
 hom-set and oracle call of one width reads the same one.  Row k of a.b
@@ -294,20 +295,13 @@ def _order_plan(sr: Semiring, width: int) -> tuple[tuple[Callable[[int], int], .
     return tuple(adders), tuple(runs)
 
 
-def scaled_rows(sr: Semiring, s: Morphism, scalars=None) -> list[list[int]]:
-    """M[k][j], the packed mask of a_j.(row k of s), for each row k of s.
+def scaled_rows(sr: Semiring, s: Morphism) -> list[list[int]]:
+    """M[k][a], the packed mask of a.(row k of s), for each row k of s and element a.
 
-    a_0, a_1, ... are ``scalars``, by default every element in order, so
-    that M[k][a] scales by a.  A row of width w is packed as w fields of
-    n bits, first column most significant, field j holding the mask
-    {c : not e_j <= c} of entry e_j.  Masks are one to one on elements,
-    so two rows are equal iff their packed masks are; one.(row k) is
-    row k itself, and with every scalar the row r.s is the OR over k of
-    M[k][r_k].
+    Rows are packed as ``packed_rows`` packs them, so the row r.s is the
+    OR over k of M[k][r_k].
     """
     n, products = sr.size, _product_masks(sr)
-    if scalars is not None:
-        products = [products[a] for a in scalars]
     table = []
     for srow in s.entries:
         step = []
@@ -355,6 +349,25 @@ def element_masks(sr: Semiring) -> tuple[int, ...]:
     """
     leq = natural_order(sr).leq
     return tuple(sum(1 << c for c in range(sr.size) if not below[c]) for below in leq)
+
+
+def packed_rows(sr: Semiring, rows) -> list[int]:
+    """Each of ``rows`` packed as one integer of n-bit fields.
+
+    A row of width w is packed as w fields, first column most
+    significant, field j holding the mask {c : not e_j <= c} of entry
+    e_j.  Masks are one to one on elements, so two rows are equal iff
+    their packed masks are, and one row lies below another entrywise
+    iff its mask lies inside the other's.
+    """
+    n, masks = sr.size, element_masks(sr)
+    out = []
+    for row in rows:
+        packed = 0
+        for e in row:
+            packed = packed << n | masks[e]
+        out.append(packed)
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -658,6 +658,10 @@ def test_hostile_order_headers_parse_in_bounded_memory():
         ("\nfactor 3 1 0\n", f"\nfactor 3 {10 ** 30} 0\n"),
         ("\ncoefficients 1\n", "\ncoefficients 1000000000000\n"),
         ("\ndiagonal 1\n", "\ndiagonal 1000000000000\n")]]
+    # counts below zero, and past what one string split can take
+    hostile += [construct.replace(f"\n{keyword} 1\n", f"\n{keyword} {count}\n")
+                for keyword in ("coefficients", "diagonal")
+                for count in (-1, -100, 10 ** 20, 10 ** 30)]
     for case in hostile:
         start = time.perf_counter()
         outcome = _outcome(parse_certificate, case)

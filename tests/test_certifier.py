@@ -192,7 +192,7 @@ def test_shared_actions_give_the_x_of_one_action_per_block(sr, d, x):
     coefficients = [Fraction(rng.randrange(1, 100)) for _ in cert.blocks]
     hom = enumerate_hom(sr, d, x)
     mats = []
-    checks = list(certifier._action_checks(sr, cert, hom, mats))
+    checks = list(certifier._action_checks(sr, cert, hom, dict.fromkeys(cert.blocks), mats))
     assert checks == [(name, True) for name in CONSTRUCT_CHECK_NAMES[:4]]
     per_block = [action_matrix(sr, blk.s, hom) for blk in cert.blocks]
     assert [mat.targets for mat in mats] == [mat.targets for mat in per_block]

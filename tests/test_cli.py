@@ -330,6 +330,22 @@ def test_verify_rejects_a_fraction_render_never_writes(old, new, tmp_path, capsy
     assert "bad fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("keyword", ["coefficients", "diagonal"])
+@pytest.mark.parametrize("count", [-1, -100, 10 ** 20, 10 ** 30])
+def test_verify_rejects_a_hostile_coefficient_count(keyword, count, tmp_path, capsys):
+    # the count sizes nothing: the c and diag lines that stand there
+    # end the section early or late, a parse error like any other
+    out = tmp_path / "cert.txt"
+    main(["certify", "--builtin", "boolean", "-d", "1", "-x", "3", "--out", str(out),
+          "--quiet"])
+    text = out.read_text()
+    old = next(line for line in text.split("\n") if line.startswith(keyword + " "))
+    out.write_text(text.replace(f"\n{old}\n", f"\n{keyword} {count}\n", 1))
+    capsys.readouterr()
+    assert main(["verify", str(out), "--builtin", "boolean", "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_rejects_a_hostile_certificate_in_bounded_time(tmp_path, capsys):
     # every s(f) a permutation: X would be dense and far from triangular,
     # and eliminating it took minutes; verify must stop before forming it
