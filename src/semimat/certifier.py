@@ -26,26 +26,19 @@ a lazy sequence of ``(name, ok)`` in the recorded order, and one stopping
 rule serves both: the first failing check ends the run.
 ``verify_certificate`` reports the passing checks and that failure;
 ``certify`` raises naming it, since the mathematics guarantees success.
-In the construct branch many f share one s(f), and each fact is derived
-once per distinct block or s(f).  ``certify`` builds one block per
-distinct s(f), shared by every f with it.  The checks run
-``factor-products`` and ``v-counts`` once per distinct block, and every
-product h.s(f) is computed once, with one ``right_action`` call per
-distinct s(f), whose action every block with that s(f) shares: the
-fixed points and X are read from its targets and inflation from its
-flag, and ``certify`` takes X's diagonal and determinant from the report
-the checks read.  ``factor-products`` compares D.E with s(f) row by row
-as packed masks (``product_is``) and builds no product.  X is formed
-only once ``inflation`` has passed, and is then upper triangular:
-h <= h.s(f) puts h.s(f) at a rank no lower than h's, since the
-enumeration order extends dominance, so every action matrix is upper
-triangular, and so is X.  So ``inflation`` is the one check that
-decides triangularity:
-``actions-upper-triangular`` and ``x-upper-triangular`` record what it
-proves, and nothing scans the actions or X for it.  X's determinant is
-its diagonal product, and its elimination takes no step.
+No check composes: ``product_is`` compares D.E with s(f), or with Id,
+row by row as packed masks.  In the construct branch ``certify`` builds
+one block per distinct s(f), and the checks run once per distinct block
+or s(f): one ``right_action`` call per distinct s(f) gives the fixed
+points and X, and ``inflation`` reads s(f)'s diagonal (``inflates``).
+X is formed only once ``inflation`` has passed, and is then upper
+triangular: h <= h.s(f) puts h.s(f) at a rank no lower than h's, since
+the enumeration order extends dominance.  So ``actions-upper-triangular``
+and ``x-upper-triangular`` record what ``inflation`` proves, nothing
+scans the actions or X for it, and X's determinant is its diagonal
+product, which ``certify`` records from the report the checks read.
 ``verify_preorder_map`` checks the same laws through ``compose`` and
-``dominates``, independently of that kernel.
+``dominates``, independently of these kernels.
 ``verify_certificate`` re-derives every claim from raw data, requires
 the recorded checks to be exactly the branch's list, all passing, and is
 happy to return a negative report for tampered certificates.
@@ -64,7 +57,7 @@ from .errors import CapExceededError, FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, compose,
                      dominates, entries_in_range, enumerate_hom, identity, packed_rows,
                      power_exceeds, right_action, scaled_rows)
-from .semiring import Semiring, table_hash
+from .semiring import Semiring, natural_order, table_hash
 
 DEFAULT_COLUMN_CAP = 4096
 
@@ -182,6 +175,19 @@ def product_is(sr: Semiring, fact: Factorization, s: Morphism) -> bool:
     scaled = scaled_rows(sr, fact.right)
     return all(reduce(or_, map(getitem, scaled, lrow), 0) == srow
                for lrow, srow in zip(fact.left.entries, packed_rows(sr, s.entries)))
+
+
+def inflates(sr: Semiring, s: Morphism, d: int) -> bool:
+    """Whether h <= h.s for every h in Hom(d, x): d = 0, or 1 <= s[j][j] for every j.
+
+    On a semiring that passes ``verify_axioms``.  If: each row r of h has
+    r_j <= r_j.s[j][j] <= (r.s)_j, as multiplication is monotone
+    (c(a + b) = ca + cb) and the join is an upper bound.  Only if: at
+    d >= 1 some h has the unit row e_j, and (e_j.s)_j = s[j][j].  At d = 0
+    Hom(0, x) is one h with no rows, which every s inflates.  Reference: ``dominates``.
+    """
+    above_one = natural_order(sr).leq[sr.one]
+    return d == 0 or all(above_one[row[j]] for j, row in enumerate(s.entries))
 
 
 def pad_identity(sr: Semiring, x: int, y: int) -> Factorization:
@@ -410,7 +416,7 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
 
 def _pad_checks(sr: Semiring, cert: Certificate):
     """The pad branch's checks, named as in PAD_CHECK_NAMES."""
-    yield "pad-product-identity", cert.pad.product(sr) == identity(sr, cert.x)
+    yield "pad-product-identity", product_is(sr, cert.pad, identity(sr, cert.x))
     # row k of h.Id is the sum of h[k][j].1 and of zeros, which is h[k] by
     # mul-identity, zero-annihilates and add-identity: h.Id = h for every h
     yield "identity-action-is-identity", True
@@ -428,19 +434,16 @@ def _action_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
     each block's s(f) on the canonical enumeration of Hom(d, x) goes to
     ``mats``, one shared ``ActionMatrix`` per distinct s(f).  Ranks are
     unique, so target i of row i is i exactly when f_i.s(f_i) = f_i.
+    ``inflation`` reads each distinct s(f)'s diagonal (``inflates``).
     """
     yield "factor-products", all(product_is(sr, blk.factor, blk.s) for blk in distinct)
     yield "v-counts", all(blk.v == blk.factor.width == len(set(zip(*blk.s.entries)))
                           and blk.v <= cert.y for blk in distinct)
-    actions = dict.fromkeys(blk.s for blk in distinct)
-    inflating = True
-    for s in actions:
-        targets, inflates = right_action(sr, s, hom)
-        actions[s] = ActionMatrix(dim=hom.size, targets=targets)
-        inflating = inflating and inflates
+    actions = {s: ActionMatrix(dim=hom.size, targets=right_action(sr, s, hom))
+               for s in dict.fromkeys(blk.s for blk in distinct)}
     mats.extend(actions[blk.s] for blk in cert.blocks)
     yield "fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))
-    yield "inflation", inflating
+    yield "inflation", all(inflates(sr, s, cert.d) for s in actions)
 
 
 def _witness_checks(cert: Certificate, witness: WitnessReport):

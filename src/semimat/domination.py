@@ -72,8 +72,7 @@ class ActionMatrix:
 
 def action_matrix(sr: Semiring, s: Morphism, hom: HomEnumeration) -> ActionMatrix:
     """The matrix of the right-composition action of s: x -> x on Hom(d, x)."""
-    targets, _ = right_action(sr, s, hom)
-    return ActionMatrix(dim=hom.size, targets=targets)
+    return ActionMatrix(dim=hom.size, targets=right_action(sr, s, hom))
 
 
 def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT_PAIR_CAP):
@@ -102,7 +101,7 @@ def endomorphisms_through(sr: Semiring, x: int, y: int, cap_pairs: int = DEFAULT
         raise CapExceededError(f"y = {y} exceeds cap {cap_pairs}", size=y)
     if x == 0 or y == 0:
         return [zero_morphism(sr, x, x)]
-    _, code_of_mask = row_table(sr, x)
+    code_of_mask = row_table(sr, x)
     # per_b[b][a] is the code of a.b, a in the lexicographic order of its entries
     per_b = [code_images(n, list(map(code_of_mask.__getitem__,
                                      row_images(sr, from_entry_vector(y, x, vec)))), x, x)

@@ -30,8 +30,8 @@ and b <= c, the mask of a sum is the OR of the masks, and because b is
 outside its own mask, a <= b iff mask(a) is a subset of mask(b); both
 hold exactly in every semiring that passes ``verify_axioms``, whichever
 index zero has (its mask is 0).  A row is packed as one integer of n-bit
-fields, so the image of a row under s is one OR per row code, its
-inflation test one AND, and a dict decodes an image back to its code.
+fields, so the image of a row under s is one OR per row code, and a
+dict decodes an image back to its code.
 The ORs read one table, ``scaled_rows``: each row of s scaled by each
 element, packed as ``packed_rows`` packs a row; ``certifier.product_is``
 reads it too, to compare a product D.E with a matrix's ``packed_rows``
@@ -41,15 +41,14 @@ is at most |Hom(d, x)|; it is cached per semiring and width, so every
 hom-set and oracle call of one width reads the same one.  Row k of a.b
 is (row k of a).b, so one more prefix sweep, ``code_images``, turns row
 images into matrix images; ``right_action`` (h -> h.s on a hom-set) and
-the oracle's products a.b share it, and ``compose`` and ``dominates``
-remain their reference.  A one-element
+the oracle's products a.b share it, and ``compose`` remains their
+reference (``dominates`` is that of ``certifier.inflates``).  A one-element
 hom-set (d = 0, x = 0 or n = 1) never sweeps: d or x may be huge there.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -187,11 +186,11 @@ class HomEnumeration:
     the only table ``enumerate_hom`` builds per hom-set; the pad branch
     reads it alone.  The rest are built on first read: ``rank_of_code``
     inverts ``codes`` (with int objects of its own), and ``morphisms``
-    decodes every code.  ``row_masks[r]`` is the packed mask of the row
-    with code r (see ``row_images``) and ``code_of_mask`` inverts it;
-    both read ``row_table``, cached per semiring and width, and are
-    empty when d = 0, which has no rows.
-    ``right_action`` reads ``rank_of_code`` and the row tables for a
+    decodes every code.  ``code_of_mask`` maps the packed mask of each
+    row of width x (see ``row_images``) to its code; it is
+    ``row_table``, cached per semiring and width, and is empty when
+    d = 0, which has no rows.
+    ``right_action`` reads ``rank_of_code`` and ``code_of_mask`` for a
     whole action at once; the tests keep the lookup of one element's
     rank as its reference.
     """
@@ -222,12 +221,8 @@ class HomEnumeration:
         return sorted(range(self.size), key=self.codes.__getitem__)  # the inverse permutation
 
     @property
-    def row_masks(self) -> list[int]:
-        return row_table(self.sr, self.x)[0] if self.d else []
-
-    @property
     def code_of_mask(self) -> dict[int, int]:
-        return row_table(self.sr, self.x)[1] if self.d else {}
+        return row_table(self.sr, self.x) if self.d else {}
 
 
 def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> HomEnumeration:
@@ -329,13 +324,12 @@ def row_images(sr: Semiring, s: Morphism) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def row_table(sr: Semiring, x: int) -> tuple[list[int], dict[int, int]]:
-    """The identity's row images: the masks of the n^x rows of width x, and each one's code.
+def row_table(sr: Semiring, x: int) -> dict[int, int]:
+    """The code of each row of width x, keyed by its packed mask: the identity's row images.
 
-    Cached per semiring and width; callers only read the two tables.
+    Cached per semiring and width; callers only read the table.
     """
-    masks = row_images(sr, identity(sr, x))
-    return masks, {mask: code for code, mask in enumerate(masks)}
+    return {mask: code for code, mask in enumerate(row_images(sr, identity(sr, x)))}
 
 
 @lru_cache(maxsize=None)
@@ -391,15 +385,14 @@ def code_images(n: int, row_map: list[int], rows: int, cols: int) -> list[int]:
     return level
 
 
-def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> tuple[list[int], bool]:
-    """The rank of h.s for each h of ``hom`` in rank order, and whether h <= h.s for all h.
+def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> list[int]:
+    """The rank of h.s for each h of ``hom``, in rank order.
 
     The images of all row codes come from one ``row_images`` sweep,
     decoded once through ``hom.code_of_mask``, and those of all matrices
-    from one ``code_images`` sweep; h lies below h.s iff each row's mask
-    lies inside that row's image.  A one-element hom-set is its own
-    image and never sweeps.  Agrees with ``compose`` and ``dominates``,
-    which are the reference.
+    from one ``code_images`` sweep.  A one-element hom-set is its own
+    image and never sweeps.  Agrees with ``compose``, which is the
+    reference.
     """
     if s.src != s.dst:
         raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
@@ -407,8 +400,7 @@ def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> tuple[list[i
         raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
     _check_entries(sr, s)
     if hom.size == 1:  # d = 0, x = 0 or n = 1, where d or x is unbounded
-        return [0], True
-    images = row_images(sr, s)
-    inflating = not any(map(operator.and_, hom.row_masks, map(operator.invert, images)))
-    image = code_images(sr.size, list(map(hom.code_of_mask.__getitem__, images)), hom.d, hom.x)
-    return list(map(hom.rank_of_code.__getitem__, map(image.__getitem__, hom.codes))), inflating
+        return [0]
+    image = code_images(sr.size, list(map(hom.code_of_mask.__getitem__, row_images(sr, s))),
+                        hom.d, hom.x)
+    return list(map(hom.rank_of_code.__getitem__, map(image.__getitem__, hom.codes)))

@@ -70,7 +70,10 @@ _ORDER_LAWS = (
 
 @dataclass(frozen=True)
 class Semiring:
-    """Immutable table-backed semiring; all operations are pure reads."""
+    """Immutable table-backed semiring, equal by value and hashed once (caches key on it).
+
+    The hash reads the ints alone, which hash alike in every process.
+    """
 
     size: int
     labels: tuple[str, ...]
@@ -83,6 +86,11 @@ class Semiring:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "add_table", tuple(tuple(row) for row in self.add_table))
         object.__setattr__(self, "mul_table", tuple(tuple(row) for row in self.mul_table))
+        object.__setattr__(self, "_hash", hash((self.size, self.zero, self.one,
+                                               self.add_table, self.mul_table)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def label(self, a: int) -> str:
         if not 0 <= a < self.size:
@@ -257,6 +265,7 @@ def tropical_semiring(n: int) -> Semiring:
                     add_table=add_table, mul_table=mul_table)
 
 
+@lru_cache(maxsize=None)  # one instance per builtin: the per-semiring caches hit by identity
 def builtin_semiring(name: str, tropical_n: int | None = None) -> Semiring:
     """Dispatch by builtin name: ``boolean`` or ``tropical`` (needs the bound)."""
     if name == "boolean":

@@ -406,6 +406,10 @@ def test_each_product_is_composed_once(monkeypatch):
     assert verify_certificate(BOOL, cert).passed
     assert len(actions) == 2 * distinct
     assert composes == []
+    # the pad branch compares D.E with Id as packed row masks too
+    pad = certify(BOOL, 2, 2)
+    assert pad.branch == "pad" and verify_certificate(BOOL, pad).passed
+    assert composes == []
 
 
 def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
@@ -674,6 +678,21 @@ def test_verify_rejects_a_non_inflating_s_that_keeps_x_triangular(monkeypatch):
     assert witnesses == [] and determinants == []
 
 
+def test_a_d0_block_with_a_zero_diagonal_entry_still_verifies():
+    # Hom(0, 3) has one element, with no rows, so every s inflates it: a
+    # diagonal rule without its d = 0 case would turn this valid file
+    # INVALID.  s has one distinct column, so D.E = s with v = 1.
+    cert = certify(BOOL, 0, 3)
+    s = Morphism(3, 3, ((0, 0, 0), (1, 1, 1), (1, 1, 1)))
+    fact = factor_through(BOOL, s, cert.y)
+    assert (fact.width, cert.y, len(cert.blocks)) == (1, 1, 1)
+    forged = parse_certificate(render_certificate(
+        dataclasses.replace(cert, blocks=(CertBlock(s=s, factor=fact, v=1),))))
+    assert forged.blocks[0].s == s and forged != cert
+    report = verify_certificate(BOOL, forged)
+    assert report.passed and dict(report.checks)["inflation"]
+
+
 def test_verify_reports_invalid_on_out_of_range_entries():
     # hostile certificates must produce a negative report, not a crash
     cert = certify(BOOL, 1, 3)
@@ -756,8 +775,7 @@ def inflation_proves_triangularity(sr, cert, report):
         return False
     hom = enumerate_hom(sr, cert.d, cert.x)
     for blk in cert.blocks:
-        targets, _ = right_action(sr, blk.s, hom)
-        assert is_upper_triangular(targets)
+        assert is_upper_triangular(right_action(sr, blk.s, hom))
     for name in ("actions-upper-triangular", "x-upper-triangular"):
         assert checks.get(name, True), name
     return True

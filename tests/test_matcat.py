@@ -11,6 +11,7 @@ from semimat import (CapExceededError, Morphism, Semiring, action_matrix,
                      tropical_semiring, verify_axioms, verify_certificate,
                      zero_morphism)
 from semimat import cli, matcat
+from semimat.certifier import inflates
 from semimat.matcat import element_masks, right_action, row_images, row_table
 from test_small_semirings import small_semirings
 
@@ -330,9 +331,8 @@ def test_right_action_matches_compose_and_dominates(sr):
         for vec in itertools.product(range(n), repeat=x * x):
             s = from_entry_vector(x, x, vec)
             products = [compose(sr, g, s) for g in morphisms]
-            targets, inflating = right_action(sr, s, hom)
-            assert targets == [position(hom, p) for p in products]
-            assert inflating == all(dominates(sr, g, p) for g, p in zip(morphisms, products))
+            assert right_action(sr, s, hom) == [position(hom, p) for p in products]
+            assert inflates(sr, s, d) == all(dominates(sr, g, p) for g, p in zip(morphisms, products))
             swept += 1
     assert swept > n ** 4
 
@@ -413,10 +413,10 @@ def test_row_images_match_the_reference_on_random_matrices(sr):
                 continue
             hom = enumerate_hom(sr, d, x)
             assert [hom.code_of_mask[mask] for mask in images] == [reference[r] for r in range(n ** y)]
-            targets, inflating = right_action(sr, s, hom)
+            inflating = inflates(sr, s, d)
             morphisms = hom.morphisms
             products = [compose(sr, g, s) for g in morphisms]
-            assert targets == [position(hom, p) for p in products]
+            assert right_action(sr, s, hom) == [position(hom, p) for p in products]
             assert inflating == all(leq[a][b] for r in range(n ** x)
                                     for a, b in zip(digits(r, n, x), digits(reference[r], n, x)))
             assert inflating == all(dominates(sr, g, p) for g, p in zip(morphisms, products))
@@ -441,19 +441,60 @@ def test_an_inflating_action_is_upper_triangular(sr):
             vec = [rng.randrange(n) for _ in range(x * x)]
             if k % 2:  # s + Id: entry i is on the diagonal when x + 1 divides it
                 vec = [add[e][sr.one if i % (x + 1) == 0 else sr.zero] for i, e in enumerate(vec)]
-            targets, inflating = right_action(sr, from_entry_vector(x, x, vec), hom)
+            s = from_entry_vector(x, x, vec)
+            targets = right_action(sr, s, hom)
+            inflating = inflates(sr, s, d)
+            # h.s is the element of rank targets[rank of h]
+            assert inflating == all(dominates(sr, h, hom.morphisms[t])
+                                    for h, t in zip(hom.morphisms, targets)), (d, x, vec)
             if inflating:
                 assert is_upper_triangular(targets), (d, x, vec)
                 inflating_samples += 1
     assert inflating_samples >= 72
 
 
+SMALL_SEMIRINGS = small_semirings(3) + small_semirings(4)
+
+
+@pytest.mark.parametrize("sr", SMALL_SEMIRINGS,
+                         ids=[f"n{sr.size}-{i}" for i, sr in enumerate(SMALL_SEMIRINGS)])
+def test_inflates_matches_dominates_on_the_small_semirings(sr):
+    # the diagonal rule against h <= h.s over every h of Hom(d, x), d 0-2
+    # and x 0-3: every s where n^(x^2) <= 300, else 16 seeded draws, half
+    # of them joined with the identity so that they inflate
+    n, add = sr.size, sr.add_table
+    rng = random.Random(f"inflates {sr.add_table} {sr.mul_table}")
+    verdicts = set()
+    for d, x in itertools.product(range(3), range(4)):
+        hom = enumerate_hom(sr, d, x)
+        if n ** (x * x) <= 300:
+            vecs = list(itertools.product(range(n), repeat=x * x))
+        else:
+            vecs = [[rng.randrange(n) for _ in range(x * x)] for _ in range(16)]
+            vecs[1::2] = [[add[e][sr.one if i % (x + 1) == 0 else sr.zero] for i, e in enumerate(vec)]
+                          for vec in vecs[1::2]]
+        for vec in vecs:
+            s = from_entry_vector(x, x, vec)
+            inflating = inflates(sr, s, d)
+            assert inflating == all(dominates(sr, h, hom.morphisms[t])
+                                    for h, t in zip(hom.morphisms, right_action(sr, s, hom))), \
+                (d, x, vec)
+            verdicts.add((d, x, inflating))
+    # both verdicts at every d >= 1 and x >= 1, only True elsewhere
+    both = {(d, x, v) for d in (1, 2) for x in (1, 2, 3) for v in (False, True)}
+    assert verdicts == both | {(d, x, True) for d in range(3) for x in range(4)}
+
+
 def test_right_action_on_the_empty_matrix_does_not_sweep():
     # Hom(0, 500) is one matrix with no rows; n^500 row codes never sweep
     hom = enumerate_hom(BOOL, 0, 500)
     start = time.perf_counter()
-    assert right_action(BOOL, identity(BOOL, 500), hom) == ([0], True)
+    assert right_action(BOOL, identity(BOOL, 500), hom) == [0]
     assert time.perf_counter() - start < 2
+    # its one element h has no rows, so h <= h.s even for the zero s
+    zero = zero_morphism(BOOL, 500, 500)
+    assert inflates(BOOL, zero, 0) and not inflates(BOOL, zero, 1)
+    assert all(dominates(BOOL, h, compose(BOOL, h, zero)) for h in hom)
 
 
 def identity_by_sweep(sr, s, hom):
@@ -517,12 +558,12 @@ def test_enumerate_hom_builds_the_order_only():
         hom = enumerate_hom(sr, d, x)
         assert not {"rank_of_code", "morphisms"} & set(vars(hom))
         assert row_table.cache_info().currsize == 0
-        hom.row_masks
+        hom.code_of_mask
         assert row_table.cache_info().currsize == (1 if d else 0)
         assert "rank_of_code" not in vars(hom)
         if d:
-            assert hom.row_masks is row_table(sr, x)[0]
-            assert enumerate_hom(sr, d + 1, x).code_of_mask is row_table(sr, x)[1]
+            assert hom.code_of_mask is row_table(sr, x)
+            assert enumerate_hom(sr, d + 1, x).code_of_mask is row_table(sr, x)
             assert row_table.cache_info().misses == 1
         position(hom, zero_morphism(sr, d, x))
         assert "rank_of_code" in vars(hom)
@@ -535,8 +576,9 @@ def test_the_empty_matrix_has_no_row_table(monkeypatch):
     sweeps = []
     monkeypatch.setattr(matcat, "row_images", lambda *args: sweeps.append(args))
     hom = enumerate_hom(BOOL, 0, 500)
-    assert hom.row_masks == [] and hom.code_of_mask == {}
-    assert right_action(BOOL, identity(BOOL, 500), hom) == ([0], True)
+    assert hom.code_of_mask == {}
+    assert right_action(BOOL, identity(BOOL, 500), hom) == [0]
+    assert inflates(BOOL, identity(BOOL, 500), 0)
     cert = certify(BOOL, 2, 3)
     assert cert.branch == "pad" and verify_certificate(BOOL, cert).passed
     assert sweeps == []
@@ -552,10 +594,10 @@ def test_the_lazy_tables_match_their_definitions(sr):
         assert all(hom.rank_of_code[code] == i for i, code in enumerate(hom.codes))
         assert sorted(hom.rank_of_code) == list(range(hom.size))
         if d == 0:
-            assert hom.row_masks == [] and hom.code_of_mask == {}
+            assert hom.code_of_mask == {}
             continue
-        # the masks are the identity's row images, and code_of_mask inverts them
-        assert hom.row_masks == row_images(sr, identity(sr, x))
-        assert len(hom.row_masks) == n ** x
-        assert [hom.code_of_mask[mask] for mask in hom.row_masks] == list(range(n ** x))
+        # code_of_mask inverts the identity's row images
+        masks = row_images(sr, identity(sr, x))
+        assert len(masks) == n ** x
+        assert [hom.code_of_mask[mask] for mask in masks] == list(range(n ** x))
         assert len(hom.code_of_mask) == n ** x

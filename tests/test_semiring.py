@@ -1,6 +1,11 @@
+import dataclasses
 import itertools
+import os
 import random
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -287,6 +292,36 @@ def test_builtin_dispatch():
         builtin_semiring("galois")
     with pytest.raises(ValueError):
         tropical_semiring(-1)
+
+
+# Two CLI runs in a fresh process, with Semiring.__eq__ counted
+EQ_COUNT_CODE = """\
+import contextlib, io
+from semimat import cli
+from semimat.semiring import Semiring
+calls, eq = [], Semiring.__eq__
+Semiring.__eq__ = lambda a, b: calls.append(1) or eq(a, b)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for _ in range(2):
+        cli.main(["certify", "--builtin", "tropical", "--tropical-n", "1", "-d", "1", "-x", "4"])
+        cli.main(["oracle", "--builtin", "boolean", "-d", "1", "-x", "2", "-y", "2"])
+print(len(calls))
+"""
+
+
+def test_semirings_are_equal_by_value_and_builtins_are_one_instance():
+    a, b = boolean_semiring(), boolean_semiring()
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # labels are display-only: the hash reads the ints alone
+    relabelled = dataclasses.replace(a, labels=("no", "yes"))
+    assert relabelled != a and hash(relabelled) == hash(a)
+    assert builtin_semiring("tropical", 1) is builtin_semiring("tropical", 1)
+    # so every per-semiring cache of a CLI process hits by identity, and
+    # no lookup compares two semirings table by table
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", EQ_COUNT_CODE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert (run.stdout, run.stderr) == ("0\n", "")
 
 
 def test_format_parse_round_trip():
