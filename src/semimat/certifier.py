@@ -29,8 +29,9 @@ rule serves both: the first failing check ends the run.
 No check composes: ``product_is`` compares D.E with s(f), or with Id,
 row by row as packed masks.  In the construct branch ``certify`` builds
 one block per distinct s(f), and the checks run once per distinct block
-or s(f): one ``right_action`` call per distinct s(f) gives the fixed
-points and X, and ``inflation`` reads s(f)'s diagonal (``inflates``).
+or s(f): one ``right_actions`` call over the distinct blocks' s(f), a
+packed sweep per group of them, gives the fixed points and X, and
+``inflation`` reads s(f)'s diagonal (``inflates``).
 X is formed only once ``inflation`` has passed, and is then upper
 triangular: h <= h.s(f) puts h.s(f) at a rank no lower than h's, since
 the enumeration order extends dominance.  So ``actions-upper-triangular``
@@ -56,7 +57,7 @@ from .domination import ActionMatrix, WitnessReport, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, compose,
                      dominates, entries_in_range, enumerate_hom, identity, packed_rows,
-                     power_exceeds, right_action, scaled_rows)
+                     power_exceeds, right_actions, scaled_rows)
 from .semiring import Semiring, natural_order, table_hash
 
 DEFAULT_COLUMN_CAP = 4096
@@ -429,21 +430,22 @@ def _action_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
     They run after ``layout``, so every entry is a semiring element.
     ``factor-products`` and ``v-counts`` run once per block of
     ``distinct``, which holds each of ``cert.blocks`` once.
-    After them, one ``right_action`` call per distinct s(f) computes
-    every product h.s(f) the construct branch needs, and the action of
-    each block's s(f) on the canonical enumeration of Hom(d, x) goes to
-    ``mats``, one shared ``ActionMatrix`` per distinct s(f).  Ranks are
-    unique, so target i of row i is i exactly when f_i.s(f_i) = f_i.
-    ``inflation`` reads each distinct s(f)'s diagonal (``inflates``).
+    After them, one ``right_actions`` call over the s(f) of ``distinct``
+    computes every product h.s(f) the construct branch needs, and the
+    action of each block's s(f) on the canonical enumeration of
+    Hom(d, x) goes to ``mats``, one shared ``ActionMatrix`` per distinct
+    block.  Ranks are unique, so target i of row i is i exactly when
+    f_i.s(f_i) = f_i.  ``inflation`` reads each distinct block's s(f)
+    diagonal (``inflates``).
     """
     yield "factor-products", all(product_is(sr, blk.factor, blk.s) for blk in distinct)
     yield "v-counts", all(blk.v == blk.factor.width == len(set(zip(*blk.s.entries)))
                           and blk.v <= cert.y for blk in distinct)
-    actions = {s: ActionMatrix(dim=hom.size, targets=right_action(sr, s, hom))
-               for s in dict.fromkeys(blk.s for blk in distinct)}
-    mats.extend(actions[blk.s] for blk in cert.blocks)
+    actions = dict(zip(distinct, (ActionMatrix(dim=hom.size, targets=targets) for targets
+                                  in right_actions(sr, [blk.s for blk in distinct], hom))))
+    mats.extend(map(actions.__getitem__, cert.blocks))
     yield "fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))
-    yield "inflation", all(inflates(sr, s, cert.d) for s in actions)
+    yield "inflation", all(inflates(sr, blk.s, cert.d) for blk in distinct)
 
 
 def _witness_checks(cert: Certificate, witness: WitnessReport):

@@ -304,8 +304,8 @@ def assemble_witness(mats, coeffs) -> tuple[list[list[int | Fraction]], WitnessR
     proves it.
     """
     x = linear_combination(mats, coeffs)
-    diagonal = tuple(Fraction(x[i][i]) for i in range(len(x)))
-    return x, WitnessReport(diagonal=diagonal,
-                            diagonal_nonzero=all(diagonal),
-                            det_by_diagonal=reduce(operator.mul, diagonal, Fraction(1)),
+    entries = [row[i] for i, row in enumerate(x)]  # ints when the coefficients are integral
+    return x, WitnessReport(diagonal=tuple(map(Fraction, entries)),
+                            diagonal_nonzero=all(entries),
+                            det_by_diagonal=Fraction(reduce(operator.mul, entries, 1)),
                             det_by_elimination=determinant(x))

@@ -198,8 +198,9 @@ def determinant(rows) -> Fraction:
         if not v:
             return Fraction(0)
         h = math.gcd(*v.values())
-        for k in v:
-            v[k] //= h
+        if h != 1:
+            for k in v:
+                v[k] //= h
         p = min(v)
         where[p] = len(basis)
         basis.append((p, v))

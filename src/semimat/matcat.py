@@ -44,19 +44,36 @@ images into matrix images; ``right_action`` (h -> h.s on a hom-set) and
 the oracle's products a.b share it, and ``compose`` remains their
 reference (``dominates`` is that of ``certifier.inflates``).  A one-element
 hom-set (d = 0, x = 0 or n = 1) never sweeps: d or x may be huge there.
+
+``right_actions`` acts with up to GROUP endomorphisms s_0, s_1, ... in
+one pass of both sweeps.  Field g of a packed integer, the bits from
+g*w up, holds s_g's value, so one OR or multiply-add acts on all of
+them at once; w is 8, 16, 32 or 64 bits, the narrowest that holds a
+value, so that ``int.to_bytes`` and one ``memoryview.cast`` read every
+field back as an item, and field g of each integer is a slice of stride
+the group's size.  No field carries into the next.  The row sweep only
+ORs, which never carries, and a row mask has n*x bits.  The code sweep
+takes each field p to p*n^x + q with q < n^x: its field grows from a
+row code below n^x to a code of k rows below n^(k*x), and never
+exceeds the m - 1 its width holds.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from operator import lshift
 
 from .errors import CapExceededError
 from .semiring import Semiring, natural_order
 
 DEFAULT_HOM_CAP = 4096
+GROUP = 64  # endomorphisms per packed sweep of ``right_actions``
+FIELD_BITS = 64  # the widest packed field ``right_actions`` reads back
+_ITEM_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview item formats by size in bytes
 
 
 @dataclass(frozen=True)
@@ -385,6 +402,14 @@ def code_images(n: int, row_map: list[int], rows: int, cols: int) -> list[int]:
     return level
 
 
+def _check_acts(sr: Semiring, s: Morphism, hom: HomEnumeration) -> None:
+    if s.src != s.dst:
+        raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
+    if s.src != hom.x:
+        raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
+    _check_entries(sr, s)
+
+
 def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> list[int]:
     """The rank of h.s for each h of ``hom``, in rank order.
 
@@ -392,15 +417,85 @@ def right_action(sr: Semiring, s: Morphism, hom: HomEnumeration) -> list[int]:
     decoded once through ``hom.code_of_mask``, and those of all matrices
     from one ``code_images`` sweep.  A one-element hom-set is its own
     image and never sweeps.  Agrees with ``compose``, which is the
-    reference.
+    reference; ``right_actions`` packs it.
     """
-    if s.src != s.dst:
-        raise ValueError(f"expected an endomorphism, got {s.src}x{s.dst}")
-    if s.src != hom.x:
-        raise ValueError(f"endomorphism of {s.src} does not act on Hom({hom.d},{hom.x})")
-    _check_entries(sr, s)
+    _check_acts(sr, s, hom)
     if hom.size == 1:  # d = 0, x = 0 or n = 1, where d or x is unbounded
         return [0]
     image = code_images(sr.size, list(map(hom.code_of_mask.__getitem__, row_images(sr, s))),
                         hom.d, hom.x)
     return list(map(hom.rank_of_code.__getitem__, map(image.__getitem__, hom.codes)))
+
+
+def right_actions(sr: Semiring, ss, hom: HomEnumeration) -> list[list[int]]:
+    """``right_action(sr, s, hom)`` for each s of ``ss``, GROUP of them per packed sweep.
+
+    Field g of a packed integer holds s_g's value (see the module
+    docstring).  The row sweep ORs the scaled rows of the whole group at
+    once.  At d = 1 a row is an element: the images, put in rank order,
+    are read back through one mask-to-rank table.  At d >= 2 they are
+    decoded to row codes, repacked in fields that hold a code of the
+    hom-set, and ``code_images`` sweeps those.  A field wider than
+    FIELD_BITS bits goes to ``right_action``: a mask of n*x > 64 bits,
+    which in the construct branch (x > n^d >= n) takes a hom-set of at
+    least 2^27 elements.  Raises right_action's ValueError for the first
+    s of ``ss`` that cannot act on ``hom``.
+    """
+    ss = list(ss)
+    for s in ss:
+        _check_acts(sr, s, hom)
+    if hom.size == 1:
+        return [[0] for _ in ss]
+    n, d, x = sr.size, hom.d, hom.x
+    mask_size, code_size = _field_size(n * x), _field_size((hom.size - 1).bit_length())
+    if mask_size is None or code_size is None:
+        return [right_action(sr, s, hom) for s in ss]
+    rank_of_code, code_of_mask = hom.rank_of_code, hom.code_of_mask
+    if d == 1:  # a row is an element: its mask decodes straight to a rank
+        size, table = mask_size, dict(zip(code_of_mask, map(rank_of_code.__getitem__,
+                                                             code_of_mask.values())))
+    else:
+        size, table = code_size, rank_of_code
+    actions = []
+    for start in range(0, len(ss), GROUP):
+        group = ss[start:start + GROUP]
+        level = [0]
+        for rows in zip(*(scaled_rows(sr, s) for s in group)):  # row k of each s
+            step = _packed(zip(*rows), len(group), mask_size)
+            level = [p | q for p in level for q in step]
+        if d > 1:
+            row_codes = [map(code_of_mask.__getitem__, image)
+                         for image in _fields(level, len(group), mask_size)]
+            level = code_images(n, _packed(zip(*row_codes), len(group), code_size), d, x)
+        images = _fields(map(level.__getitem__, hom.codes), len(group), size)
+        actions += (list(map(table.__getitem__, image)) for image in images)
+    return actions
+
+
+def _field_size(bits: int) -> int | None:
+    """The fewest bytes of a ``memoryview`` item that hold ``bits`` bits; None past FIELD_BITS."""
+    if bits > FIELD_BITS:
+        return None
+    return next(size for size in _ITEM_FORMATS if bits <= 8 * size)
+
+
+def _packed(columns, count: int, size: int) -> list[int]:
+    """Each of ``columns``, ``count`` values, packed with value g in field g of ``size`` bytes."""
+    shifts = range(0, 8 * size * count, 8 * size)
+    return [sum(map(lshift, values, shifts)) for values in columns]
+
+
+def _fields(packed, count: int, size: int) -> list[memoryview]:
+    """Field g of each of ``packed``, for g < ``count``: one strided view per g.
+
+    Every integer is written as ``count`` fields of ``size`` bytes, in
+    native byte order so that one ``memoryview.cast`` reads each field
+    as an item; field g of every integer is then a slice of stride
+    ``count``.  A little-endian integer has field 0 first, a big-endian
+    one last.
+    """
+    data = b"".join(map(int.to_bytes, packed, itertools.repeat(count * size),
+                        itertools.repeat(sys.byteorder)))
+    view = memoryview(data).cast(_ITEM_FORMATS[size])
+    firsts = range(count) if sys.byteorder == "little" else range(count - 1, -1, -1)
+    return [view[first::count] for first in firsts]

@@ -16,11 +16,12 @@ from semimat import (CapExceededError, CertBlock, Factorization,
                      nonvanishing_coefficients, pad_identity,
                      parse_certificate, render_certificate, tropical_semiring,
                      verify_certificate, verify_preorder_map)
-from semimat import certifier, domination, linalg
+from semimat import certifier, domination, linalg, matcat
 from semimat.certfile import FORMAT_VERSION
 from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES, product_is
 from semimat.domination import linear_combination
-from semimat.matcat import HomEnumeration, code_images, right_action, row_images, row_table
+from semimat.matcat import (HomEnumeration, code_images, right_action, right_actions, row_images,
+                            row_table)
 from semimat.semiring import natural_order
 from test_matcat import CHAIN3, is_upper_triangular
 from test_small_semirings import small_semirings
@@ -394,22 +395,22 @@ def count_calls(monkeypatch, fn):
 def test_each_product_is_composed_once(monkeypatch):
     composes = count_calls(monkeypatch, compose)
     actions = count_calls(monkeypatch, right_action)
+    packed = count_calls(monkeypatch, right_actions)
     cert = certify(BOOL, 1, 6)
-    # the m^2 products h.s(f) in one kernel call per distinct s(f): 63
-    # of the 64 blocks differ; the products D.E are compared as packed
-    # row masks, so nothing composes
+    # the m^2 products h.s(f) in one packed kernel call over the distinct
+    # s(f), 63 of the 64 blocks, which fit one group; the products D.E
+    # are compared as packed row masks, so nothing composes
     assert len(cert.order) == 64
-    distinct = len({blk.s for blk in cert.blocks})
-    assert distinct == 63
-    assert len(actions) == distinct
-    assert composes == []
+    assert len({blk.s for blk in cert.blocks}) == 63 <= matcat.GROUP
+    assert len(packed) == 1
+    assert actions == [] and composes == []
     assert verify_certificate(BOOL, cert).passed
-    assert len(actions) == 2 * distinct
-    assert composes == []
+    assert len(packed) == 2
+    assert actions == [] and composes == []
     # the pad branch compares D.E with Id as packed row masks too
     pad = certify(BOOL, 2, 2)
     assert pad.branch == "pad" and verify_certificate(BOOL, pad).passed
-    assert composes == []
+    assert len(packed) == 2 and actions == [] and composes == []
 
 
 def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
@@ -418,7 +419,7 @@ def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the pad branch swept the hom-set")
 
-    for fn in (right_action, code_images, action_matrix):
+    for fn in (right_action, right_actions, code_images, action_matrix):
         for name, mod in list(sys.modules.items()):
             if name == "semimat" or name.startswith("semimat."):
                 for attr, value in list(vars(mod).items()):
@@ -525,7 +526,7 @@ def test_verify_rejects_a_hostile_certificate_without_forming_x(monkeypatch):
     cert = hostile_certificate(8, seed=8)
     witnesses = count_calls(monkeypatch, assemble_witness)
     determinants = count_calls(monkeypatch, linalg.determinant)
-    actions = count_calls(monkeypatch, right_action)
+    actions = count_calls(monkeypatch, right_actions)
     report = verify_certificate(BOOL, cert)
     assert report.failures == ("factor-products",)
     assert report.checks[-1] == ("factor-products", False)

@@ -11,8 +11,8 @@ from semimat import (CapExceededError, Morphism, Semiring, action_matrix,
                      tropical_semiring, verify_axioms, verify_certificate,
                      zero_morphism)
 from semimat import cli, matcat
-from semimat.certifier import inflates
-from semimat.matcat import element_masks, right_action, row_images, row_table
+from semimat.certifier import column_preorder, inflates
+from semimat.matcat import element_masks, right_action, right_actions, row_images, row_table
 from test_small_semirings import small_semirings
 
 BOOL = boolean_semiring()
@@ -578,6 +578,7 @@ def test_the_empty_matrix_has_no_row_table(monkeypatch):
     hom = enumerate_hom(BOOL, 0, 500)
     assert hom.code_of_mask == {}
     assert right_action(BOOL, identity(BOOL, 500), hom) == [0]
+    assert right_actions(BOOL, [identity(BOOL, 500)] * 2, hom) == [[0], [0]]
     assert inflates(BOOL, identity(BOOL, 500), 0)
     cert = certify(BOOL, 2, 3)
     assert cert.branch == "pad" and verify_certificate(BOOL, cert).passed
@@ -601,3 +602,85 @@ def test_the_lazy_tables_match_their_definitions(sr):
         assert len(masks) == n ** x
         assert [hom.code_of_mask[mask] for mask in masks] == list(range(n ** x))
         assert len(hom.code_of_mask) == n ** x
+
+
+def random_endomorphisms(sr, x, count, rng):
+    return [from_entry_vector(x, x, [rng.randrange(sr.size) for _ in range(x * x)])
+            for _ in range(count)]
+
+
+PACKED_SEMIRINGS = [*KERNEL_SEMIRINGS, *SMALL_SEMIRINGS, UNIT]
+
+
+@pytest.mark.parametrize("sr", PACKED_SEMIRINGS,
+                         ids=["boolean", "tropical1", "tropical2", "chain3"]
+                         + [f"n{sr.size}-{i}" for i, sr in enumerate(SMALL_SEMIRINGS)]
+                         + ["one-element"])
+def test_right_actions_match_right_action(sr):
+    # the packed kernel against one right_action per s on every Hom(d, x)
+    # with d 0-3, x 0-4 and m <= 4096, the one-element hom-sets (d = 0,
+    # x = 0, n = 1) among them: random entries, a repeated s, the
+    # identity, and the empty list
+    assert verify_axioms(sr) == []
+    rng = random.Random(f"packed {sr.add_table} {sr.mul_table}")
+    shapes = [(d, x) for d in range(4) for x in range(5) if sr.size ** (d * x) <= 4096]
+    assert (0, 4) in shapes and (3, 1) in shapes
+    for d, x in shapes:
+        hom = enumerate_hom(sr, d, x)
+        ss = random_endomorphisms(sr, x, 3, rng)
+        ss += [ss[0], identity(sr, x)]
+        assert right_actions(sr, ss, hom) == [right_action(sr, s, hom) for s in ss], (d, x)
+        assert right_actions(sr, [], hom) == []
+
+
+@pytest.mark.parametrize("sr, d, x", [(BOOL, 1, 7), (BOOL, 2, 3), (TROP1, 1, 4), (CHAIN3, 2, 2)],
+                         ids=["boolean-1-7", "boolean-2-3", "tropical1-1-4", "chain3-2-2"])
+def test_right_actions_over_several_groups(sr, d, x):
+    # every distinct s(f), then random endomorphisms up to past two groups
+    hom = enumerate_hom(sr, d, x)
+    ss = list(dict.fromkeys(column_preorder(sr, f) for f in hom.morphisms))
+    if (sr, d, x) == (BOOL, 1, 7):
+        assert len(ss) == 127
+    ss += random_endomorphisms(sr, x, max(0, 2 * matcat.GROUP + 1 - len(ss)), random.Random(x))
+    assert len(ss) > 2 * matcat.GROUP
+    assert right_actions(sr, ss, hom) == [right_action(sr, s, hom) for s in ss]
+
+
+@pytest.mark.parametrize("sr", KERNEL_SEMIRINGS, ids=["boolean", "tropical1", "tropical2", "chain3"])
+def test_right_actions_raise_as_right_action(sr):
+    # the first s that cannot act raises right_action's ValueError, on a
+    # one-element hom-set too
+    good = identity(sr, 2)
+    for hom in (enumerate_hom(sr, 1, 2), enumerate_hom(sr, 0, 2)):
+        for bad in (Morphism(2, 2, ((sr.one, sr.size), (sr.zero, sr.one))),
+                    Morphism(2, 3, ((sr.one,) * 3,) * 2), identity(sr, 3)):
+            with pytest.raises(ValueError) as expected:
+                right_action(sr, bad, hom)
+            with pytest.raises(ValueError) as packed:
+                right_actions(sr, [good, bad, good], hom)
+            assert str(packed.value) == str(expected.value)
+
+
+def test_a_field_past_the_widest_goes_to_right_action(monkeypatch):
+    # boolean 1/3 packs 6-bit row masks; boolean 3/2 4-bit masks but
+    # 6-bit codes of Hom(3, 2).  With fields of at most 5 bits, each
+    # falls back to one right_action per s; at 64 bits neither does.
+    assert matcat._field_size(64) == 8 and matcat._field_size(65) is None
+    calls = []
+    reference = matcat.right_action
+
+    def counted(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(matcat, "right_action", counted)
+    rng = random.Random("widest")
+    for d, x in [(1, 3), (3, 2)]:
+        hom = enumerate_hom(BOOL, d, x)
+        ss = random_endomorphisms(BOOL, x, 4, rng)
+        expected = [reference(BOOL, s, hom) for s in ss]
+        del calls[:]
+        assert right_actions(BOOL, ss, hom) == expected and calls == []
+        monkeypatch.setattr(matcat, "FIELD_BITS", 5)
+        assert right_actions(BOOL, ss, hom) == expected and len(calls) == len(ss)
+        monkeypatch.setattr(matcat, "FIELD_BITS", 64)
