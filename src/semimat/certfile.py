@@ -28,14 +28,18 @@ parses.
 The construct section after the order is read a section at a time in
 the same way: the m blocks at once, then the ``c`` lines, the ``diag``
 lines and ``det``.  A block section laid out exactly as rendered with
-one-digit entries, as in every base from 2 to 10, decodes each
-distinct block text, and each distinct matrix line, once: a matrix
-line's layout is checked with one ``bytes.translate``, its values read
-with another and cut into rows by ``zip``, and blocks with the same
-text share one ``CertBlock``.  Fraction lines that are all plain
-integers read with ``Fraction(int(token))``.  Any other section goes to
-the line reader from its first line, so every input gives the same
-Certificate, or the same ParseError, as reading line by line.
+one-digit entries, as in every base from 2 to 10, is decoded one
+matrix shape at a time.  Each distinct ``factor`` and ``v`` line pair
+is read once, and gives its block's shapes; the distinct ``s``,
+``left`` and ``right`` lines are grouped by keyword, rows and columns.
+Each group is joined and its length checked, its layout is checked
+with one ``bytes.translate`` and its values read with another, and
+``matcat.morphisms_from_bytes`` cuts those bytes into matrices.
+Blocks with the same text share one ``CertBlock``.  Fraction lines
+that are all plain integers read with one ``Fraction(int(token))`` per
+distinct token.  Any other section goes to the line reader from its
+first line, so every input gives the same Certificate, or the same
+ParseError, as the line reader alone.
 
 An entry never carries into another code: a line with an entry outside
 range(n) reads as ``NO_CODE``, which no canonical order holds, so it
@@ -55,7 +59,7 @@ from itertools import chain, product, repeat
 
 from .certifier import CertBlock, Certificate, Factorization
 from .errors import ParseError
-from .matcat import Morphism, power_exceeds
+from .matcat import Morphism, morphisms_from_bytes, power_exceeds
 from .semiring import MAX_VERIFY_SIZE
 
 FORMAT_MAGIC = "semimat-certificate"
@@ -298,7 +302,8 @@ class _Reader:
         """``count`` lines ``keyword <fraction>``.
 
         Lines that are all exactly ``keyword``, a space and ASCII digits,
-        as rendered, are read at once, each with ``Fraction(int(token))``.
+        as rendered, are read at once, each distinct token with one
+        ``Fraction(int(token))``.
         Any other text, and an integer too long for ``int`` to read from
         one string, is read line by line by ``take_fraction``, which
         raises the first bad line's error.
@@ -310,37 +315,32 @@ class _Reader:
             digits = "".join(tokens)
             if (all(map(str.startswith, lines, repeat(head)))
                     and digits.isascii() and digits.isdigit()):
+                distinct = dict.fromkeys(tokens)
                 try:
-                    values = tuple(map(Fraction, map(int, tokens)))
+                    distinct.update(zip(distinct, map(Fraction, map(int, distinct))))
                 except ValueError:
                     pass
                 else:
                     self._skip(lines)
-                    return values
+                    return tuple(map(distinct.__getitem__, tokens))
         return tuple(self.take_fraction(keyword) for _ in range(count))
 
     def take_blocks(self, count: int, x: int) -> list[CertBlock]:
         """The ``count`` blocks of the construct section, ``block i`` and its five lines each.
 
         A section laid out exactly as rendered with one-digit entries, as
-        in every base from 2 to 10, is read at once: each distinct block
-        text is decoded once (see ``_rendered_block``), as is each
-        distinct matrix line, and blocks with the same text share one
-        ``CertBlock``.  Any other text is read line by line, which raises
-        the first bad line's error.
+        in every base from 2 to 10, is read at once, one matrix shape at
+        a time (see ``_rendered_blocks``), and blocks with the same text
+        share one ``CertBlock``.  Any other text goes to the line reader
+        from the section's first line, which raises the first bad
+        line's error.
         """
         lines = self._lines(6 * count)
         if lines is not None and lines[::6] == [f"block {i}" for i in range(count)]:
-            texts = list(zip(*(lines[k::6] for k in range(1, 6))))
-            shared = dict.fromkeys(texts)
-            matrices: dict[tuple[str, int, int], Morphism | None] = {}
-            for text in shared:
-                shared[text] = _rendered_block(x, matrices, *text)
-                if shared[text] is None:
-                    break
-            else:
+            blocks = _rendered_blocks(x, lines)
+            if blocks is not None:
                 self._skip(lines)
-                return list(map(shared.__getitem__, texts))
+                return blocks
         return [self._take_block(i, x) for i in range(count)]
 
     def _take_block(self, i: int, x: int) -> CertBlock:
@@ -493,56 +493,76 @@ def _plain_int(token: str) -> int | None:
     return None
 
 
-def _rendered_block(x: int, matrices: dict[tuple[str, int, int], Morphism | None],
-                    s_line: str, factor_line: str, left_line: str, right_line: str,
-                    v_line: str) -> CertBlock | None:
-    """The block of these five lines if each is exactly as rendered, else None.
+def _rendered_blocks(x: int, lines: list[str]) -> list[CertBlock] | None:
+    """The blocks of a section's ``lines`` (``block i`` and five more each) if as rendered.
 
-    The ``factor`` and ``v`` lines must be their keyword and plain
-    decimal integers, single-spaced, and each matrix line must be as
-    ``_rendered_matrix`` requires; the line reader reads such lines to
-    the same block.  ``matrices`` holds each matrix line decoded so far,
-    with its shape, so a line that recurs is decoded once.
+    Each distinct pair of ``factor`` and ``v`` lines is decoded once: its
+    keyword and plain decimal integers, single-spaced.  Each distinct
+    matrix line is then asked for under the shape its block gives it,
+    ``s`` under (x, x), ``left`` under (source, width) and ``right``
+    under (width, source), and each shape's lines are decoded together
+    (see ``_rendered_matrices``), so a line asked for under two shapes
+    must read under both.  Blocks with the same five lines share one
+    ``CertBlock``.  None as soon as any line is not as rendered; the
+    line reader reads such lines, and reads these to the same blocks.
     """
-    head = factor_line.split(" ")
-    if len(head) != 4 or head[0] != "factor" or v_line[:2] != "v ":
-        return None
-    source, width, pad, v = map(_plain_int, (*head[1:], v_line[2:]))
-    if None in (source, width, pad, v):
-        return None
-    found = []
-    for line, keyword, rows, cols in ((s_line, "s", x, x), (left_line, "left", source, width),
-                                      (right_line, "right", width, source)):
-        key = (line, rows, cols)
-        if key not in matrices:
-            matrices[key] = _rendered_matrix(line, keyword, rows, cols)
-        if matrices[key] is None:
+    texts = list(zip(*(lines[k::6] for k in range(1, 6))))
+    heads = dict.fromkeys(zip(lines[2::6], lines[5::6]))
+    for factor_line, v_line in heads:
+        head = factor_line.split(" ")
+        if len(head) != 4 or head[0] != "factor" or v_line[:2] != "v ":
             return None
-        found.append(matrices[key])
-    s, left, right = found
-    return CertBlock(s=s, factor=Factorization(left=left, pad=pad, right=right), v=v)
+        values = tuple(map(_plain_int, (*head[1:], v_line[2:])))
+        if None in values:
+            return None
+        heads[factor_line, v_line] = values
+    shared = dict.fromkeys(texts)
+    shapes: dict[tuple[str, int, int], dict[str, Morphism | None]] = {}
+    for s_line, factor_line, left_line, right_line, v_line in shared:
+        source, width, _, _ = heads[factor_line, v_line]
+        shapes.setdefault(("s", x, x), {})[s_line] = None
+        shapes.setdefault(("left", source, width), {})[left_line] = None
+        shapes.setdefault(("right", width, source), {})[right_line] = None
+    for (keyword, rows, cols), found in shapes.items():
+        matrices = _rendered_matrices(keyword, rows, cols, list(found))
+        if matrices is None:
+            return None
+        found.update(zip(found, matrices))
+    for text in shared:
+        s_line, factor_line, left_line, right_line, v_line = text
+        source, width, pad, v = heads[factor_line, v_line]
+        fact = Factorization(left=shapes["left", source, width][left_line], pad=pad,
+                             right=shapes["right", width, source][right_line])
+        shared[text] = CertBlock(s=shapes["s", x, x][s_line], factor=fact, v=v)
+    return list(map(shared.__getitem__, texts))
 
 
-def _rendered_matrix(line: str, keyword: str, rows: int, cols: int) -> Morphism | None:
-    """The ``rows``-by-``cols`` matrix of ``line`` if it is as rendered with one-digit entries.
+def _rendered_matrices(keyword: str, rows: int, cols: int,
+                       lines: list[str]) -> list[Morphism] | None:
+    """The ``rows``-by-``cols`` matrix of each of ``lines`` if all are as rendered, one digit each.
 
-    The line is then ``keyword``, a space, and the rows joined by
-    `` ; ``, each its entries joined by a space: its length is fixed,
-    and one ``bytes.translate`` that marks each digit must give exactly
-    that layout, marks in place of entries.  A second one reads each
-    digit's value, and ``zip`` cuts the values into rows.  None for any
-    other line, and for a matrix with no entries, whose line has no
-    such layout; the line reader reads them.
+    Such a line is ``keyword``, a space, and the rows joined by `` ; ``,
+    each its entries joined by a space, so it has a fixed length.  The
+    lines joined by breaks must have that length times their count
+    before any layout is built, so a hostile shape allocates nothing
+    beyond the text.  One ``bytes.translate`` that marks each digit
+    must then give exactly the shape's layout, one per line between
+    breaks, marks in place of entries; a line holds no break, so each
+    has the shape's length.  A second one reads each digit's value, and
+    ``morphisms_from_bytes`` cuts the values into matrices.  None for any
+    other line, and for a shape with no entries, which has no such
+    layout; the line reader reads them.
     """
-    if (rows < 1 or cols < 1 or len(line) != len(keyword) + 2 * rows * (cols + 1) - 2
-            or not line.isascii()):
+    text = "\n".join(lines)
+    length = len(keyword) + 2 * rows * (cols + 1) - 1  # with a break
+    if rows < 1 or cols < 1 or len(text) != len(lines) * length - 1 or not text.isascii():
         return None
-    data = line.encode("ascii")
+    data = text.encode("ascii")
     layout = keyword + " " + " ; ".join([" ".join("\0" * cols)] * rows)
-    if data.translate(_MARK) != layout.encode("ascii"):
+    if data.translate(_MARK) != "\n".join([layout] * len(lines)).encode("ascii"):
         return None
-    values = data[len(keyword):].translate(_VALUE, b" ;")
-    return Morphism(rows, cols, tuple(zip(*[iter(values)] * cols)))
+    values = data.translate(_VALUE, keyword.encode("ascii") + b" ;\n")
+    return morphisms_from_bytes(rows, cols, values)
 
 
 def _parse_factor(reader: _Reader) -> Factorization:

@@ -173,7 +173,7 @@ def product_is(sr: Semiring, fact: Factorization, s: Morphism) -> bool:
     """
     if s.signature != (fact.source, fact.source):
         return False
-    scaled = scaled_rows(sr, fact.right)
+    scaled = scaled_rows(sr, fact.right.entries)
     return all(reduce(or_, map(getitem, scaled, lrow), 0) == srow
                for lrow, srow in zip(fact.left.entries, packed_rows(sr, s.entries)))
 

@@ -46,7 +46,8 @@ reference (``dominates`` is that of ``certifier.inflates``).  A one-element
 hom-set (d = 0, x = 0 or n = 1) never sweeps: d or x may be huge there.
 
 ``right_actions`` acts with up to GROUP endomorphisms s_0, s_1, ... in
-one pass of both sweeps.  Field g of a packed integer, the bits from
+one pass of both sweeps; each distinct row among all of them is scaled
+once per call.  Field g of a packed integer, the bits from
 g*w up, holds s_g's value, so one OR or multiply-add acts on all of
 them at once; w is 8, 16, 32 or 64 bits, the narrowest that holds a
 value, so that ``int.to_bytes`` and one ``memoryview.cast`` read every
@@ -157,6 +158,24 @@ def from_entry_vector(src: int, dst: int, vec) -> Morphism:
     if len(vec) != src * dst:
         raise ValueError(f"expected {src * dst} entries for a {src}x{dst} morphism, got {len(vec)}")
     return Morphism(src, dst, tuple(vec[i * dst:(i + 1) * dst] for i in range(src)))
+
+
+def morphisms_from_bytes(src: int, dst: int, data: bytes) -> list[Morphism]:
+    """The src-by-dst matrices of ``data``, one byte per entry, each one's entries row-major.
+
+    Every byte is a nonnegative int, and cutting ``data`` into rows of
+    dst and matrices of src rows fixes each shape, so the checks of
+    ``Morphism.__post_init__`` hold and are not run.  ValueError unless
+    src and dst are positive and ``data`` holds whole matrices.
+    """
+    if src < 1 or dst < 1 or len(data) % (src * dst):
+        raise ValueError(f"{len(data)} bytes are no whole number of {src}x{dst} matrices")
+    out = []
+    for entries in zip(*[iter(zip(*[iter(data)] * dst))] * src):
+        m = object.__new__(Morphism)
+        m.__dict__.update(src=src, dst=dst, entries=entries)
+        out.append(m)
+    return out
 
 
 def from_code(src: int, dst: int, n: int, code: int) -> Morphism:
@@ -307,15 +326,15 @@ def _order_plan(sr: Semiring, width: int) -> tuple[tuple[Callable[[int], int], .
     return tuple(adders), tuple(runs)
 
 
-def scaled_rows(sr: Semiring, s: Morphism) -> list[list[int]]:
-    """M[k][a], the packed mask of a.(row k of s), for each row k of s and element a.
+def scaled_rows(sr: Semiring, rows) -> list[list[int]]:
+    """M[k][a], the packed mask of a.(row k), for each of ``rows`` and element a.
 
-    Rows are packed as ``packed_rows`` packs them, so the row r.s is the
-    OR over k of M[k][r_k].
+    Rows are packed as ``packed_rows`` packs them, so with ``rows`` the
+    rows of s, the row r.s is the OR over k of M[k][r_k].
     """
     n, products = sr.size, _product_masks(sr)
     table = []
-    for srow in s.entries:
+    for srow in rows:
         step = []
         for masks in products:
             packed = 0
@@ -335,7 +354,7 @@ def row_images(sr: Semiring, s: Morphism) -> list[int]:
     the empty sum: the zero row, mask 0.
     """
     level = [0]
-    for step in scaled_rows(sr, s):
+    for step in scaled_rows(sr, s.entries):
         level = [p | q for p in level for q in step]
     return level
 
@@ -456,11 +475,14 @@ def right_actions(sr: Semiring, ss, hom: HomEnumeration) -> list[list[int]]:
                                                              code_of_mask.values())))
     else:
         size, table = code_size, rank_of_code
+    # the s share most of their rows: each distinct row is scaled once
+    distinct = dict.fromkeys(itertools.chain.from_iterable(s.entries for s in ss))
+    scaled = dict(zip(distinct, scaled_rows(sr, distinct)))
     actions = []
     for start in range(0, len(ss), GROUP):
         group = ss[start:start + GROUP]
         level = [0]
-        for rows in zip(*(scaled_rows(sr, s) for s in group)):  # row k of each s
+        for rows in zip(*(map(scaled.__getitem__, s.entries) for s in group)):  # row k of each s
             step = _packed(zip(*rows), len(group), mask_size)
             level = [p | q for p in level for q in step]
         if d > 1:

@@ -662,6 +662,12 @@ def test_hostile_order_headers_parse_in_bounded_memory():
     hostile += [construct.replace(f"\n{keyword} 1\n", f"\n{keyword} {count}\n")
                 for keyword in ("coefficients", "diagonal")
                 for count in (-1, -100, 10 ** 20, 10 ** 30)]
+    # one block of 64 whose factor header sizes its left and right lines
+    blocks = render_certificate(corpus_certificate(BOOL, 1, 6)).split("\n")
+    i = blocks.index("block 17") + 2
+    assert blocks[i] == "factor 6 2 0"
+    for factor in (f"factor {10 ** 30} 2 0", f"factor 6 {10 ** 30} 0"):
+        hostile.append("\n".join(blocks[:i] + [factor] + blocks[i + 1:]))
     for case in hostile:
         start = time.perf_counter()
         outcome = _outcome(parse_certificate, case)
@@ -743,4 +749,71 @@ def test_rendered_construct_sections_never_parse_line_by_line(sr, d, x, monkeypa
                             lambda *args, method=method: calls.append(args) or method(*args))
     cert = corpus_certificate(sr, d, x)
     assert parse_certificate(render_certificate(cert)) == cert
+    assert calls == []
+
+
+def _block_lines(text):
+    """The lines of ``text``, and the indices of each block's six lines among them."""
+    lines = text.split("\n")
+    return lines, [range(i, i + 6) for i, line in enumerate(lines) if line.startswith("block ")]
+
+
+@pytest.mark.parametrize("sr, d, x, widths", [(BOOL, 1, 6, {1, 2}), (TROP1, 1, 4, {1, 2, 3})],
+                         ids=["boolean-1-6", "tropical1-1-4"])
+def test_grouped_blocks_match_the_reference_across_factor_widths(sr, d, x, widths):
+    # the section's left and right lines come in one shape per factor
+    # width; a width changed so that a line one block still reads under
+    # its own shape is asked for under a second shape too, or a block
+    # given another block's factor lines, reads as the reference reads it
+    cert = corpus_certificate(sr, d, x)
+    text = render_certificate(cert)
+    assert {blk.factor.width for blk in cert.blocks} == widths
+    assert parse_certificate(text) == cert == parse_reference(text)
+    lines, blocks = _block_lines(text)
+    outcomes = set()
+    for i, block in enumerate(blocks):
+        factor, left, right = (lines[block[k]] for k in (2, 3, 4))
+        width = int(factor.split()[2])
+        if not any(left == lines[other[3]] or right == lines[other[4]]
+                   for other in blocks[:i] + blocks[i + 1:]):
+            continue
+        for new_width in sorted(widths - {width}) + [width + 1]:
+            changed = list(lines)
+            changed[block[2]] = factor.replace(f" {width} ", f" {new_width} ", 1)
+            mutant = "\n".join(changed)
+            outcome = _outcome(parse_certificate, mutant)
+            assert outcome == _outcome(parse_reference, mutant), (i, new_width)
+            outcomes.add(outcome if isinstance(outcome, str) else "parsed")
+        donor = next(other for other in blocks if lines[other[2]] != factor)
+        changed = list(lines)
+        changed[block[2]:block[5]] = [lines[k] for k in donor[2:5]]
+        mutant = "\n".join(changed)
+        parsed = parse_certificate(mutant)
+        assert parsed == parse_reference(mutant)
+        assert parsed.blocks[i].factor == cert.blocks[blocks.index(donor)].factor
+        outcomes.add("parsed")
+    assert "parsed" in outcomes
+    assert any("entries per row" in o or "rows, got" in o for o in outcomes)
+
+
+def test_block_matrices_equal_their_validated_form():
+    # the matrices cut from bytes are those the validating constructor
+    # builds from the same entries, entries tuples of int
+    for sr, d, x in CONSTRUCT_CORPUS:
+        for blk in parse_certificate(render_certificate(corpus_certificate(sr, d, x))).blocks:
+            for m in (blk.s, blk.factor.left, blk.factor.right):
+                assert type(m.entries) is tuple
+                assert all(type(row) is tuple and all(type(e) is int for e in row)
+                           for row in m.entries)
+                assert Morphism(m.src, m.dst, m.entries) == m
+
+
+def test_rendered_block_matrices_skip_the_entry_checks(monkeypatch):
+    # parsing a rendered boolean 1/6 certificate checks no block matrix
+    # entry by entry: the layout check has fixed each shape
+    text = render_certificate(corpus_certificate(BOOL, 1, 6))
+    calls = []
+    check = Morphism.__post_init__
+    monkeypatch.setattr(Morphism, "__post_init__", lambda m: calls.append(m) or check(m))
+    assert parse_certificate(text) == corpus_certificate(BOOL, 1, 6)
     assert calls == []

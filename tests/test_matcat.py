@@ -635,15 +635,28 @@ def test_right_actions_match_right_action(sr):
 
 @pytest.mark.parametrize("sr, d, x", [(BOOL, 1, 7), (BOOL, 2, 3), (TROP1, 1, 4), (CHAIN3, 2, 2)],
                          ids=["boolean-1-7", "boolean-2-3", "tropical1-1-4", "chain3-2-2"])
-def test_right_actions_over_several_groups(sr, d, x):
-    # every distinct s(f), then random endomorphisms up to past two groups
+def test_right_actions_over_several_groups(sr, d, x, monkeypatch):
+    # every distinct s(f), then random endomorphisms up to past two
+    # groups; each distinct row among them is scaled once, whatever its group
     hom = enumerate_hom(sr, d, x)
     ss = list(dict.fromkeys(column_preorder(sr, f) for f in hom.morphisms))
     if (sr, d, x) == (BOOL, 1, 7):
         assert len(ss) == 127
     ss += random_endomorphisms(sr, x, max(0, 2 * matcat.GROUP + 1 - len(ss)), random.Random(x))
     assert len(ss) > 2 * matcat.GROUP
-    assert right_actions(sr, ss, hom) == [right_action(sr, s, hom) for s in ss]
+    expected = [right_action(sr, s, hom) for s in ss]
+    scaled = []
+    reference = matcat.scaled_rows
+
+    def counted(sr, rows):
+        rows = list(rows)
+        scaled.extend(rows)
+        return reference(sr, rows)
+
+    monkeypatch.setattr(matcat, "scaled_rows", counted)
+    assert right_actions(sr, ss, hom) == expected
+    distinct = {row for s in ss for row in s.entries}
+    assert sorted(scaled) == sorted(distinct) and len(distinct) < x * len(ss)
 
 
 @pytest.mark.parametrize("sr", KERNEL_SEMIRINGS, ids=["boolean", "tropical1", "tropical2", "chain3"])
@@ -684,3 +697,18 @@ def test_a_field_past_the_widest_goes_to_right_action(monkeypatch):
         monkeypatch.setattr(matcat, "FIELD_BITS", 5)
         assert right_actions(BOOL, ss, hom) == expected and len(calls) == len(ss)
         monkeypatch.setattr(matcat, "FIELD_BITS", 64)
+
+
+def test_morphisms_from_bytes_matches_the_validating_constructor():
+    # each matrix cut from the bytes is the one from_entry_vector builds
+    # from the same row-major entries; a shape with no entries, and bytes
+    # that are no whole number of matrices, raise
+    rng = random.Random("bytes")
+    for src, dst, count in [(1, 1, 3), (2, 3, 4), (3, 2, 1), (4, 4, 0)]:
+        size = src * dst
+        data = bytes(rng.randrange(256) for _ in range(size * count))
+        assert matcat.morphisms_from_bytes(src, dst, data) == [
+            from_entry_vector(src, dst, data[i:i + size]) for i in range(0, len(data), size)]
+    for src, dst, data in [(0, 2, b""), (2, 0, b""), (2, 2, b"\0" * 5), (1, 3, b"\0" * 4)]:
+        with pytest.raises(ValueError):
+            matcat.morphisms_from_bytes(src, dst, data)
