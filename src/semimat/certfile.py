@@ -503,8 +503,10 @@ def _rendered_blocks(x: int, lines: list[str]) -> list[CertBlock] | None:
     under (width, source), and each shape's lines are decoded together
     (see ``_rendered_matrices``), so a line asked for under two shapes
     must read under both.  Blocks with the same five lines share one
-    ``CertBlock``.  None as soon as any line is not as rendered; the
-    line reader reads such lines, and reads these to the same blocks.
+    ``CertBlock``, built with its ``Factorization`` without the checks
+    that these shapes prove.  None as soon as any line is not as
+    rendered; the line reader reads such lines, and reads these to the
+    same blocks.
     """
     texts = list(zip(*(lines[k::6] for k in range(1, 6))))
     heads = dict.fromkeys(zip(lines[2::6], lines[5::6]))
@@ -528,12 +530,17 @@ def _rendered_blocks(x: int, lines: list[str]) -> list[CertBlock] | None:
         if matrices is None:
             return None
         found.update(zip(found, matrices))
+    # left is (source, width) and right (width, source) as read, and pad
+    # is plain digits, so Factorization.__post_init__'s checks hold:
+    # neither class's __init__ is run
     for text in shared:
         s_line, factor_line, left_line, right_line, v_line = text
         source, width, pad, v = heads[factor_line, v_line]
-        fact = Factorization(left=shapes["left", source, width][left_line], pad=pad,
+        fact = object.__new__(Factorization)
+        fact.__dict__.update(left=shapes["left", source, width][left_line], pad=pad,
                              right=shapes["right", width, source][right_line])
-        shared[text] = CertBlock(s=shapes["s", x, x][s_line], factor=fact, v=v)
+        blk = shared[text] = object.__new__(CertBlock)
+        blk.__dict__.update(s=shapes["s", x, x][s_line], factor=fact, v=v)
     return list(map(shared.__getitem__, texts))
 
 

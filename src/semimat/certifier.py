@@ -28,16 +28,25 @@ rule serves both: the first failing check ends the run.
 ``certify`` raises naming it, since the mathematics guarantees success.
 No check composes: ``product_is`` compares D.E with s(f), or with Id,
 row by row as packed masks.  In the construct branch ``certify`` builds
-one block per distinct s(f), and the checks run once per distinct block
-or s(f): one ``right_actions`` call over the distinct blocks' s(f), a
-packed sweep per group of them, gives the fixed points and X, and
-``inflation`` reads s(f)'s diagonal (``inflates``).
+one block per distinct s(f), and the parser shares one block among
+equal blocks too.  The checks take the blocks by identity, so finding
+them hashes no matrix, and run once per distinct block.  ``layout``
+compares each one's shapes and takes one ``max`` over every entry of
+their s, left and right (``_blocks_fit``).  ``factor-products`` reads
+two tables built once per check pass, each distinct row of every E
+scaled and each distinct row of every s packed, and ``product_is``
+is its reference (``_products_match``).  One ``right_actions`` call
+over the distinct blocks' s(f), a packed sweep per group of them, gives
+the fixed points and X, and ``inflation`` reads s(f)'s diagonal
+(``inflates``).
 X is formed only once ``inflation`` has passed, and is then upper
 triangular: h <= h.s(f) puts h.s(f) at a rank no lower than h's, since
 the enumeration order extends dominance.  So ``actions-upper-triangular``
 and ``x-upper-triangular`` record what ``inflation`` proves, nothing
 scans the actions or X for it, and X's determinant is its diagonal
 product, which ``certify`` records from the report the checks read.
+``linalg.determinant``, the elimination route, finds the triangle by
+one scan of X as given and takes no elimination step.
 ``verify_preorder_map`` checks the same laws through ``compose`` and
 ``dominates``, independently of these kernels.
 ``verify_certificate`` re-derives every claim from raw data, requires
@@ -50,10 +59,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from operator import getitem, or_
 from typing import Callable, Collection, Mapping
 
-from .domination import ActionMatrix, WitnessReport, assemble_witness
+from .domination import ActionMatrix, WitnessReport, action_matrices, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, compose,
                      dominates, entries_in_range, enumerate_hom, identity, packed_rows,
@@ -247,6 +257,52 @@ class CertBlock:
     v: int
 
 
+def _distinct_blocks(blocks) -> dict[int, CertBlock]:
+    """Each of ``blocks`` once, keyed by its ``id``.
+
+    ``certify`` and the parser share one ``CertBlock`` among equal
+    blocks, so taking them by identity hashes no matrix.  Equal blocks
+    that are separate objects are each checked, to the same verdicts.
+    """
+    return {id(blk): blk for blk in blocks}
+
+
+def _blocks_fit(sr: Semiring, blocks: Collection[CertBlock], x: int, y: int) -> bool:
+    """Whether every block's s is x-by-x, its factor x -> y -> x, and every entry an element.
+
+    The shapes are compared per block, then one ``max`` takes every
+    entry of every block's s, left and right at once, each distinct row
+    once: this is ``entries_in_range`` of each of them, which the tests
+    keep as the reference.
+    """
+    if not all(blk.s.signature == (x, x) and blk.factor.source == x and blk.factor.target == y
+               for blk in blocks):
+        return False
+    rows = dict.fromkeys(chain.from_iterable(m.entries for blk in blocks
+                                             for m in (blk.s, blk.factor.left, blk.factor.right)))
+    return max(map(max, filter(None, rows)), default=0) < sr.size
+
+
+def _products_match(sr: Semiring, blocks: Collection[CertBlock]) -> bool:
+    """``product_is(sr, blk.factor, blk.s)`` for every block, from two tables all share.
+
+    Each distinct row of every E is scaled once (``matcat.scaled_rows``)
+    and each distinct row of every s packed once (``matcat.packed_rows``),
+    so a block costs the ORs and compares of its rows.  The blocks must
+    fit (``_blocks_fit``): each s is then source-by-source.
+    """
+    scaled = dict.fromkeys(chain.from_iterable(blk.factor.right.entries for blk in blocks))
+    scaled.update(zip(scaled, scaled_rows(sr, scaled)))
+    packed = dict.fromkeys(chain.from_iterable(blk.s.entries for blk in blocks))
+    packed.update(zip(packed, packed_rows(sr, packed)))
+    for blk in blocks:
+        table = list(map(scaled.__getitem__, blk.factor.right.entries))
+        if not all(reduce(or_, map(getitem, table, lrow), 0) == packed[srow]
+                   for lrow, srow in zip(blk.factor.left.entries, blk.s.entries)):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Complete machine-checkable witness that x is dominated by y = n^d.
@@ -331,7 +387,7 @@ def certify(sr: Semiring, d: int, x: int,
     cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
                        coefficients=coefficients, x_diagonal=(), det_x=None, **base)
     mats: list[ActionMatrix] = []
-    checks = _required(_action_checks(sr, cert, hom, shared.values(), mats))
+    checks = _required(_action_checks(sr, cert, hom, _distinct_blocks(shared.values()), mats))
     # X is formed, and its diagonal and determinant claimed, only now
     _, witness = assemble_witness(mats, coefficients)
     cert = replace(cert, x_diagonal=witness.diagonal, det_x=witness.det_by_diagonal)
@@ -400,16 +456,11 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
         yield from _pad_checks(sr, cert)
         return
     m = hom.size
-    distinct = dict.fromkeys(cert.blocks)  # the blocks, each once
+    distinct = _distinct_blocks(cert.blocks)
     yield "layout", (cert.pad is None and len(cert.blocks) == m
                      and len(cert.coefficients) == m and len(cert.x_diagonal) == m
                      and cert.det_x is not None
-                     and all(blk.s.signature == (cert.x, cert.x)
-                             and blk.factor.source == cert.x and blk.factor.target == y
-                             and entries_in_range(sr, blk.s)
-                             and entries_in_range(sr, blk.factor.left)
-                             and entries_in_range(sr, blk.factor.right)
-                             for blk in distinct))
+                     and _blocks_fit(sr, distinct.values(), cert.x, y))
     mats: list[ActionMatrix] = []
     yield from _action_checks(sr, cert, hom, distinct, mats)
     yield from _witness_checks(cert, assemble_witness(mats, cert.coefficients)[1])
@@ -424,28 +475,31 @@ def _pad_checks(sr: Semiring, cert: Certificate):
 
 
 def _action_checks(sr: Semiring, cert: Certificate, hom: HomEnumeration,
-                   distinct: Collection[CertBlock], mats: list[ActionMatrix]):
+                   distinct: Mapping[int, CertBlock], mats: list[ActionMatrix]):
     """The construct branch's checks up to ``inflation``; fills ``mats``.
 
     They run after ``layout``, so every entry is a semiring element.
-    ``factor-products`` and ``v-counts`` run once per block of
-    ``distinct``, which holds each of ``cert.blocks`` once.
-    After them, one ``right_actions`` call over the s(f) of ``distinct``
-    computes every product h.s(f) the construct branch needs, and the
-    action of each block's s(f) on the canonical enumeration of
-    Hom(d, x) goes to ``mats``, one shared ``ActionMatrix`` per distinct
-    block.  Ranks are unique, so target i of row i is i exactly when
-    f_i.s(f_i) = f_i.  ``inflation`` reads each distinct block's s(f)
-    diagonal (``inflates``).
+    ``distinct`` holds each of ``cert.blocks`` once, keyed by its ``id``
+    (``_distinct_blocks``), and the checks run once per block of it:
+    ``factor-products`` from tables all blocks share
+    (``_products_match``), then ``v-counts``.  After them, one
+    ``right_actions`` call over the s(f) of ``distinct`` computes every
+    product h.s(f) the construct branch needs, and the action of each
+    block's s(f) on the canonical enumeration of Hom(d, x) goes to
+    ``mats``, one shared ``ActionMatrix`` per distinct block.  Ranks are
+    unique, so target i of row i is i exactly when f_i.s(f_i) = f_i.
+    ``inflation`` reads each distinct block's s(f) diagonal
+    (``inflates``).
     """
-    yield "factor-products", all(product_is(sr, blk.factor, blk.s) for blk in distinct)
+    blocks = distinct.values()
+    yield "factor-products", _products_match(sr, blocks)
     yield "v-counts", all(blk.v == blk.factor.width == len(set(zip(*blk.s.entries)))
-                          and blk.v <= cert.y for blk in distinct)
-    actions = dict(zip(distinct, (ActionMatrix(dim=hom.size, targets=targets) for targets
-                                  in right_actions(sr, [blk.s for blk in distinct], hom))))
-    mats.extend(map(actions.__getitem__, cert.blocks))
+                          and blk.v <= cert.y for blk in blocks)
+    actions = dict(zip(distinct, action_matrices(
+        hom.size, right_actions(sr, [blk.s for blk in blocks], hom))))
+    mats.extend(map(actions.__getitem__, map(id, cert.blocks)))
     yield "fixed-points", all(mat.targets[i] == i for i, mat in enumerate(mats))
-    yield "inflation", all(inflates(sr, blk.s, cert.d) for blk in distinct)
+    yield "inflation", all(inflates(sr, blk.s, cert.d) for blk in blocks)
 
 
 def _witness_checks(cert: Certificate, witness: WitnessReport):

@@ -70,6 +70,21 @@ class ActionMatrix:
         return rows
 
 
+def action_matrices(dim: int, target_lists) -> list[ActionMatrix]:
+    """An ``ActionMatrix`` of dimension ``dim`` for each of ``target_lists``.
+
+    For targets from the image kernel (``matcat.right_actions``): each
+    list holds one rank of the hom-set per row, so the checks of
+    ``ActionMatrix.__post_init__`` hold and are not run.
+    """
+    out = []
+    for targets in target_lists:
+        mat = object.__new__(ActionMatrix)
+        mat.__dict__.update(dim=dim, targets=tuple(targets))
+        out.append(mat)
+    return out
+
+
 def action_matrix(sr: Semiring, s: Morphism, hom: HomEnumeration) -> ActionMatrix:
     """The matrix of the right-composition action of s: x -> x on Hom(d, x)."""
     return ActionMatrix(dim=hom.size, targets=right_action(sr, s, hom))

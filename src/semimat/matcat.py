@@ -46,8 +46,8 @@ reference (``dominates`` is that of ``certifier.inflates``).  A one-element
 hom-set (d = 0, x = 0 or n = 1) never sweeps: d or x may be huge there.
 
 ``right_actions`` acts with up to GROUP endomorphisms s_0, s_1, ... in
-one pass of both sweeps; each distinct row among all of them is scaled
-once per call.  Field g of a packed integer, the bits from
+one pass of both sweeps; each distinct row among all of them is checked
+and scaled once per call.  Field g of a packed integer, the bits from
 g*w up, holds s_g's value, so one OR or multiply-add acts on all of
 them at once; w is 8, 16, 32 or 64 bits, the narrowest that holds a
 value, so that ``int.to_bytes`` and one ``memoryview.cast`` read every
@@ -457,12 +457,18 @@ def right_actions(sr: Semiring, ss, hom: HomEnumeration) -> list[list[int]]:
     hom-set, and ``code_images`` sweeps those.  A field wider than
     FIELD_BITS bits goes to ``right_action``: a mask of n*x > 64 bits,
     which in the construct branch (x > n^d >= n) takes a hom-set of at
-    least 2^27 elements.  Raises right_action's ValueError for the first
-    s of ``ss`` that cannot act on ``hom``.
+    least 2^27 elements.  The s share most of their rows, so each
+    distinct row is checked and scaled once per call: one set of
+    signatures and one ``max`` check the whole list, and only when they
+    fail does the check of each s in turn raise right_action's
+    ValueError for the first s of ``ss`` that cannot act on ``hom``.
     """
     ss = list(ss)
-    for s in ss:
-        _check_acts(sr, s, hom)
+    distinct = dict.fromkeys(itertools.chain.from_iterable(s.entries for s in ss))
+    if ({s.signature for s in ss} - {(hom.x, hom.x)}
+            or max(map(max, filter(None, distinct)), default=0) >= sr.size):
+        for s in ss:
+            _check_acts(sr, s, hom)
     if hom.size == 1:
         return [[0] for _ in ss]
     n, d, x = sr.size, hom.d, hom.x
@@ -475,8 +481,6 @@ def right_actions(sr: Semiring, ss, hom: HomEnumeration) -> list[list[int]]:
                                                              code_of_mask.values())))
     else:
         size, table = code_size, rank_of_code
-    # the s share most of their rows: each distinct row is scaled once
-    distinct = dict.fromkeys(itertools.chain.from_iterable(s.entries for s in ss))
     scaled = dict(zip(distinct, scaled_rows(sr, distinct)))
     actions = []
     for start in range(0, len(ss), GROUP):

@@ -810,10 +810,16 @@ def test_block_matrices_equal_their_validated_form():
 
 def test_rendered_block_matrices_skip_the_entry_checks(monkeypatch):
     # parsing a rendered boolean 1/6 certificate checks no block matrix
-    # entry by entry: the layout check has fixed each shape
+    # entry by entry, and no factor pair's shapes: the layout check has
+    # fixed each shape
     text = render_certificate(corpus_certificate(BOOL, 1, 6))
     calls = []
-    check = Morphism.__post_init__
-    monkeypatch.setattr(Morphism, "__post_init__", lambda m: calls.append(m) or check(m))
+    for cls in (Morphism, Factorization):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda obj, check=check: calls.append(obj) or check(obj))
+    init = CertBlock.__init__
+    monkeypatch.setattr(CertBlock, "__init__",
+                        lambda blk, *args, **kwargs: calls.append(blk) or init(blk, *args, **kwargs))
     assert parse_certificate(text) == corpus_certificate(BOOL, 1, 6)
     assert calls == []

@@ -1,3 +1,5 @@
+import collections
+import copy
 import dataclasses
 import importlib
 import random
@@ -9,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from semimat import (CapExceededError, CertBlock, Factorization,
-                     FingerprintError, InternalCheckError, Morphism, Semiring,
+                     FingerprintError, InternalCheckError, Morphism, ParseError, Semiring,
                      action_matrix, assemble_witness, boolean_semiring, certify,
                      column_preorder, compose, dominates, enumerate_hom,
                      factor_through, identity,
@@ -20,11 +22,11 @@ from semimat import certifier, domination, linalg, matcat
 from semimat.certfile import FORMAT_VERSION
 from semimat.certifier import CONSTRUCT_CHECK_NAMES, PAD_CHECK_NAMES, product_is
 from semimat.domination import linear_combination
-from semimat.matcat import (HomEnumeration, code_images, right_action, right_actions, row_images,
-                            row_table)
+from semimat.matcat import (HomEnumeration, code_images, entries_in_range, right_action,
+                            right_actions, row_images, row_table)
 from semimat.semiring import natural_order
 from test_matcat import CHAIN3, is_upper_triangular
-from test_small_semirings import small_semirings
+from test_small_semirings import small_cases, small_semirings
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -193,12 +195,94 @@ def test_shared_actions_give_the_x_of_one_action_per_block(sr, d, x):
     coefficients = [Fraction(rng.randrange(1, 100)) for _ in cert.blocks]
     hom = enumerate_hom(sr, d, x)
     mats = []
-    checks = list(certifier._action_checks(sr, cert, hom, dict.fromkeys(cert.blocks), mats))
+    distinct = certifier._distinct_blocks(cert.blocks)
+    checks = list(certifier._action_checks(sr, cert, hom, distinct, mats))
     assert checks == [(name, True) for name in CONSTRUCT_CHECK_NAMES[:4]]
     per_block = [action_matrix(sr, blk.s, hom) for blk in cert.blocks]
     assert [mat.targets for mat in mats] == [mat.targets for mat in per_block]
     assert linear_combination(mats, coefficients) == linear_combination(per_block, coefficients)
     assert len({id(mat) for mat in mats}) == len({blk.s for blk in cert.blocks})
+
+
+def one_pass_verdicts(sr, cert):
+    """The ``layout`` blocks part and ``factor-products`` as the check path takes them."""
+    blocks = certifier._distinct_blocks(cert.blocks).values()
+    fit = certifier._blocks_fit(sr, blocks, cert.x, cert.y)
+    return fit, fit and certifier._products_match(sr, blocks)
+
+
+def per_block_verdicts(sr, cert):
+    """The reference: each block's shapes, ``entries_in_range`` and ``product_is`` alone."""
+    x, y = cert.x, cert.y
+    fit = all(blk.s.signature == (x, x) and blk.factor.source == x and blk.factor.target == y
+              and entries_in_range(sr, blk.s) and entries_in_range(sr, blk.factor.left)
+              and entries_in_range(sr, blk.factor.right) for blk in cert.blocks)
+    return fit, fit and all(product_is(sr, blk.factor, blk.s) for blk in cert.blocks)
+
+
+def token_mutants(text):
+    """``text`` with each token but ``;`` changed in turn: a number raised by one, a word spelled on."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        tokens = line.split(" ")
+        for j, token in enumerate(tokens):
+            if token not in ("", ";"):
+                tokens[j] = str(int(token) + 1) if token.isdigit() else token + "x"
+                yield "\n".join(lines[:i] + [" ".join(tokens)] + lines[i + 1:])
+                tokens[j] = token
+
+
+def test_one_pass_block_checks_match_the_per_block_reference():
+    # every single-token mutant of boolean 1/3 that parses, the hostile
+    # certificates, and every small construct instance with one s entry
+    # changed and without
+    certs = []
+    mutants = list(token_mutants(render_certificate(certify(BOOL, 1, 3))))
+    assert len(mutants) == 361
+    for text in mutants:
+        try:
+            cert = parse_certificate(text)
+        except ParseError:
+            continue
+        if cert.branch == "construct":
+            certs.append((BOOL, cert))
+    certs += [(BOOL, hostile_certificate(x, seed=x)) for x in range(6, 10)]
+    for sr, d, x in small_cases():
+        if x > sr.size ** d:
+            cert = certify(sr, d, x)
+            blk = cert.blocks[0]
+            rows = [list(row) for row in blk.s.entries]
+            rows[0][-1] = (rows[0][-1] + 1) % sr.size
+            s = Morphism(x, x, tuple(map(tuple, rows)))
+            certs += [(sr, cert), (sr, dataclasses.replace(
+                cert, blocks=(dataclasses.replace(blk, s=s),) + cert.blocks[1:]))]
+    verdicts = collections.Counter()
+    for sr, cert in certs:
+        verdict = one_pass_verdicts(sr, cert)
+        assert verdict == per_block_verdicts(sr, cert), cert
+        verdicts[verdict] += 1
+    assert set(verdicts) == {(True, True), (True, False), (False, False)}, verdicts
+
+
+def test_equal_blocks_apart_get_the_report_of_shared_ones(monkeypatch):
+    # the checks take the blocks by identity: deep-copied blocks, none
+    # shared, give the report of the parsed ones, which share, on each
+    # benchmark certificate and each of its tampered copies
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    for case in workloads.WORKLOADS["construct"]:
+        sr = BOOL if case.source.n == 2 else TROP1
+        text = render_certificate(certify(sr, case.d, case.x))
+        texts = [text] + [workloads.tamper(text, kind, case.source,
+                                           random.Random(f"apart:{case.label}:{kind}"))
+                          for kind in workloads.TAMPER_KINDS]
+        for tampered in texts:
+            shared = parse_certificate(tampered)
+            apart = dataclasses.replace(shared, blocks=tuple(map(copy.deepcopy, shared.blocks)))
+            assert apart == shared
+            m = len(apart.blocks)
+            assert len(set(map(id, apart.blocks))) == m > len(set(map(id, shared.blocks)))
+            assert verify_certificate(sr, apart) == verify_certificate(sr, shared)
 
 
 def test_pad_identity():
@@ -396,17 +480,22 @@ def test_each_product_is_composed_once(monkeypatch):
     composes = count_calls(monkeypatch, compose)
     actions = count_calls(monkeypatch, right_action)
     packed = count_calls(monkeypatch, right_actions)
+    rechecks = []
+    check = domination.ActionMatrix.__post_init__
+    monkeypatch.setattr(domination.ActionMatrix, "__post_init__",
+                        lambda mat: rechecks.append(mat) or check(mat))
     cert = certify(BOOL, 1, 6)
     # the m^2 products h.s(f) in one packed kernel call over the distinct
     # s(f), 63 of the 64 blocks, which fit one group; the products D.E
-    # are compared as packed row masks, so nothing composes
+    # are compared as packed row masks, so nothing composes; the
+    # kernel's targets are in range, so no action matrix checks them
     assert len(cert.order) == 64
     assert len({blk.s for blk in cert.blocks}) == 63 <= matcat.GROUP
     assert len(packed) == 1
-    assert actions == [] and composes == []
+    assert actions == [] and composes == [] and rechecks == []
     assert verify_certificate(BOOL, cert).passed
     assert len(packed) == 2
-    assert actions == [] and composes == []
+    assert actions == [] and composes == [] and rechecks == []
     # the pad branch compares D.E with Id as packed row masks too
     pad = certify(BOOL, 2, 2)
     assert pad.branch == "pad" and verify_certificate(BOOL, pad).passed

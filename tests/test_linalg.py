@@ -8,6 +8,7 @@ import pytest
 from semimat import (action_matrix, assemble_witness, boolean_semiring, certify,
                      enumerate_hom, from_entry_vector, identity, linear_combination,
                      tropical_semiring)
+from semimat import linalg
 from semimat.linalg import determinant, identity_fractions, solve_linear
 from test_matcat import is_upper_triangular
 
@@ -292,6 +293,43 @@ def test_determinant_matches_oracles_on_a_seeded_sweep():
         singular += det == 0
         nonzero += det != 0
     assert swaps > 100 and singular > 100 and nonzero > 300
+
+
+def test_determinant_of_a_triangle_is_its_diagonal_product_and_nothing_else_is(monkeypatch):
+    # seeded upper triangular matrices with a nonzero diagonal take the
+    # triangle route, which makes no row integral; the same with one
+    # nonzero below the diagonal, or one zero on it, take the reduction;
+    # every one matches both oracles, with int and with Fraction entries
+    rows_made = []
+    integral = linalg._integral
+    monkeypatch.setattr(linalg, "_integral", lambda pairs: rows_made.append(None) or
+                        integral(pairs))
+    rng = random.Random(2026)
+
+    def entry(rational, nonzero=False):
+        value = rng.choice(range(1, 7)) * rng.choice((-1, 1)) if nonzero else rng.randrange(-6, 7)
+        return Fraction(value, rng.randrange(1, 5)) if rational else value
+
+    for _ in range(150):
+        m = rng.randrange(1, 8)
+        rational = rng.random() < 0.5
+        triangle = [[0] * i + [entry(rational, nonzero=True)]
+                    + [entry(rational) for _ in range(m - i - 1)] for i in range(m)]
+        below, zero = [row[:] for row in triangle], [row[:] for row in triangle]
+        zero[rng.randrange(m)][rng.randrange(m)] = 0
+        i = rng.randrange(m)
+        zero[i][i] = 0
+        variants = [(triangle, True), (zero, False)]
+        if m >= 2:
+            i = rng.randrange(1, m)
+            below[i][rng.randrange(i)] = entry(rational, nonzero=True)
+            variants.append((below, False))
+        for rows, is_triangle in variants:
+            del rows_made[:]
+            det = determinant(rows)
+            assert type(det) is Fraction
+            assert det == bareiss_oracle(rows) == cofactor_det(rows), rows
+            assert (rows_made == []) == is_triangle, rows
 
 
 def test_determinant_matches_sympy_on_integer_matrices():

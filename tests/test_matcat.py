@@ -660,18 +660,27 @@ def test_right_actions_over_several_groups(sr, d, x, monkeypatch):
 
 
 @pytest.mark.parametrize("sr", KERNEL_SEMIRINGS, ids=["boolean", "tropical1", "tropical2", "chain3"])
-def test_right_actions_raise_as_right_action(sr):
+def test_right_actions_raise_as_right_action(sr, monkeypatch):
     # the first s that cannot act raises right_action's ValueError, on a
-    # one-element hom-set too
+    # one-element hom-set too, and before a second bad s; a list that
+    # can act is checked as a whole, never one s at a time
     good = identity(sr, 2)
+    bads = (Morphism(2, 2, ((sr.one, sr.size), (sr.zero, sr.one))),
+            Morphism(2, 3, ((sr.one,) * 3,) * 2), identity(sr, 3))
     for hom in (enumerate_hom(sr, 1, 2), enumerate_hom(sr, 0, 2)):
-        for bad in (Morphism(2, 2, ((sr.one, sr.size), (sr.zero, sr.one))),
-                    Morphism(2, 3, ((sr.one,) * 3,) * 2), identity(sr, 3)):
+        for bad in bads:
             with pytest.raises(ValueError) as expected:
                 right_action(sr, bad, hom)
-            with pytest.raises(ValueError) as packed:
-                right_actions(sr, [good, bad, good], hom)
-            assert str(packed.value) == str(expected.value)
+            for later in (None, *bads):
+                ss = [good, bad, good] + ([later] if later else [])
+                with pytest.raises(ValueError) as packed:
+                    right_actions(sr, ss, hom)
+                assert str(packed.value) == str(expected.value)
+    checks = []
+    monkeypatch.setattr(matcat, "_check_acts", lambda *args: checks.append(args))
+    hom = enumerate_hom(sr, 1, 2)
+    assert right_actions(sr, [good, good], hom) == [list(range(hom.size))] * 2
+    assert checks == []
 
 
 def test_a_field_past_the_widest_goes_to_right_action(monkeypatch):
