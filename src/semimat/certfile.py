@@ -9,21 +9,15 @@ starts a comment and blank lines are ignored on input.
 The order section, one ``f`` line per element of Hom(d, x), is most of
 a pad-branch file.  Each line is the element's code (see ``matcat``)
 written as its d*x base-n digits, and the parsed order holds codes,
-never entry tuples.  It is written and read a block of lines at a time,
-at C speed.  A block renders with one ``%`` format from a table of the
-texts of digit chunks.  A block laid out exactly as rendered, in a base
-from 2 to 10, parses at once with one ``int(digits, n)`` per line; its
-digits are checked, before ``int`` sees them, to be ASCII ``f`` and
-digits below n with ``isascii`` and one ``bytes.translate``.  In a base
-from 11 to 36 a block as rendered splits into tokens, and one table
-maps each entry's spelling to one base-36 digit, so each line again
-reads with one ``int(digits, n)``.  Any other line (a comment, a blank
-line, a defect, an out-of-range entry, another spelling) is read line
-by line under the same rules as every other line, which raises the
-first bad line's error.  Entries there decode through a small table of
-the canonical spellings that falls back to ``int``, so every spelling
-``int`` accepts (``01``, ``+1``, ``1_0``, other scripts' digits) still
-parses.
+never entry tuples.  It is written a run of lines with one high digit
+half per ``str.join``, and read a block at a time at C speed: a digit
+column at a time in bases 2-10, a line per ``int`` in bases 11-36.  Any
+other line (a comment, a blank line, a defect, an out-of-range entry,
+another spelling) is read line by line under the same rules as every
+other line, which raises the first bad line's error.  Entries there
+decode through a small table of the canonical spellings that falls back
+to ``int``, so every spelling ``int`` accepts (``01``, ``+1``, ``1_0``,
+other scripts' digits) still parses.
 
 The construct section after the order is read a section at a time in
 the same way: the m blocks at once, then the ``c`` lines, the ``diag``
@@ -55,11 +49,11 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, product, repeat
+from itertools import groupby, product, repeat
 
 from .certifier import CertBlock, Certificate, Factorization
 from .errors import ParseError
-from .matcat import Morphism, morphisms_from_bytes, power_exceeds
+from .matcat import ITEM_FORMATS, Morphism, field_size, morphisms_from_bytes, power_exceeds
 from .semiring import MAX_VERIFY_SIZE
 
 FORMAT_MAGIC = "semimat-certificate"
@@ -70,8 +64,8 @@ _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 # order lines per rendered block, and characters per parsed block: both
 # bound the temporaries of one block
 _RENDER_BLOCK = 1024
-_PARSE_BLOCK = 4096
-# texts of digit chunks the renderer tabulates, at most
+_PARSE_BLOCK = 65536
+# texts of low digit halves the renderer tabulates, at most
 _DIGIT_TABLE = 4096
 # what a parsed f line holds when it is no code of Hom(d, x)
 NO_CODE = -1
@@ -137,39 +131,40 @@ def render_certificate(cert: Certificate) -> str:
 
 
 def _order_blocks(cert: Certificate) -> list[str]:
-    """The ``f`` lines of ``cert.order``, a block of ``_RENDER_BLOCK`` lines per string.
+    """The ``f`` lines of ``cert.order``, joined about ``_RENDER_BLOCK`` lines per string.
 
     Line i holds the d*x base-n digits of code i, most significant
-    first, k at a time: k divides d*x and n^k is at most
-    ``_DIGIT_TABLE``, the size of a table of the texts of all k-digit
-    chunks.  A block's chunks are split off by ``map``, so one ``%``
-    format per block writes it.  ValueError for a code outside
+    first, in two halves; the low one, at most half the digits and
+    ``_DIGIT_TABLE`` texts, is tabulated with its break.  A run of codes
+    with one high half (in the canonical order, one height's run of low
+    halves) is one join of their low texts by ``f`` and the high half,
+    built once per distinct value.  ValueError for a code outside
     range(n^(d*x)), whose digits would carry or run short.
     """
     codes, n, width = cert.order, cert.semiring_size, cert.d * cert.x
-    if not codes:
-        return []
-    if n < 1 or min(codes) < 0 or not power_exceeds(n, width, max(codes)):
+    if n < 1 and codes:
         raise ValueError(f"order holds a code outside range({n}^{width})")
-    if width == 0:  # one element, code 0, with no digits
-        return ["f\n" * len(codes)]
     # n^k > _DIGIT_TABLE for every larger k unless n = 1, where any k serves
-    k = max((k for k in range(1, min(width, _DIGIT_TABLE.bit_length()) + 1)
-             if width % k == 0 and n ** k <= _DIGIT_TABLE), default=1)
-    table = [" " + " ".join(map(str, chunk)) for chunk in product(range(n), repeat=k)]
-    base = n ** k
-    line_format = "f" + "%s" * (width // k) + "\n"
-    blocks = []
-    for i in range(0, len(codes), _RENDER_BLOCK):
-        rest = codes[i:i + _RENDER_BLOCK]
-        chunks = []  # least significant first
-        for _ in range(width // k - 1):
-            chunks.append(map(base.__rmod__, rest))
-            rest = list(map(base.__rfloordiv__, rest))
-        chunks.append(rest)
-        texts = map(table.__getitem__, chain.from_iterable(zip(*reversed(chunks))))
-        blocks.append(line_format * len(rest) % tuple(texts))
-    return blocks
+    low = max((k for k in range(1, min((width + 1) // 2, _DIGIT_TABLE.bit_length()) + 1)
+               if n ** k <= _DIGIT_TABLE), default=0)
+    high_digits, base = width - low, n ** low
+    texts = [" %d" * low % chunk + "\n" for chunk in product(range(n), repeat=low)]
+    heads, blocks, pieces, lines = {}, [], [], 0  # heads: "f" and each high half's text
+    for high, group in groupby(codes, base.__rfloordiv__):
+        head = heads.get(high)
+        if head is None:
+            if high < 0 or not power_exceeds(n, high_digits, high):
+                raise ValueError(f"order holds a code outside range({n}^{width})")
+            head = heads[high] = "f" + " %d" * high_digits % tuple(
+                high // n ** i % n for i in reversed(range(high_digits)))
+        lows = list(map(base.__rmod__, group))
+        pieces += head, head.join(map(texts.__getitem__, lows))
+        lines += len(lows)
+        if lines >= _RENDER_BLOCK:
+            blocks.append("".join(pieces))
+            pieces.clear()
+            lines = 0
+    return [*blocks, "".join(pieces)]
 
 
 def _order_base(n: int, width: int, count: int) -> int | None:
@@ -179,9 +174,7 @@ def _order_base(n: int, width: int, count: int) -> int | None:
     so they are checked but not decoded, and no code of more than
     count's size is formed, however wide a line or large n is.
     """
-    if n >= 1 and not power_exceeds(n, width, count) and n ** width == count:
-        return n
-    return None
+    return n if n >= 1 and not power_exceeds(n, width, count) and n ** width == count else None
 
 
 def _order_code(lineno: int, rest: list[str], width: int, base: int | None) -> int:
@@ -400,13 +393,10 @@ class _Reader:
             block = text[start:stop]
             lines = block.count("\n") + 1
             if lines > due:
-                # the section ends in the block: cut it where the
-                # section's last line ends, found from the length of a
-                # rendered line in bases to 10 and at its break above
-                if base is not None and base > 10:
-                    stop = start + len(block) - len(block.split("\n", due)[due]) - 1
-                else:
-                    stop = start + due * (2 * width + 2) - 1
+                # the section ends in the block: cut it where its last line
+                # ends, found from a rendered line's length in bases to 10
+                stop = (start + due * (2 * width + 2) - 1 if base is None or base <= 10
+                        else start + len(block) - len(block.split("\n", due)[due]) - 1)
                 lines = due
                 block = text[start:stop] if text[stop:stop + 1] in ("", "\n") else ""
             codes = _block_codes(block, lines, width, base)
@@ -424,19 +414,18 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
     """The codes of ``block`` if it is ``lines`` lines exactly as rendered, else None.
 
     In a base from 2 to 10 such a line is ``f`` and ``width`` digits
-    below ``base``, one character each and each after one space, so with
-    its break it has 2*width + 2 characters: spaces and breaks at odd
-    offsets, ``f`` and the digits at even ones.  The even characters
-    must be ASCII (``isascii``, which also keeps a lone surrogate from
-    ``encode``), and one ``bytes.translate`` that deletes ``f`` and the
-    digits below ``base`` must leave nothing of them.  Each line's
-    digits then read as its code with one ``int(digits, base)``; only
-    ASCII digits below ``base`` reach ``int``, so no digit carries and
-    no ``_`` or other script's digit is read there; with width 0 each
-    line is ``f`` alone, code 0.  A base from 11 to 36, whose entries
-    take one or two digits, goes to ``_spelled_codes``.  None outright
-    for a base outside 2..36, and for a width past the digits ``int``
-    reads in one string.
+    below ``base``, each after one space: spaces and breaks at odd
+    offsets, ``f`` and the digits at even ones, which must be ASCII
+    (``isascii`` also keeps a lone surrogate from ``encode``) and, with
+    the digits below ``base`` deleted, just the lines' ``f``: no digit
+    carries, and no ``_`` or other script's digit is read.  Column j of
+    the digit values is one strided slice, an int with a byte per line.
+    Horner's rule joins each group of k columns, base^k <= 256, so no
+    byte carries, then the groups in lanes of the 1-, 2-, 4- or 8-byte
+    item that holds base^width, which one ``memoryview.cast`` reads.
+    Past 8 bytes each line reads with one ``int(digits, base)``.  Bases
+    11-36 go to ``_spelled_codes``.  None outright for a base outside
+    2..36, and for a width past the digits ``int`` reads in one string.
     """
     # 0, or no such function (Python before 3.10.7), sets no limit
     limit = getattr(sys, "get_int_max_str_digits", int)() or width
@@ -447,15 +436,26 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
     even = block[::2]
     if (len(block) != lines * (2 * width + 2) - 1
             or block[1::2] != ((" " * width + "\n") * lines)[:-1]
-            or even[::width + 1] != "f" * lines or even.count("f") != lines
-            or not even.isascii()
-            or even.encode("ascii").translate(None, b"f" + _DIGITS[:base])):
+            or even[::width + 1] != "f" * lines or not even.isascii()):
         return None
-    if not width:
-        return [0] * lines
-    digits = even.split("f")
-    del digits[0]
-    return list(map(int, digits, repeat(base)))
+    data = even.encode("ascii")
+    if data.translate(None, _DIGITS[:base]) != b"f" * lines:
+        return None
+    size = field_size((base ** width - 1).bit_length())
+    if size is None:
+        return list(map(int, even.split("f")[1:], repeat(base)))
+    values, order, codes = data.translate(_VALUE), sys.byteorder, 0
+    k = max(k for k in range(1, 9) if base ** k <= 256)
+    # each lane's low byte, in the platform's order, which cast reads
+    wide, low = bytearray(lines * size), 0 if order == "little" else size - 1
+    for first in range(1, width + 1, k):
+        columns = range(first, min(first + k, width + 1))
+        group = 0
+        for j in columns:
+            group = group * base + int.from_bytes(values[j::width + 1], order)
+        wide[low::size] = group.to_bytes(lines, order)
+        codes = codes * base ** len(columns) + int.from_bytes(wide, order)
+    return memoryview(codes.to_bytes(lines * size, order)).cast(ITEM_FORMATS[size]).tolist()
 
 
 def _spelled_codes(block: str, lines: int, width: int, base: int) -> list[int] | None:

@@ -65,8 +65,8 @@ from typing import Callable, Collection, Mapping
 
 from .domination import ActionMatrix, WitnessReport, action_matrices, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
-from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, capped_power, compose,
-                     dominates, entries_in_range, enumerate_hom, identity, packed_rows,
+from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, built_morphism, capped_power,
+                     compose, dominates, entries_in_range, enumerate_hom, identity, packed_rows,
                      power_exceeds, right_actions, scaled_rows)
 from .semiring import Semiring, natural_order, table_hash
 
@@ -100,7 +100,8 @@ def column_preorder(sr: Semiring, f: Morphism) -> Morphism:
     packed = packed_rows(sr, zip(*f.entries)) if f.src else [0] * f.dst
     outside = [~q for q in packed]
     one, zero = sr.one, sr.zero
-    return Morphism(f.dst, f.dst, tuple([zero if p & o else one for o in outside] for p in packed))
+    return built_morphism(f.dst, f.dst,
+                          tuple([tuple([zero if p & o else one for o in outside]) for p in packed]))
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,9 @@ def factor_through(sr: Semiring, m: Morphism, y: int) -> Factorization:
         raise ValueError(f"cannot factor through {y}: matrix has {v} distinct columns")
     one, zero = sr.one, sr.zero
     picks = list(map(index.__getitem__, cols))
-    left = Morphism(x, v, tuple(zip(*index)))
-    right = Morphism(v, x, tuple(tuple(one if p == k else zero for p in picks) for k in range(v)))
+    left = built_morphism(x, v, tuple(zip(*index)))
+    right = built_morphism(v, x, tuple([tuple([one if p == k else zero for p in picks])
+                                        for k in range(v)]))
     return Factorization(left=left, pad=y - v, right=right)
 
 

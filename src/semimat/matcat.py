@@ -74,7 +74,7 @@ from .semiring import Semiring, natural_order
 DEFAULT_HOM_CAP = 4096
 GROUP = 64  # endomorphisms per packed sweep of ``right_actions``
 FIELD_BITS = 64  # the widest packed field ``right_actions`` reads back
-_ITEM_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview item formats by size in bytes
+ITEM_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # memoryview item formats by size in bytes
 
 
 @dataclass(frozen=True)
@@ -170,12 +170,19 @@ def morphisms_from_bytes(src: int, dst: int, data: bytes) -> list[Morphism]:
     """
     if src < 1 or dst < 1 or len(data) % (src * dst):
         raise ValueError(f"{len(data)} bytes are no whole number of {src}x{dst} matrices")
-    out = []
-    for entries in zip(*[iter(zip(*[iter(data)] * dst))] * src):
-        m = object.__new__(Morphism)
-        m.__dict__.update(src=src, dst=dst, entries=entries)
-        out.append(m)
-    return out
+    return [built_morphism(src, dst, entries)
+            for entries in zip(*[iter(zip(*[iter(data)] * dst))] * src)]
+
+
+def built_morphism(src: int, dst: int, entries: tuple[tuple[int, ...], ...]) -> Morphism:
+    """The Morphism of ``entries``: a tuple of src tuples of dst nonnegative ints.
+
+    For entries the library shapes itself, so the checks of
+    ``Morphism.__post_init__`` hold and are not run.
+    """
+    m = object.__new__(Morphism)
+    m.__dict__.update(src=src, dst=dst, entries=entries)
+    return m
 
 
 def from_code(src: int, dst: int, n: int, code: int) -> Morphism:
@@ -248,9 +255,12 @@ class HomEnumeration:
 
     @cached_property
     def morphisms(self) -> tuple[Morphism, ...]:
-        # product() yields the entry vectors in code order
-        vecs = list(itertools.product(range(self.sr.size), repeat=self.d * self.x))
-        return tuple(from_entry_vector(self.d, self.x, vecs[code]) for code in self.codes)
+        # product() yields the entry vectors in code order, each of d rows of x
+        d, x = self.d, self.x
+        vecs = list(itertools.product(range(self.sr.size), repeat=d * x))
+        rows = [slice(i * x, (i + 1) * x) for i in range(d)]
+        return tuple(built_morphism(d, x, tuple(map(vec.__getitem__, rows)))
+                     for vec in map(vecs.__getitem__, self.codes))
 
     @cached_property
     def rank_of_code(self) -> list[int]:
@@ -472,7 +482,7 @@ def right_actions(sr: Semiring, ss, hom: HomEnumeration) -> list[list[int]]:
     if hom.size == 1:
         return [[0] for _ in ss]
     n, d, x = sr.size, hom.d, hom.x
-    mask_size, code_size = _field_size(n * x), _field_size((hom.size - 1).bit_length())
+    mask_size, code_size = field_size(n * x), field_size((hom.size - 1).bit_length())
     if mask_size is None or code_size is None:
         return [right_action(sr, s, hom) for s in ss]
     rank_of_code, code_of_mask = hom.rank_of_code, hom.code_of_mask
@@ -498,11 +508,11 @@ def right_actions(sr: Semiring, ss, hom: HomEnumeration) -> list[list[int]]:
     return actions
 
 
-def _field_size(bits: int) -> int | None:
+def field_size(bits: int) -> int | None:
     """The fewest bytes of a ``memoryview`` item that hold ``bits`` bits; None past FIELD_BITS."""
     if bits > FIELD_BITS:
         return None
-    return next(size for size in _ITEM_FORMATS if bits <= 8 * size)
+    return next(size for size in ITEM_FORMATS if bits <= 8 * size)
 
 
 def _packed(columns, count: int, size: int) -> list[int]:
@@ -522,6 +532,6 @@ def _fields(packed, count: int, size: int) -> list[memoryview]:
     """
     data = b"".join(map(int.to_bytes, packed, itertools.repeat(count * size),
                         itertools.repeat(sys.byteorder)))
-    view = memoryview(data).cast(_ITEM_FORMATS[size])
+    view = memoryview(data).cast(ITEM_FORMATS[size])
     firsts = range(count) if sys.byteorder == "little" else range(count - 1, -1, -1)
     return [view[first::count] for first in firsts]

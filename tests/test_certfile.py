@@ -10,9 +10,11 @@ vector with an entry outside range(n) has no code.
 """
 
 import dataclasses
+import gc
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -599,6 +601,102 @@ def test_render_matches_the_reference_on_unusual_orders(monkeypatch):
         for sr, d, x in CORPUS[:4]:
             cert = corpus_certificate(sr, d, x)
             assert_same_text(render_certificate(cert), render_reference(cert))
+
+
+def _item_widths(n):
+    """Widths 0 and 1, the widest whose base-n codes each item size holds, and the next.
+
+    The items are those of 1, 2, 4 and 8 bytes; the width after the
+    widest of 8 bytes is read with ``int``.
+    """
+    widths = {0, 1}
+    for size in (1, 2, 4, 8):
+        width = 0
+        while n ** (width + 1) <= 256 ** size:
+            width += 1
+        widths |= {width, width + 1}
+    return sorted(widths)
+
+
+def _scrambled_orders(rng, m, count):
+    """Orders of ``count`` codes below m that are not canonical: random, repeated, descending."""
+    return [tuple(rng.randrange(m) for _ in range(count)),
+            tuple(rng.choice([0, m - 1, m // 2]) for _ in range(count)),
+            tuple(sorted((rng.randrange(m) for _ in range(count)), reverse=True))]
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_order_codec_matches_the_reference_at_every_item_size(n):
+    # hand-made orders at each width _item_widths gives: rendered as the
+    # reference renders them, and every run of lines as rendered, the
+    # first, one alone and the last among them, decodes to its codes
+    base = corpus_certificate(BOOL, 2, 2)
+    rng = random.Random(f"items {n}")
+    for width in _item_widths(n):
+        for order in _scrambled_orders(rng, n ** width, 40):
+            cert = dataclasses.replace(base, semiring_size=n, d=1, x=width, order=order)
+            text = render_certificate(cert)
+            assert_same_text(text, render_reference(cert))
+            lines = text.split("\n")
+            first = lines.index("order 40") + 1
+            for start, stop in [(0, 40), (0, 1), (13, 29), (39, 40)]:
+                block = "\n".join(lines[first + start:first + stop])
+                codes = certfile._block_codes(block, stop - start, width, n)
+                assert codes == list(order[start:stop]), (width, start)
+
+
+@pytest.mark.parametrize("parse_block, render_block", [(None, None), (1, 1), (23, 3), (100, 7)])
+def test_scrambled_orders_of_the_full_count_parse_as_the_reference_parses_them(
+        parse_block, render_block, monkeypatch):
+    # n^(d*x) codes, so each line is decoded: a random permutation, the
+    # codes descending, and one with repeats; blocks of either side cut
+    # the section inside a run of one high digit half and inside a line
+    if parse_block is not None:
+        monkeypatch.setattr(certfile, "_PARSE_BLOCK", parse_block)
+        monkeypatch.setattr(certfile, "_RENDER_BLOCK", render_block)
+    base = corpus_certificate(BOOL, 2, 2)
+    rng = random.Random(f"scrambled {parse_block}")
+    for n, width in [(2, 0), (2, 1), (2, 7), (3, 5), (4, 4), (5, 3), (7, 3), (9, 2), (10, 3)]:
+        m = n ** width
+        orders = [tuple(rng.sample(range(m), m)), tuple(reversed(range(m))),
+                  tuple(rng.randrange(m) for _ in range(m))]
+        for order in orders:
+            cert = dataclasses.replace(base, semiring_size=n, d=1, x=width, order=order)
+            text = render_certificate(cert)
+            assert_same_text(text, render_reference(cert))
+            parsed = parse_certificate(text)
+            assert parsed == parse_reference(text)
+            assert parsed.order == order
+
+
+# tracemalloc peaks, in bytes, of render_certificate and parse_certificate
+# at boolean 4/4 (a file of 2,228,553 bytes) under the codec that wrote a
+# block with one % format and read each line with one int(digits, n)
+FORMER_PEAKS = {"render": 4_466_850, "parse": 2_916_379}
+
+
+def test_the_order_codec_stays_within_a_tenth_of_its_former_peak_memory():
+    # the section is held as a few large strings, not one per group of
+    # lines, and a parsed block's temporaries stay small beside the text
+    cert = corpus_certificate(BOOL, 4, 4)
+    text = render_certificate(cert)
+    assert parse_certificate(text) == cert
+    # kept as the ~4,600 strings of its groups, or joined only at the
+    # end, the section would raise the tracemalloc peak by only about 3%,
+    # so its strings are counted and measured in lines
+    blocks = certfile._order_blocks(cert)
+    assert len(blocks) <= len(cert.order) // certfile._RENDER_BLOCK + 1
+    assert max(block.count("\n") for block in blocks) < 2 * certfile._RENDER_BLOCK
+    for name, call, arg in [("render", render_certificate, cert),
+                            ("parse", parse_certificate, text)]:
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * FORMER_PEAKS[name], (name, peak)
 
 
 @pytest.mark.parametrize("n, d, x, order", [

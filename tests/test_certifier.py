@@ -155,6 +155,30 @@ def test_column_preorder_and_factor_through_match_their_references(sr):
         assert factor_through(sr, m, 4) == factor_through_reference(sr, m, 4)
 
 
+def test_certify_builds_its_matrices_without_the_entry_checks(monkeypatch):
+    # the hom-set's morphisms, each s(f) and its factor pair are shaped
+    # by the library, so none runs Morphism.__post_init__; row_table's
+    # identity, built once per width, is made before the count starts
+    certify(BOOL, 1, 6)
+    calls = []
+    check = Morphism.__post_init__
+    monkeypatch.setattr(Morphism, "__post_init__",
+                        lambda m: calls.append(m) or check(m))
+    cert = certify(BOOL, 1, 6)
+    hom = enumerate_hom(BOOL, 1, 6)
+    morphisms = hom.morphisms
+    assert calls == []
+    monkeypatch.undo()
+    built = [*morphisms, *(m for blk in cert.blocks
+                           for m in (blk.s, blk.factor.left, blk.factor.right))]
+    for m in built:
+        assert type(m.entries) is tuple
+        assert all(type(row) is tuple and all(type(e) is int for e in row) for row in m.entries)
+        assert Morphism(m.src, m.dst, m.entries) == m
+    assert [m.entries for m in morphisms] == [
+        tuple(tuple(code >> 5 - j & 1 for j in range(6)) for _ in range(1)) for code in hom.codes]
+
+
 @pytest.mark.parametrize("sr", SEMIRINGS, ids=SEMIRING_IDS)
 def test_product_is_agrees_with_compose(sr):
     # random D (x by v) and E (v by x) over the whole carrier, v from 0

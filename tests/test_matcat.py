@@ -687,7 +687,7 @@ def test_a_field_past_the_widest_goes_to_right_action(monkeypatch):
     # boolean 1/3 packs 6-bit row masks; boolean 3/2 4-bit masks but
     # 6-bit codes of Hom(3, 2).  With fields of at most 5 bits, each
     # falls back to one right_action per s; at 64 bits neither does.
-    assert matcat._field_size(64) == 8 and matcat._field_size(65) is None
+    assert matcat.field_size(64) == 8 and matcat.field_size(65) is None
     calls = []
     reference = matcat.right_action
 
