@@ -1,23 +1,30 @@
 """Line-oriented text serialization of certificates.
 
-The format is deterministic (identical certificates render to identical
-bytes), diff-friendly (one logical item per line, one block per enumerated
-morphism) and fully re-parsable.  Matrices are written as rows joined by
-``;`` on a single line; fractions render as ``p`` or ``p/q``.  ``#``
-starts a comment and blank lines are ignored on input.
+The format (version 3) is deterministic (identical certificates render
+to identical bytes), diff-friendly (one logical item per line, one
+block per enumerated morphism) and fully re-parsable.  Matrices are
+written as rows joined by ``;`` on a single line; fractions render as
+``p`` or ``p/q``.  ``#`` starts a comment and blank lines are ignored
+on input.  Files of formats 1 and 2 are refused with a ParseError.
 
-The order section, one ``f`` line per element of Hom(d, x), is most of
-a pad-branch file.  Each line is the element's code (see ``matcat``)
-written as its d*x base-n digits, and the parsed order holds codes,
-never entry tuples.  It is written a run of lines with one high digit
-half per ``str.join``, and read a block at a time at C speed: a digit
-column at a time in bases 2-10, a line per ``int`` in bases 11-36.  Any
-other line (a comment, a blank line, a defect, an out-of-range entry,
-another spelling) is read line by line under the same rules as every
-other line, which raises the first bad line's error.  Entries there
-decode through a small table of the canonical spellings that falls back
-to ``int``, so every spelling ``int`` accepts (``01``, ``+1``, ``1_0``,
-other scripts' digits) still parses.
+A pad certificate is its header, the factor pair [Id | 0], [Id ; 0] and
+its checks: no pad check reads Hom(d, x), so it has no order section,
+and a pad file with an ``order`` line is refused.  Its parsed
+``Certificate.order`` is ().
+
+A construct certificate has the order section, one ``f`` line per
+element of Hom(d, x), before its blocks.  Each line is the element's
+code (see ``matcat``) written as its d*x base-n digits, and the parsed
+order holds codes, never entry tuples.  It is written a run of lines
+with one high digit half per ``str.join``, and read a block at a time
+at C speed, a digit column at a time, in bases 2-10 with codes of at
+most 64 bits.  Any other line (a comment, a blank line, a defect, an
+out-of-range entry, another spelling, a base above 10, a wider code)
+is read line by line under the same rules as every other line, which
+raises the first bad line's error.  Entries there decode through a
+small table of the canonical spellings that falls back to ``int``, so
+every spelling ``int`` accepts (``01``, ``+1``, ``1_0``, other
+scripts' digits) still parses.
 
 The construct section after the order is read a section at a time in
 the same way: the m blocks at once, then the ``c`` lines, the ``diag``
@@ -57,7 +64,7 @@ from .matcat import ITEM_FORMATS, Morphism, field_size, morphisms_from_bytes, po
 from .semiring import MAX_VERIFY_SIZE
 
 FORMAT_MAGIC = "semimat-certificate"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _FRACTION = r"-?[0-9]+(/[0-9]+)?"  # p or p/q, as render_certificate writes them
 # str.splitlines breaks lines at these as well as at "\n"
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
@@ -70,7 +77,6 @@ _DIGIT_TABLE = 4096
 # what a parsed f line holds when it is no code of Hom(d, x)
 NO_CODE = -1
 _DIGITS = b"0123456789"
-_BASE36 = "0123456789abcdefghijklmnopqrstuvwxyz"
 # bytes.translate tables: each digit to NUL and NUL to \x01, so a line
 # marks as a matrix layout only where it has digits; each digit to its value
 _MARK = bytes.maketrans(_DIGITS + b"\0", b"\0" * 10 + b"\1")
@@ -100,20 +106,28 @@ def _emit_factor(out: list[str], fact: Factorization) -> None:
 
 
 def render_certificate(cert: Certificate) -> str:
-    """Canonical text form of a certificate."""
+    """Canonical text form of a certificate.
+
+    ValueError for a pad certificate that holds an order, which the text
+    has no place for.
+    """
     head = [f"{FORMAT_MAGIC} {FORMAT_VERSION}",
             f"semiring-size {cert.semiring_size}",
             f"semiring-hash {cert.semiring_hash}",
             f"d {cert.d}",
             f"x {cert.x}",
             f"y {cert.y}",
-            f"branch {cert.branch}",
-            f"order {len(cert.order)}", ""]
+            f"branch {cert.branch}"]
     out = []
+    order = []
     if cert.branch == "pad":
         assert cert.pad is not None
+        if cert.order:
+            raise ValueError("a pad certificate holds no order")
         _emit_factor(out, cert.pad)
     else:
+        head.append(f"order {len(cert.order)}")
+        order = _order_blocks(cert)
         for i, blk in enumerate(cert.blocks):
             out.append(f"block {i}")
             out.append(("s " + _matrix_text(blk.s)).rstrip())
@@ -127,7 +141,7 @@ def render_certificate(cert: Certificate) -> str:
     for name, ok in cert.checks:
         out.append(f"check {name} {'pass' if ok else 'fail'}")
     out.append("end\n")
-    return "".join(["\n".join(head), *_order_blocks(cert), "\n".join(out)])
+    return "".join(["\n".join([*head, ""]), *order, "\n".join(out)])
 
 
 def _order_blocks(cert: Certificate) -> list[str]:
@@ -378,10 +392,10 @@ class _Reader:
         characters, cut at the section's last line when the section ends
         sooner.  One that is all order lines as rendered decodes at once
         (see ``_block_codes``); any other, with a comment, a blank line,
-        a defect, an out-of-range entry or another spelling, or in a base
-        above 36, is taken line by line, which skips blank and comment
-        lines, raises the first bad line's error and decodes each line
-        alone (see ``_order_code``).
+        a defect, an out-of-range entry or another spelling, in a base
+        above 10 or with codes past 64 bits, is taken line by line, which
+        skips blank and comment lines, raises the first bad line's error
+        and decodes each line alone (see ``_order_code``).
         """
         order: list[int] = []
         text = self.text
@@ -394,9 +408,8 @@ class _Reader:
             lines = block.count("\n") + 1
             if lines > due:
                 # the section ends in the block: cut it where its last line
-                # ends, found from a rendered line's length in bases to 10
-                stop = (start + due * (2 * width + 2) - 1 if base is None or base <= 10
-                        else start + len(block) - len(block.split("\n", due)[due]) - 1)
+                # ends, found from a rendered line's length
+                stop = start + due * (2 * width + 2) - 1
                 lines = due
                 block = text[start:stop] if text[stop:stop + 1] in ("", "\n") else ""
             codes = _block_codes(block, lines, width, base)
@@ -423,27 +436,22 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
     Horner's rule joins each group of k columns, base^k <= 256, so no
     byte carries, then the groups in lanes of the 1-, 2-, 4- or 8-byte
     item that holds base^width, which one ``memoryview.cast`` reads.
-    Past 8 bytes each line reads with one ``int(digits, base)``.  Bases
-    11-36 go to ``_spelled_codes``.  None outright for a base outside
-    2..36, and for a width past the digits ``int`` reads in one string.
+    None outright for a base outside 2..10, and for codes past 8 bytes,
+    which the line reader takes: a canonical order of such codes has
+    more than 2^64 lines, and in a base above 10 a construct file has
+    d = 0 and one line, or x > n^d >= 11 and at least 11^12 lines.
     """
-    # 0, or no such function (Python before 3.10.7), sets no limit
-    limit = getattr(sys, "get_int_max_str_digits", int)() or width
-    if base is None or not 2 <= base <= 36 or not 0 <= width <= limit:
+    if base is None or not 2 <= base <= 10:
         return None
-    if base > 10:
-        return _spelled_codes(block, lines, width, base)
+    size = field_size((base ** width - 1).bit_length())
     even = block[::2]
-    if (len(block) != lines * (2 * width + 2) - 1
+    if (size is None or len(block) != lines * (2 * width + 2) - 1
             or block[1::2] != ((" " * width + "\n") * lines)[:-1]
             or even[::width + 1] != "f" * lines or not even.isascii()):
         return None
     data = even.encode("ascii")
     if data.translate(None, _DIGITS[:base]) != b"f" * lines:
         return None
-    size = field_size((base ** width - 1).bit_length())
-    if size is None:
-        return list(map(int, even.split("f")[1:], repeat(base)))
     values, order, codes = data.translate(_VALUE), sys.byteorder, 0
     k = max(k for k in range(1, 9) if base ** k <= 256)
     # each lane's low byte, in the platform's order, which cast reads
@@ -456,34 +464,6 @@ def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[i
         wide[low::size] = group.to_bytes(lines, order)
         codes = codes * base ** len(columns) + int.from_bytes(wide, order)
     return memoryview(codes.to_bytes(lines * size, order)).cast(ITEM_FORMATS[size]).tolist()
-
-
-def _spelled_codes(block: str, lines: int, width: int, base: int) -> list[int] | None:
-    """The codes of ``block``, in a base from 11 to 36, if it is ``lines`` lines as rendered.
-
-    Such a line is ``f`` and ``width`` entries below ``base`` in their
-    canonical spellings, one or two digits, each after one space.  With
-    its breaks made spaces the block splits into tokens, an ``f`` at
-    every (width + 1)-th and nowhere else, and every break must come
-    before an ``f``.  One table maps each ``f`` to a space and each
-    entry's spelling to its one base-36 digit character, so the joined
-    text splits into each line's digits, read with one
-    ``int(digits, base)``.  None when a token is no canonical spelling
-    below ``base`` or an ``f`` or a break is out of place.
-    """
-    tokens = block.replace("\n", " ").split(" ")
-    if (len(tokens) != lines * (width + 1) or tokens[::width + 1] != ["f"] * lines
-            or tokens.count("f") != lines or block.count("\nf") != lines - 1):
-        return None
-    table = {str(e): _BASE36[e] for e in range(base)}
-    table["f"] = " "
-    try:
-        digits = "".join(map(table.__getitem__, tokens))
-    except KeyError:
-        return None
-    if not width:
-        return [0] * lines
-    return list(map(int, digits.split(), repeat(base)))
 
 
 def _plain_int(token: str) -> int | None:
@@ -608,19 +588,20 @@ def parse_certificate(text: str) -> Certificate:
     if rest not in (["pad"], ["construct"]):
         raise ParseError(f"line {lineno}: branch must be 'pad' or 'construct'")
     branch = rest[0]
-    count = reader.take_int("order")
-    if count < 0:
-        raise ParseError("order count must be nonnegative")
-    order = reader.take_order(count, d * x, _order_base(size, d * x, count))
 
+    order: tuple[int, ...] = ()
     pad = None
     blocks: list[CertBlock] = []
     coefficients: tuple[Fraction, ...] = ()
     diagonal: tuple[Fraction, ...] = ()
     det: Fraction | None = None
     if branch == "pad":
-        pad = _parse_factor(reader)
+        pad = _parse_factor(reader)  # an order line here is refused
     else:
+        count = reader.take_int("order")
+        if count < 0:
+            raise ParseError("order count must be nonnegative")
+        order = reader.take_order(count, d * x, _order_base(size, d * x, count))
         blocks = reader.take_blocks(count, x)
         coefficients = reader.take_fractions("c", reader.take_int("coefficients"))
         diagonal = reader.take_fractions("diag", reader.take_int("diagonal"))

@@ -9,7 +9,10 @@ Two branches:
 * pad (x <= y): the identity on x factors through y as
   [Id | 0] . [Id ; 0] = Id, and the action matrix of the identity is the
   identity matrix, which spans itself.  That the identity acts as the
-  identity follows from the axioms, so nothing sweeps for it.
+  identity follows from the axioms, so nothing sweeps for it, and no
+  pad check reads Hom(d, x): the certificate holds no order, and
+  ``certify`` and ``verify_certificate`` only compare |Hom(d, x)| with
+  the cap.
 
 * construct (x > y): for every f in Hom(d, x), the column preorder s(f)
   (the 0/1 endomorphism recording which columns of f dominate which)
@@ -21,9 +24,10 @@ Two branches:
 
 There is one check path.  ``certify`` only builds the data, then runs
 the same branch checks ``verify_certificate`` runs, on the hom-set it
-already enumerated, and records their results.  Each branch's checks are
-a lazy sequence of ``(name, ok)`` in the recorded order, and one stopping
-rule serves both: the first failing check ends the run.
+already enumerated in the construct branch, and records their results.
+Each branch's checks are a lazy sequence of ``(name, ok)`` in the
+recorded order, and one stopping rule serves both: the first failing
+check ends the run.
 ``verify_certificate`` reports the passing checks and that failure;
 ``certify`` raises naming it, since the mathematics guarantees success.
 No check composes: ``product_is`` compares D.E with s(f), or with Id,
@@ -34,11 +38,11 @@ them hashes no matrix, and run once per distinct block.  ``layout``
 compares each one's shapes and takes one ``max`` over every entry of
 their s, left and right (``_blocks_fit``).  ``factor-products`` reads
 two tables built once per check pass, each distinct row of every E
-scaled and each distinct row of every s packed, and ``product_is``
-is its reference (``_products_match``).  One ``right_actions`` call
-over the distinct blocks' s(f), a packed sweep per group of them, gives
-the fixed points and X, and ``inflation`` reads s(f)'s diagonal
-(``inflates``).
+scaled and each distinct row of every s packed, and forms each distinct
+pair of an E and a row of its D once; ``product_is`` is its reference
+(``_products_match``).  One ``right_actions`` call over the distinct
+blocks' s(f), a packed sweep per group of them, gives the fixed points
+and X, and ``inflation`` reads s(f)'s diagonal (``inflates``).
 X is formed only once ``inflation`` has passed, and is then upper
 triangular: h <= h.s(f) puts h.s(f) at a rank no lower than h's, since
 the enumeration order extends dominance.  So ``actions-upper-triangular``
@@ -66,8 +70,8 @@ from typing import Callable, Collection, Mapping
 from .domination import ActionMatrix, WitnessReport, action_matrices, assemble_witness
 from .errors import CapExceededError, FingerprintError, InternalCheckError
 from .matcat import (DEFAULT_HOM_CAP, HomEnumeration, Morphism, built_morphism, capped_power,
-                     compose, dominates, entries_in_range, enumerate_hom, identity, packed_rows,
-                     power_exceeds, right_actions, scaled_rows)
+                     check_hom_cap, compose, dominates, entries_in_range, enumerate_hom, identity,
+                     packed_rows, power_exceeds, right_actions, scaled_rows)
 from .semiring import Semiring, natural_order, table_hash
 
 DEFAULT_COLUMN_CAP = 4096
@@ -286,22 +290,33 @@ def _blocks_fit(sr: Semiring, blocks: Collection[CertBlock], x: int, y: int) -> 
 
 
 def _products_match(sr: Semiring, blocks: Collection[CertBlock]) -> bool:
-    """``product_is(sr, blk.factor, blk.s)`` for every block, from two tables all share.
+    """``product_is(sr, blk.factor, blk.s)`` for every block, from tables all share.
 
     Each distinct row of every E is scaled once (``matcat.scaled_rows``)
-    and each distinct row of every s packed once (``matcat.packed_rows``),
-    so a block costs the ORs and compares of its rows.  The blocks must
-    fit (``_blocks_fit``): each s is then source-by-source.
+    and each distinct row of every s packed once (``matcat.packed_rows``).
+    Row i of D.E depends only on E and row i of D, so each distinct such
+    pair is ORed once, keyed by E's rows and then the row of D, and a
+    block costs a lookup and a compare per row.  The blocks must fit
+    (``_blocks_fit``): each s is then source-by-source.
     """
     scaled = dict.fromkeys(chain.from_iterable(blk.factor.right.entries for blk in blocks))
     scaled.update(zip(scaled, scaled_rows(sr, scaled)))
     packed = dict.fromkeys(chain.from_iterable(blk.s.entries for blk in blocks))
     packed.update(zip(packed, packed_rows(sr, packed)))
+    # E's rows -> (E's scaled rows, row of D -> packed row of D.E)
+    products: dict[tuple[tuple[int, ...], ...], tuple[list[list[int]], dict]] = {}
     for blk in blocks:
-        table = list(map(scaled.__getitem__, blk.factor.right.entries))
-        if not all(reduce(or_, map(getitem, table, lrow), 0) == packed[srow]
-                   for lrow, srow in zip(blk.factor.left.entries, blk.s.entries)):
-            return False
+        right = blk.factor.right.entries
+        found = products.get(right)
+        if found is None:
+            found = products[right] = (list(map(scaled.__getitem__, right)), {})
+        table, rows = found
+        for lrow, srow in zip(blk.factor.left.entries, blk.s.entries):
+            row = rows.get(lrow)
+            if row is None:
+                row = rows[lrow] = reduce(or_, map(getitem, table, lrow), 0)
+            if row != packed[srow]:
+                return False
     return True
 
 
@@ -309,12 +324,13 @@ def _products_match(sr: Semiring, blocks: Collection[CertBlock]) -> bool:
 class Certificate:
     """Complete machine-checkable witness that x is dominated by y = n^d.
 
-    ``order`` is the enumerated Hom(d, x) as codes, each element's
-    row-major entry vector read in base n (see ``matcat``), and never as
-    entry tuples; a parsed ``f`` line that holds no code of Hom(d, x)
-    reads as ``certfile.NO_CODE``, which no canonical order holds.  In
-    the construct branch, ``blocks``/``coefficients`` align with it
-    positionally.  ``checks`` records the results of the branch's checks
+    ``order`` is, in the construct branch, the enumerated Hom(d, x) as
+    codes, each element's row-major entry vector read in base n (see
+    ``matcat``), and never as entry tuples; a parsed ``f`` line that
+    holds no code of Hom(d, x) reads as ``certfile.NO_CODE``, which no
+    canonical order holds.  ``blocks``/``coefficients`` align with it
+    positionally.  In the pad branch it is (), since no pad check reads
+    Hom(d, x).  ``checks`` records the results of the branch's checks
     at build time, named and ordered as PAD_CHECK_NAMES or
     CONSTRUCT_CHECK_NAMES.
     """
@@ -355,7 +371,8 @@ def certify(sr: Semiring, d: int, x: int,
     """Build a domination certificate for (d, x) against y = n^d and check it.
 
     The checks are those ``verify_certificate`` runs, on the hom-set
-    enumerated here, and the certificate records their results.  Raises
+    enumerated here in the construct branch, and the certificate records
+    their results; the pad branch enumerates nothing.  Raises
     CapExceededError when |Hom(d, x)| exceeds ``cap_hom`` or n^d or x
     exceeds ``cap_cols``, and InternalCheckError naming the first check
     that fails (the construction always succeeds on a valid semiring, so
@@ -365,16 +382,16 @@ def certify(sr: Semiring, d: int, x: int,
     if d < 0 or x < 0:
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
     y = capped_power(sr.size, d, cap_cols, "n^d")
-    hom = enumerate_hom(sr, d, x, cap_hom)
+    check_hom_cap(sr, d, x, cap_hom)
     if x > cap_cols:  # s(f) and the identity are x-by-x
         raise CapExceededError(f"x = {x} exceeds cap {cap_cols}", size=x)
-    base = dict(semiring_size=sr.size, semiring_hash=table_hash(sr), d=d, x=x, y=y,
-                order=hom.codes, checks=())
+    base = dict(semiring_size=sr.size, semiring_hash=table_hash(sr), d=d, x=x, y=y, checks=())
 
     if x <= y:
-        cert = Certificate(branch="pad", pad=pad_identity(sr, x, y), blocks=(),
+        cert = Certificate(branch="pad", order=(), pad=pad_identity(sr, x, y), blocks=(),
                            coefficients=(), x_diagonal=(), det_x=None, **base)
         return replace(cert, checks=_required(_pad_checks(sr, cert)))
+    hom = enumerate_hom(sr, d, x, cap_hom)
     # one block per distinct s(f), shared by every f with that preorder
     preorders = [column_preorder(sr, f) for f in hom.morphisms]
     shared = dict.fromkeys(preorders)
@@ -386,7 +403,7 @@ def certify(sr: Semiring, d: int, x: int,
     # induction of nonvanishing_coefficients never forbids 1, so every
     # coefficient is one.
     coefficients = (Fraction(1),) * hom.size
-    cert = Certificate(branch="construct", pad=None, blocks=tuple(blocks),
+    cert = Certificate(branch="construct", order=hom.codes, pad=None, blocks=tuple(blocks),
                        coefficients=coefficients, x_diagonal=(), det_x=None, **base)
     mats: list[ActionMatrix] = []
     checks = _required(_action_checks(sr, cert, hom, _distinct_blocks(shared.values()), mats))
@@ -402,12 +419,14 @@ def verify_certificate(sr: Semiring, cert: Certificate,
     """Re-derive every claim of a certificate with fresh computation.
 
     Raises FingerprintError when the certificate does not belong to
-    ``sr``.  Structural checks pin y, the order, the branch, the recorded
-    check list and the layout; the branch's checks then run through the
-    same functions ``certify`` records them with, against the canonical
-    enumeration of Hom(d, x).  The report ends at the first failing
-    check, and X is formed only once ``inflation`` has passed, which
-    makes it upper triangular.  Assumes the semiring passed
+    ``sr``.  Structural checks pin y, the branch, the order (construct
+    branch only), the recorded check list and the layout; the branch's
+    checks then run through the same functions ``certify`` records them
+    with, the construct ones against the canonical enumeration of
+    Hom(d, x).  CapExceededError when |Hom(d, x)| exceeds ``cap_hom``, in
+    either branch, after ``y-matches``.  The report ends at the first
+    failing check, and X is formed only once ``inflation`` has passed,
+    which makes it upper triangular.  Assumes the semiring passed
     ``verify_axioms``.
     """
     if cert.semiring_size != sr.size or cert.semiring_hash != table_hash(sr):
@@ -442,16 +461,19 @@ def _checks(sr: Semiring, cert: Certificate, cap_hom: int):
     # decided without forming n^d when n^d > y; on a mismatch d is
     # unbounded (Hom(d, 0) alone has d rows)
     yield "y-matches", not power_exceeds(sr.size, cert.d, y) and sr.size ** cert.d == y
-    hom = enumerate_hom(sr, cert.d, cert.x, cap_hom)
-    # the blocks are read as aligned with the canonical order
-    yield "order-canonical", cert.order == hom.codes  # two tuples of ints
+    check_hom_cap(sr, cert.d, cert.x, cap_hom)
     pad = cert.x <= y
+    if not pad and cert.branch == "construct":
+        hom = enumerate_hom(sr, cert.d, cert.x, cap_hom)
+        # the blocks are read as aligned with the canonical order
+        yield "order-canonical", cert.order == hom.codes  # two tuples of ints
+    # a wrong branch stops here, before any enumeration or x-by-x matrix
     yield "branch-matches-bound", cert.branch == ("pad" if pad else "construct")
     expected = PAD_CHECK_NAMES if pad else CONSTRUCT_CHECK_NAMES
     yield "recorded-checks-match", cert.checks == tuple((name, True) for name in expected)
     if pad:
-        yield "layout", (cert.pad is not None and not cert.blocks and not cert.coefficients
-                         and not cert.x_diagonal and cert.det_x is None
+        yield "layout", (cert.pad is not None and not cert.order and not cert.blocks
+                         and not cert.coefficients and not cert.x_diagonal and cert.det_x is None
                          and cert.pad.source == cert.x and cert.pad.target == y
                          and entries_in_range(sr, cert.pad.left)
                          and entries_in_range(sr, cert.pad.right))

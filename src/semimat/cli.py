@@ -21,7 +21,7 @@ from .certfile import parse_certificate, render_certificate
 from .certifier import DEFAULT_COLUMN_CAP, certify, verify_certificate
 from .domination import DEFAULT_PAIR_CAP, span_oracle
 from .errors import CapExceededError, InternalCheckError, ParseError
-from .matcat import DEFAULT_HOM_CAP, format_morphism
+from .matcat import DEFAULT_HOM_CAP, format_morphism, hom_size
 from .semiring import (AXIOM_NAMES, Semiring, builtin_semiring, check_verify_size,
                        parse_semiring, verify_axioms, verify_order_laws)
 
@@ -71,7 +71,8 @@ def _cmd_certify(sr: Semiring, args) -> int:
         report_stream = sys.stderr
     if not args.quiet:
         print(f"branch: {cert.branch}", file=report_stream)
-        print(f"hom-set size: {len(cert.order)}   target y = n^d: {cert.y}", file=report_stream)
+        print(f"hom-set size: {hom_size(sr, cert.d, cert.x)}   target y = n^d: {cert.y}",
+              file=report_stream)
         if cert.branch == "construct":
             print(f"det(X) = {cert.det_x}", file=report_stream)
         _print_checks(cert.checks, report_stream)

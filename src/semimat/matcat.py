@@ -20,9 +20,9 @@ base n.  Every vector of d*x digits occurs exactly once, so the code is
 a bijection from Hom(d, x) onto range(n^(d*x)).  The code is the one
 representation of an element: ``HomEnumeration.codes`` is the order,
 the one table ``enumerate_hom`` builds, and ``from_code`` decodes one
-into a ``Morphism`` when one is needed.  The certificate's order section
-writes each code's d*x base-n digits (``certfile``); no other module
-reads the layout.
+into a ``Morphism`` when one is needed.  A construct certificate's order
+section writes each code's d*x base-n digits (``certfile``); no other
+module reads the layout.
 
 Row images are bit-sliced.  Element a is embedded as the n-bit mask
 {c : not a <= c} in the natural order.  Because a + b <= c iff a <= c
@@ -226,13 +226,14 @@ class HomEnumeration:
 
     Elements are held as codes only (the entry vector read in base n).
     ``codes[i]`` is the code of rank i, so ``codes`` is the order, and
-    the only table ``enumerate_hom`` builds per hom-set; the pad branch
-    reads it alone.  The rest are built on first read: ``rank_of_code``
-    inverts ``codes`` (with int objects of its own), and ``morphisms``
-    decodes every code.  ``code_of_mask`` maps the packed mask of each
-    row of width x (see ``row_images``) to its code; it is
-    ``row_table``, cached per semiring and width, and is empty when
-    d = 0, which has no rows.
+    the only table ``enumerate_hom`` builds per hom-set; the construct
+    branch's ``order-canonical`` check reads it alone, and the pad
+    branch enumerates nothing.  The rest are built on first read:
+    ``rank_of_code`` inverts ``codes`` (with int objects of its own),
+    and ``morphisms`` decodes every code.  ``code_of_mask`` maps the
+    packed mask of each row of width x (see ``row_images``) to its code;
+    it is ``row_table``, cached per semiring and width, and is empty
+    when d = 0, which has no rows.
     ``right_action`` reads ``rank_of_code`` and ``code_of_mask`` for a
     whole action at once; the tests keep the lookup of one element's
     rank as its reference.
@@ -271,22 +272,29 @@ class HomEnumeration:
         return row_table(self.sr, self.x) if self.d else {}
 
 
+def check_hom_cap(sr: Semiring, d: int, x: int, cap: int) -> None:
+    """CapExceededError (carrying the true size) when |Hom(d, x)| or d*x exceeds ``cap``.
+
+    With one element the hom-set has one member, but its entry vector
+    still has d*x entries.  Nothing is enumerated.
+    """
+    capped_power(sr.size, d * x, cap, f"|Hom({d},{x})|")
+    if d * x > cap:  # only when n = 1, since n^(d*x) <= cap bounds d*x otherwise
+        raise CapExceededError(f"entries per element of Hom({d},{x}) = {d * x} exceed cap {cap}",
+                               size=d * x)
+
+
 def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> HomEnumeration:
     """Enumerate all |R|^(d*x) morphisms d -> x, sorted by (height sum, entry vector).
 
     The order is built per height from two halves of each code's digits,
     with no sort (see ``_order_plan``), and concatenated at C speed.
 
-    Raises CapExceededError (carrying the true size) when the hom-set would
-    exceed ``cap``, or when d*x does: with one element the hom-set has one
-    member, but its entry vector still has d*x entries.
+    Raises CapExceededError as ``check_hom_cap`` does.
     """
     if d < 0 or x < 0:
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
-    capped_power(sr.size, d * x, cap, f"|Hom({d},{x})|")
-    if d * x > cap:  # only when n = 1, since n^(d*x) <= cap bounds d*x otherwise
-        raise CapExceededError(f"entries per element of Hom({d},{x}) = {d * x} exceed cap {cap}",
-                               size=d * x)
+    check_hom_cap(sr, d, x, cap)
     adders, runs = _order_plan(sr, d * x)
     return HomEnumeration(d, x, sr, tuple(itertools.chain.from_iterable(map(map, adders, runs))))
 

@@ -19,13 +19,13 @@ from fractions import Fraction
 
 import pytest
 
-from semimat import (ParseError, boolean_semiring, certify, parse_certificate,
+from semimat import (ParseError, boolean_semiring, certify, enumerate_hom, parse_certificate,
                      render_certificate, tropical_semiring, verify_certificate)
 from semimat.certfile import FORMAT_MAGIC, FORMAT_VERSION, NO_CODE
 from semimat.certifier import CertBlock, Certificate, Factorization
 from semimat.matcat import Morphism
 import semimat.certfile as certfile
-from test_certifier import assert_ends_at_first_failure
+from test_certifier import assert_ends_at_first_failure, one_pass_verdicts, per_block_verdicts
 
 BOOL = boolean_semiring()
 TROP1 = tropical_semiring(1)
@@ -81,14 +81,16 @@ def render_reference(cert):
            f"d {cert.d}",
            f"x {cert.x}",
            f"y {cert.y}",
-           f"branch {cert.branch}",
-           f"order {len(cert.order)}"]
-    for code in cert.order:
-        vec = vector_of(code, cert.semiring_size, cert.d * cert.x)
-        out.append(("f " + " ".join(map(str, vec))).rstrip())
+           f"branch {cert.branch}"]
     if cert.branch == "pad":
+        if cert.order:
+            raise ValueError("a pad certificate holds no order")
         _emit_factor(out, cert.pad)
     else:
+        out.append(f"order {len(cert.order)}")
+        for code in cert.order:
+            vec = vector_of(code, cert.semiring_size, cert.d * cert.x)
+            out.append(("f " + " ".join(map(str, vec))).rstrip())
         for i, blk in enumerate(cert.blocks):
             out.append(f"block {i}")
             out.append(("s " + _matrix_text(blk.s)).rstrip())
@@ -192,6 +194,22 @@ def _parse_factor_reference(reader):
         raise ParseError(f"line {lineno}: {exc}") from None
 
 
+def _take_order_reference(reader, n, width, count):
+    """The codes of the next ``count`` lines ``f`` and ``width`` entries, read in base n."""
+    vectors = []
+    for _ in range(count):
+        lineno, rest = reader.take("f")
+        try:
+            vec = tuple(int(tok) for tok in rest)
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer entry in order vector") from None
+        if len(vec) != width:
+            raise ParseError(f"line {lineno}: order vector has {len(vec)} entries, "
+                             f"expected {width}")
+        vectors.append(vec)
+    return order_codes(vectors, n, width, count)
+
+
 def parse_reference(text):
     """The Certificate a text describes, reading one line at a time."""
     reader = _ReferenceReader(text)
@@ -212,20 +230,8 @@ def parse_reference(text):
     if rest not in (["pad"], ["construct"]):
         raise ParseError(f"line {lineno}: branch must be 'pad' or 'construct'")
     branch = rest[0]
-    count = reader.take_int("order")
-    if count < 0:
-        raise ParseError("order count must be nonnegative")
-    order = []
-    for _ in range(count):
-        lineno, rest = reader.take("f")
-        try:
-            vec = tuple(int(tok) for tok in rest)
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer entry in order vector") from None
-        if len(vec) != d * x:
-            raise ParseError(f"line {lineno}: order vector has {len(vec)} entries, expected {d * x}")
-        order.append(vec)
 
+    order = ()
     pad = None
     blocks = []
     coefficients = ()
@@ -234,6 +240,10 @@ def parse_reference(text):
     if branch == "pad":
         pad = _parse_factor_reference(reader)
     else:
+        count = reader.take_int("order")
+        if count < 0:
+            raise ParseError("order count must be nonnegative")
+        order = _take_order_reference(reader, size, d * x, count)
         for i in range(count):
             lineno, rest = reader.take("block")
             if rest != [str(i)]:
@@ -259,8 +269,7 @@ def parse_reference(text):
         lineno, tokens = reader.lines[reader.pos]
         raise ParseError(f"line {lineno}: unexpected content after 'end'")
     return Certificate(semiring_size=size, semiring_hash=sr_hash, d=d, x=x, y=y,
-                       branch=branch, order=order_codes(order, size, d * x, count),
-                       pad=pad, blocks=tuple(blocks),
+                       branch=branch, order=order, pad=pad, blocks=tuple(blocks),
                        coefficients=coefficients, x_diagonal=diagonal, det_x=det,
                        checks=tuple(checks))
 
@@ -286,6 +295,30 @@ def _outcome(parse, text):
         return f"ParseError: {exc}"
 
 
+def take_order(n, width, count):
+    """A parse of a text that starts with an order section: its codes and the next line.
+
+    The next line is its number and tokens, or None at the end.  The
+    block codec reads a large section this way without the construct
+    section after it, which the reference reads slowly.
+    """
+    def parse(text):
+        reader = certfile._Reader(text)
+        codes = reader.take_order(count, width, certfile._order_base(n, width, count))
+        line = reader._next()
+        return codes, line and line[:2]
+    return parse
+
+
+def take_order_reference(n, width, count):
+    """``take_order`` as the reference reads the section."""
+    def parse(text):
+        reader = _ReferenceReader(text)
+        codes = _take_order_reference(reader, n, width, count)
+        return codes, reader.lines[reader.pos] if reader.pos < len(reader.lines) else None
+    return parse
+
+
 CORPUS = [(BOOL, 0, 3), (BOOL, 1, 3), (BOOL, 1, 6), (BOOL, 2, 2), (BOOL, 4, 4),
           (TROP1, 1, 4), (TROP1, 2, 4), (TROP9, 1, 2)]
 _CERTS = {}
@@ -295,6 +328,37 @@ def corpus_certificate(sr, d, x):
     key = (sr.size, d, x)
     if key not in _CERTS:
         _CERTS[key] = certify(sr, d, x, cap_hom=65536)
+    return _CERTS[key]
+
+
+def with_order(cert, order):
+    """``cert`` as a construct certificate that holds ``order``, with a block per code.
+
+    Each block is one all-ones x-by-x s through a factor of width 1, so
+    the text parses whenever its order section does.  A pad file has no
+    order section; this gives any order a construct-branch text.
+    """
+    x = cert.x
+    block = CertBlock(s=Morphism(x, x, ((1,) * x,) * x), v=1,
+                      factor=Factorization(left=Morphism(x, 1, ((1,),) * x), pad=0,
+                                           right=Morphism(1, x, ((1,) * x,))))
+    m = len(order)
+    return dataclasses.replace(cert, branch="construct", order=tuple(order), pad=None,
+                               blocks=(block,) * m, coefficients=(Fraction(1),) * m,
+                               x_diagonal=(Fraction(1),) * m, det_x=Fraction(1), checks=())
+
+
+def order_certificate(sr, d, x):
+    """``corpus_certificate``, or for a pad instance ``with_order`` of its canonical order.
+
+    That order section is the one the pad instance's format 2 file held.
+    """
+    key = ("order", sr.size, d, x)
+    if key not in _CERTS:
+        cert = corpus_certificate(sr, d, x)
+        if cert.branch == "pad":
+            cert = with_order(cert, enumerate_hom(sr, d, x, cap=65536).codes)
+        _CERTS[key] = cert
     return _CERTS[key]
 
 
@@ -361,7 +425,7 @@ MUTATED = [(BOOL, 0, 3, 40), (BOOL, 1, 3, 150), (BOOL, 1, 6, 150), (BOOL, 2, 2, 
 
 
 def _mutants(sr, d, x, count, seed):
-    text = render_certificate(corpus_certificate(sr, d, x))
+    text = render_certificate(order_certificate(sr, d, x))
     rng = random.Random(seed)
     for k in range(count):
         yield _mutate(text, rng, ("f",) if k % 2 == 1 else None)
@@ -452,10 +516,17 @@ def test_every_mutant_report_ends_at_its_first_failure():
 
 
 def test_block_parse_matches_the_reference_on_large_orders():
-    # several blocks per order section, a mutation in one of them
+    # several blocks per order section, a mutation in one of them: the
+    # section alone, and a line after it
     for sr, d, x, count in [(TROP1, 2, 4, 8), (BOOL, 4, 4, 2)]:
-        for text in _mutants(sr, d, x, count, seed=f"large {d}/{x}/{sr.size}"):
-            assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
+        cert = order_certificate(sr, d, x)
+        section = "".join(certfile._order_blocks(cert)) + "block 0\n"
+        args = cert.semiring_size, d * x, len(cert.order)
+        rng = random.Random(f"large {d}/{x}/{sr.size}")
+        for k in range(count):
+            text = _mutate(section, rng, ("f",) if k % 2 == 1 else None)
+            assert (_outcome(take_order(*args), text)
+                    == _outcome(take_order_reference(*args), text))
 
 
 CANONICAL_ORDER = "f 0 0\nf 0 1\nf 1 0\nf 1 1\n"  # boolean 1/2
@@ -492,7 +563,7 @@ def test_block_parse_matches_the_reference_on_crafted_order_sections(order, bloc
     # line that would restore the token count
     if block is not None:
         monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
-    text = render_certificate(corpus_certificate(BOOL, 1, 2))
+    text = render_certificate(order_certificate(BOOL, 1, 2))
     assert CANONICAL_ORDER in text
     text = text.replace(CANONICAL_ORDER, order)
     assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
@@ -545,12 +616,15 @@ def test_block_parse_matches_the_reference_on_non_ascii_and_foreign_digits(kind,
 @pytest.mark.parametrize("block", [None, 1, 23])
 def test_an_out_of_range_entry_reads_as_no_code_in_every_block(block, monkeypatch):
     # one f line's last entry outside range(n), at a block's start, middle
-    # or end: that line alone holds no code, whichever path reads it
+    # or end: that line alone holds no code, whichever path reads it; in
+    # a certificate certify wrote, only order-canonical then fails
     if block is not None:
         monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
     for sr, d, x, positions, entries in [(TROP1, 2, 4, (0, 1, 229, 230, 3000, 6560), "3 9 -1"),
-                                         (BOOL, 4, 4, (4095, 65535), "2")]:
-        cert = corpus_certificate(sr, d, x)
+                                         (BOOL, 4, 4, (4095, 65535), "2"),
+                                         (TROP1, 1, 4, (0, 40, 80), "3 -1"),
+                                         (BOOL, 1, 6, (0, 63), "2")]:
+        cert = order_certificate(sr, d, x)
         lines = render_certificate(cert).split("\n")
         first = lines.index("order " + str(len(cert.order))) + 1
         for i in positions:
@@ -559,7 +633,8 @@ def test_an_out_of_range_entry_reads_as_no_code_in_every_block(block, monkeypatc
                 changed[first + i] = changed[first + i][:-1] + entry
                 parsed = parse_certificate("\n".join(changed))
                 assert parsed.order == cert.order[:i] + (NO_CODE,) + cert.order[i + 1:]
-    assert verify_certificate(sr, parsed, cap_hom=65536).failures == ("order-canonical",)
+                if cert is corpus_certificate(sr, d, x):
+                    assert verify_certificate(sr, parsed).failures == ("order-canonical",)
 
 
 @pytest.mark.parametrize("old, new", [(" 1 ", " 01 "), (" 1 ", " +1 "), (" 1 ", " 1_0 "),
@@ -572,7 +647,7 @@ def test_an_out_of_range_entry_reads_as_no_code_in_every_block(block, monkeypatc
 def test_every_line_takes_an_accepted_spelling_as_the_reference_does(old, new):
     # the change at every position at once: each f line, and each matrix
     # line, reads the spelling as int() does, or fails as the reference does
-    text = render_certificate(corpus_certificate(BOOL, 2, 2)).replace(old, new)
+    text = render_certificate(order_certificate(BOOL, 2, 2)).replace(old, new)
     assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
 
 
@@ -606,8 +681,9 @@ def test_render_matches_the_reference_on_unusual_orders(monkeypatch):
 def _item_widths(n):
     """Widths 0 and 1, the widest whose base-n codes each item size holds, and the next.
 
-    The items are those of 1, 2, 4 and 8 bytes; the width after the
-    widest of 8 bytes is read with ``int``.
+    The items are those of 1, 2, 4 and 8 bytes; no block is decoded at
+    the width after the widest of 8 bytes, whose lines the line reader
+    takes.
     """
     widths = {0, 1}
     for size in (1, 2, 4, 8):
@@ -629,12 +705,13 @@ def _scrambled_orders(rng, m, count):
 def test_order_codec_matches_the_reference_at_every_item_size(n):
     # hand-made orders at each width _item_widths gives: rendered as the
     # reference renders them, and every run of lines as rendered, the
-    # first, one alone and the last among them, decodes to its codes
-    base = corpus_certificate(BOOL, 2, 2)
+    # first, one alone and the last among them, decodes to its codes, or
+    # past 8 bytes is left to the line reader
+    base = dataclasses.replace(corpus_certificate(BOOL, 1, 3), semiring_size=n, x=1)
     rng = random.Random(f"items {n}")
     for width in _item_widths(n):
         for order in _scrambled_orders(rng, n ** width, 40):
-            cert = dataclasses.replace(base, semiring_size=n, d=1, x=width, order=order)
+            cert = with_order(dataclasses.replace(base, d=width), order)
             text = render_certificate(cert)
             assert_same_text(text, render_reference(cert))
             lines = text.split("\n")
@@ -642,7 +719,8 @@ def test_order_codec_matches_the_reference_at_every_item_size(n):
             for start, stop in [(0, 40), (0, 1), (13, 29), (39, 40)]:
                 block = "\n".join(lines[first + start:first + stop])
                 codes = certfile._block_codes(block, stop - start, width, n)
-                assert codes == list(order[start:stop]), (width, start)
+                expected = list(order[start:stop]) if n ** width <= 256 ** 8 else None
+                assert codes == expected, (width, start)
 
 
 @pytest.mark.parametrize("parse_block, render_block", [(None, None), (1, 1), (23, 3), (100, 7)])
@@ -654,14 +732,14 @@ def test_scrambled_orders_of_the_full_count_parse_as_the_reference_parses_them(
     if parse_block is not None:
         monkeypatch.setattr(certfile, "_PARSE_BLOCK", parse_block)
         monkeypatch.setattr(certfile, "_RENDER_BLOCK", render_block)
-    base = corpus_certificate(BOOL, 2, 2)
+    base = dataclasses.replace(corpus_certificate(BOOL, 1, 3), x=1)
     rng = random.Random(f"scrambled {parse_block}")
     for n, width in [(2, 0), (2, 1), (2, 7), (3, 5), (4, 4), (5, 3), (7, 3), (9, 2), (10, 3)]:
         m = n ** width
         orders = [tuple(rng.sample(range(m), m)), tuple(reversed(range(m))),
                   tuple(rng.randrange(m) for _ in range(m))]
         for order in orders:
-            cert = dataclasses.replace(base, semiring_size=n, d=1, x=width, order=order)
+            cert = with_order(dataclasses.replace(base, semiring_size=n, d=width), order)
             text = render_certificate(cert)
             assert_same_text(text, render_reference(cert))
             parsed = parse_certificate(text)
@@ -670,25 +748,33 @@ def test_scrambled_orders_of_the_full_count_parse_as_the_reference_parses_them(
 
 
 # tracemalloc peaks, in bytes, of render_certificate and parse_certificate
-# at boolean 4/4 (a file of 2,228,553 bytes) under the codec that wrote a
-# block with one % format and read each line with one int(digits, n)
+# on the format 2 boolean 4/4 pad file (2,228,553 bytes, all but 329 of
+# them its order section) under the codec that wrote a block with one %
+# format and read each line with one int(digits, n)
 FORMER_PEAKS = {"render": 4_466_850, "parse": 2_916_379}
+
+
+def _take_order(cert, section):
+    return certfile._Reader(section).take_order(
+        len(cert.order), cert.d * cert.x,
+        certfile._order_base(cert.semiring_size, cert.d * cert.x, len(cert.order)))
 
 
 def test_the_order_codec_stays_within_a_tenth_of_its_former_peak_memory():
     # the section is held as a few large strings, not one per group of
-    # lines, and a parsed block's temporaries stay small beside the text
-    cert = corpus_certificate(BOOL, 4, 4)
-    text = render_certificate(cert)
-    assert parse_certificate(text) == cert
+    # lines, and a parsed block's temporaries stay small beside the text:
+    # the order section of boolean 4/4, written and read alone
+    cert = order_certificate(BOOL, 4, 4)
+    section = "".join(certfile._order_blocks(cert))
+    assert _take_order(cert, section) == cert.order
     # kept as the ~4,600 strings of its groups, or joined only at the
     # end, the section would raise the tracemalloc peak by only about 3%,
     # so its strings are counted and measured in lines
     blocks = certfile._order_blocks(cert)
     assert len(blocks) <= len(cert.order) // certfile._RENDER_BLOCK + 1
     assert max(block.count("\n") for block in blocks) < 2 * certfile._RENDER_BLOCK
-    for name, call, arg in [("render", render_certificate, cert),
-                            ("parse", parse_certificate, text)]:
+    for name, call, arg in [("render", lambda c: "".join(certfile._order_blocks(c)), cert),
+                            ("parse", lambda t: _take_order(cert, t), section)]:
         gc.collect()
         tracemalloc.start()
         try:
@@ -716,9 +802,17 @@ def test_render_refuses_a_code_outside_the_hom_set(n, d, x, order):
             render_reference(cert)
 
 
+def test_render_refuses_a_pad_certificate_that_holds_an_order():
+    # a pad file has no order section, so the order would be dropped
+    cert = dataclasses.replace(corpus_certificate(BOOL, 2, 2), order=(0,))
+    for render in (render_certificate, render_reference):
+        with pytest.raises(ValueError, match="^a pad certificate holds no order$"):
+            render(cert)
+
+
 def _wide_line(text, size, width, entry, count=1):
     """``text`` with one ``f`` line of ``width`` entries, for d = 1, x = width and ``count``."""
-    start, end = text.index("\nf ") + 1, text.index("\nfactor") + 1
+    start, end = text.index("\nf ") + 1, text.index("\nblock 0\n") + 1
     head = (text[:start].replace("\nsemiring-size 2\n", f"\nsemiring-size {size}\n")
             .replace("\nd 2\n", "\nd 1\n").replace("\nx 2\n", f"\nx {width}\n")
             .replace("\norder 16\n", f"\norder {count}\n"))
@@ -728,8 +822,7 @@ def _wide_line(text, size, width, entry, count=1):
 def test_hostile_order_headers_parse_in_bounded_memory():
     # the header's count, size and d*x size nothing: the text runs out
     # first, and an order whose count is not n^(d*x) is never decoded
-    text = render_certificate(corpus_certificate(BOOL, 2, 2))
-    wide = render_certificate(corpus_certificate(BOOL, 4, 4))
+    text = render_certificate(order_certificate(BOOL, 2, 2))
     hostile = [text.replace(old, new) for old, new in [
         ("\norder 16\n", "\norder 1000000000000\n"),
         ("\nd 2\n", "\nd 1000000000\n"),
@@ -745,9 +838,13 @@ def test_hostile_order_headers_parse_in_bounded_memory():
     # a one-element semiring's line, a block alone, which int cannot read
     hostile += [_wide_line(text, size, width, 0, size ** width)
                 for size, width in [(3, 4301), (9, 4500), (2, 14000), (1, 3000)]]
-    # n^(d*x) far above the count, on a wide certificate
-    hostile += [wide.replace("\nsemiring-size 2\n", f"\nsemiring-size {size}\n")
-                for size in (3, 10 ** 400)]
+    # n^(d*x) far above the count, on boolean 4/4's wide order section
+    wide = "".join(certfile._order_blocks(order_certificate(BOOL, 4, 4))) + "block 0\n"
+    for size in (3, 10 ** 400):
+        start = time.perf_counter()
+        outcome = _outcome(take_order(size, 16, 65536), wide)
+        assert time.perf_counter() - start < 2
+        assert outcome == _outcome(take_order_reference(size, 16, 65536), wide)
     # a construct section whose header sizes its matrices or counts
     construct = render_certificate(corpus_certificate(BOOL, 0, 3))
     hostile += [construct.replace(old, new) for old, new in [
@@ -783,22 +880,26 @@ def test_rendered_order_sections_never_parse_line_by_line(block, monkeypatch):
     order_code = certfile._order_code
     monkeypatch.setattr(certfile, "_order_code",
                         lambda *args: calls.append(args) or order_code(*args))
-    certs = [corpus_certificate(sr, d, x) for sr, d, x in CORPUS if sr.size <= 10]
+    certs = [order_certificate(sr, d, x) for sr, d, x in CORPUS if sr.size <= 10]
     for n in range(2, 11):
         sr = tropical_semiring(n - 2)
-        certs += [corpus_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
+        certs += [order_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
     for n, d, x in [(2, 3, 3), (3, 3, 2), (5, 1, 4), (7, 2, 2), (10, 1, 3)]:
-        certs.append(corpus_certificate(tropical_semiring(n - 2), d, x))
-    # and in bases 11-36, whose entries take one or two digits
-    certs += [corpus_certificate(sr, d, x) for sr, d, x in CORPUS if sr.size > 10]
-    for n in range(11, 37):
-        sr = tropical_semiring(n - 2)
-        certs += [corpus_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
-    for n, d, x in [(11, 1, 3), (16, 1, 3), (36, 1, 2)]:
-        certs.append(corpus_certificate(tropical_semiring(n - 2), d, x))
+        certs.append(order_certificate(tropical_semiring(n - 2), d, x))
     for cert in certs:
         assert parse_certificate(render_certificate(cert)).order == cert.order
     assert calls == []
+    # bases 11-36, whose entries take one or two digits, are read line by
+    # line, to the same codes
+    certs = [order_certificate(sr, d, x) for sr, d, x in CORPUS if sr.size > 10]
+    for n in range(11, 37):
+        sr = tropical_semiring(n - 2)
+        certs += [order_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
+    for n, d, x in [(11, 1, 3), (16, 1, 3), (36, 1, 2)]:
+        certs.append(order_certificate(tropical_semiring(n - 2), d, x))
+    for cert in certs:
+        assert parse_certificate(render_certificate(cert)).order == cert.order
+    assert len(calls) == sum(len(cert.order) for cert in certs)
 
 
 @pytest.mark.parametrize("block", [1, 5, 12, None])
@@ -818,13 +919,14 @@ def test_rendered_order_sections_never_parse_line_by_line(block, monkeypatch):
     "f 10 10\nf 9 ١٠\nf 10 9\n",
 ], ids=lambda order: repr(order))
 def test_spelled_order_blocks_match_the_reference_on_crafted_sections(order, block, monkeypatch):
-    # the first three lines of a base-11 order section, each breaking one
-    # premise of a spelled block: a break or an f out of place, a
-    # spelling int reads but the renderer never writes, an entry past
-    # the base, a stray space, tab, comment or blank line
+    # the first three lines of a base-11 order section, two-digit
+    # spellings among them, each line breaking one premise of a rendered
+    # line: a break or an f out of place, a spelling int reads but the
+    # renderer never writes, an entry past the base, a stray space, tab,
+    # comment or blank line
     if block is not None:
         monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
-    cert = corpus_certificate(TROP9, 1, 2)
+    cert = order_certificate(TROP9, 1, 2)
     text = render_certificate(cert)
     rendered = "f 10 10\nf 9 10\nf 10 9\n"
     assert rendered in text
@@ -848,6 +950,45 @@ def test_rendered_construct_sections_never_parse_line_by_line(sr, d, x, monkeypa
     cert = corpus_certificate(sr, d, x)
     assert parse_certificate(render_certificate(cert)) == cert
     assert calls == []
+
+
+def _block_mutants(cert, rng):
+    """``cert`` with one entry changed in one of s, left and right of a block, each in turn.
+
+    The change is made at the first block of each distinct one, so the
+    blocks that shared it keep their rows: the row products of the
+    unchanged blocks are formed as well.
+    """
+    n = cert.semiring_size
+    for blk, k in {blk: k for k, blk in reversed(list(enumerate(cert.blocks)))}.items():
+        for name in ("s", "left", "right"):
+            m = blk.s if name == "s" else getattr(blk.factor, name)
+            if not (m.src and m.dst):
+                continue
+            rows = [list(row) for row in m.entries]
+            i, j = rng.randrange(m.src), rng.randrange(m.dst)
+            rows[i][j] = (rows[i][j] + rng.randrange(1, n)) % n
+            changed = Morphism(m.src, m.dst, tuple(map(tuple, rows)))
+            new = (dataclasses.replace(blk, s=changed) if name == "s" else dataclasses.replace(
+                blk, factor=dataclasses.replace(blk.factor, **{name: changed})))
+            yield dataclasses.replace(cert, blocks=cert.blocks[:k] + (new,) + cert.blocks[k + 1:])
+
+
+@pytest.mark.parametrize("sr, d, x", CONSTRUCT_CORPUS,
+                         ids=[f"{'boolean' if sr.size == 2 else f'tropical{sr.size - 2}'}-{d}-{x}"
+                              for sr, d, x in CONSTRUCT_CORPUS])
+def test_shared_row_products_match_product_is_on_every_block_mutant(sr, d, x):
+    # factor-products forms each distinct pair of an E and a row of D
+    # once; product_is, block by block, is its reference
+    cert = corpus_certificate(sr, d, x)
+    mutants = list(_block_mutants(cert, random.Random(f"rows {d}/{x}/{sr.size}")))
+    assert len(mutants) == 3 * len(set(cert.blocks))
+    verdicts = set()
+    for mutant in [cert, *mutants]:
+        verdict = one_pass_verdicts(sr, mutant)
+        assert verdict == per_block_verdicts(sr, mutant)
+        verdicts.add(verdict)
+    assert verdicts == {(True, True), (True, False)}
 
 
 def _block_lines(text):

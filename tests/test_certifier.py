@@ -526,47 +526,66 @@ def test_each_product_is_composed_once(monkeypatch):
     assert len(packed) == 2 and actions == [] and composes == []
 
 
-def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
-    # boolean 4/4, m = 65536: the identity check reads the 16 row codes;
-    # no target per element is formed and no element is decoded
+def refuse_calls(monkeypatch, *fns):
+    """Make every semimat module that binds one of ``fns`` raise when it is called."""
     def refuse(*args, **kwargs):
-        raise AssertionError("the pad branch swept the hom-set")
+        raise AssertionError("the pad branch swept or enumerated the hom-set")
 
-    for fn in (right_action, right_actions, code_images, action_matrix):
+    for fn in fns:
         for name, mod in list(sys.modules.items()):
             if name == "semimat" or name.startswith("semimat."):
                 for attr, value in list(vars(mod).items()):
                     if value is fn:
                         monkeypatch.setattr(mod, attr, refuse)
+    return refuse
+
+
+def test_pad_branch_never_sweeps_the_hom_set(monkeypatch):
+    # boolean 4/4, m = 65536: the identity check reads the 16 row codes;
+    # no target per element is formed and no element is decoded
+    refuse = refuse_calls(monkeypatch, right_action, right_actions, code_images, action_matrix)
     monkeypatch.setattr(HomEnumeration, "morphisms", property(refuse))
     cert = certify(BOOL, 4, 4, cap_hom=65536)
     report = verify_certificate(BOOL, cert, cap_hom=65536)
-    assert cert.branch == "pad" and len(cert.order) == 65536
+    assert cert.branch == "pad" and cert.order == ()
     assert report.passed and report.checks[-1] == ("identity-action-is-identity", True)
 
 
 @pytest.mark.parametrize("sr, d, x, cap", [(BOOL, 4, 4, 65536), (TROP1, 2, 4, 6561)],
                          ids=["boolean-4-4", "tropical1-2-4"])
-def test_pad_branch_reads_the_order_and_one_row_sweep(monkeypatch, sr, d, x, cap):
-    # the axioms make the identity act as the identity, so no command
-    # sweeps the identity's n^x rows, and none builds the inverse
-    # permutation of the m codes; an empty row-table cache means a row
+def test_pad_branch_never_enumerates_the_hom_set(monkeypatch, sr, d, x, cap):
+    # no pad check reads Hom(d, x), so certify and verify only compare
+    # its size with the cap, and the file holds no order; the axioms
+    # make the identity act as the identity, so no command sweeps the
+    # identity's n^x rows either; an empty row-table cache means a row
     # table earlier tests built cannot hide a sweep
-    homs = []
-
-    def recorded(*args, **kwargs):
-        homs.append(enumerate_hom(*args, **kwargs))
-        return homs[-1]
-
-    monkeypatch.setattr(certifier, "enumerate_hom", recorded)
+    refuse_calls(monkeypatch, enumerate_hom)
     row_table.cache_clear()
     sweeps = count_calls(monkeypatch, row_images)
     cert = certify(sr, d, x, cap_hom=cap)
-    assert cert.branch == "pad" and len(sweeps) == 0
-    report = verify_certificate(sr, parse_certificate(render_certificate(cert)), cap_hom=cap)
+    text = render_certificate(cert)
+    assert cert.branch == "pad" and cert.order == () and len(sweeps) == 0
+    assert "\norder " not in text and "\nf " not in text and len(text) < 1024
+    report = verify_certificate(sr, parse_certificate(text), cap_hom=cap)
     assert report.passed and len(sweeps) == 0
-    assert len(homs) == 2 and all("rank_of_code" not in vars(hom) for hom in homs)
+    assert [name for name, _ in report.checks] == ["y-matches", "branch-matches-bound",
+                                                   "recorded-checks-match", "layout",
+                                                   *PAD_CHECK_NAMES]
+    message = rf"^\|Hom\({d},{x}\)\| = {cap} exceeds cap {cap - 1}$"
+    with pytest.raises(CapExceededError, match=message):
+        certify(sr, d, x, cap_hom=cap - 1)
+    with pytest.raises(CapExceededError, match=message):
+        verify_certificate(sr, cert, cap_hom=cap - 1)
 
+
+def test_a_pad_certificate_that_holds_an_order_fails_layout():
+    # the file has no place for an order, so only an object can hold one,
+    # the canonical order among them
+    cert = certify(BOOL, 2, 2)
+    for order in [(0,), enumerate_hom(BOOL, 2, 2).codes]:
+        report = verify_certificate(BOOL, dataclasses.replace(cert, order=order))
+        assert report.failures == ("layout",)
+        assert_ends_at_first_failure(report)
 
 def forged_pad_text(x):
     """A boolean pad certificate for d = 0 with its x raised to ``x`` > y = 1.
@@ -613,6 +632,8 @@ def test_every_benchmark_tamper_kind_ends_at_its_first_failure(monkeypatch):
                     sr, parse_certificate(workloads.tamper(text, kind, case.source, rng)))
                 assert report.failures == (first_failure[kind],), (case.label, kind)
                 assert_ends_at_first_failure(report)
+                if kind == "f-swap":  # the benchmark's output: one pass line, one fail
+                    assert report.checks == (("y-matches", True), ("order-canonical", False))
 
 
 def hostile_certificate(x, seed):
@@ -708,6 +729,13 @@ def test_certificate_records_the_branch_check_list(sr, d, x, names):
     cert = certify(sr, d, x)
     assert [name for name, _ in cert.checks] == list(names)
     assert all(ok for _, ok in cert.checks)
+    # verify's report: a construct file's order is checked before its
+    # branch, as format 2 did; a pad file has no order to check
+    order = ["order-canonical"] if cert.branch == "construct" else []
+    report = verify_certificate(sr, cert)
+    assert report.passed
+    assert [name for name, _ in report.checks] == ["y-matches", *order, "branch-matches-bound",
+                                                   "recorded-checks-match", "layout", *names]
     if cert.branch == "construct":
         hom = enumerate_hom(sr, d, x)
         mats = [action_matrix(sr, blk.s, hom) for blk in cert.blocks]
@@ -923,9 +951,9 @@ def test_every_inflating_single_token_mutant_is_upper_triangular():
 
 
 def test_every_single_token_mutation_of_a_pad_certificate_is_rejected():
-    # the pad branch's file is mostly its order section, read in blocks
+    # the pad branch's file is its header, its factor pair and its checks
     cert = certify(BOOL, 2, 2)
     mutants = list(_single_token_mutants(render_certificate(cert)))
-    assert sum(keyword == "f" for keyword, _ in mutants) == 16 * 5
-    assert len(mutants) == 117
+    assert not any(keyword in ("order", "f") for keyword, _ in mutants)
+    assert len(mutants) == 35
     assert _accepted_mutants(BOOL, cert, mutants) == []

@@ -388,12 +388,12 @@ TROP1_ARGS = ["--builtin", "tropical", "--tropical-n", "1"]
 
 
 @pytest.mark.parametrize("args, d, x, old, new", [
-    (["--builtin", "boolean"], 1, 2, "f 1 0", "f 0 2"),
-    (["--builtin", "boolean"], 1, 2, "f 0 1", "f 1 -1"),
-    (["--builtin", "boolean"], 2, 2, "f 0 0 0 1", "f 0 0 1 -1"),
-    (TROP1_ARGS, 1, 2, "f 1 0", "f 0 3"),
-    (TROP1_ARGS, 1, 2, "f 0 2", "f 1 -1"),
-], ids=["boolean-2", "boolean-minus-1", "boolean-2-2-minus-1", "tropical1-3",
+    (["--builtin", "boolean"], 1, 3, "f 0 1 0", "f 0 0 2"),
+    (["--builtin", "boolean"], 1, 3, "f 0 0 1", "f 0 1 -1"),
+    (["--builtin", "boolean"], 2, 5, "f" + " 0" * 9 + " 1", "f" + " 0" * 8 + " 1 -1"),
+    (TROP1_ARGS, 1, 4, "f 0 0 1 0", "f 0 0 0 3"),
+    (TROP1_ARGS, 1, 4, "f 0 0 0 2", "f 0 0 1 -1"),
+], ids=["boolean-2", "boolean-minus-1", "boolean-2-5-minus-1", "tropical1-3",
         "tropical1-minus-1"])
 def test_an_out_of_range_entry_never_carries_into_another_code(args, d, x, old, new,
                                                                tmp_path, capsys):
@@ -411,23 +411,19 @@ def test_an_out_of_range_entry_never_carries_into_another_code(args, d, x, old, 
     assert [line.split()[0] for line in lines if line.endswith(" fail")] == ["order-canonical"]
 
 
-def _without_order(text):
-    return "".join(line for line in text.splitlines(True) if not line.startswith("f "))
-
-
-@pytest.mark.parametrize("edit, code", [
-    (lambda t: t.replace("\nsemiring-size 2\n", "\nsemiring-size 1000000000000\n"), 2),
-    (lambda t: t.replace("\norder 16\n", "\norder 1000000000000\n"), 2),
-    (lambda t: t.replace("\nd 2\nx 2\n", "\nd 1000000000\nx 1000000000\n"), 2),
-    (lambda t: _without_order(t).replace("\nd 2\nx 2\ny 4\nbranch pad\norder 16\n",
-                                         "\nd 1000000000\nx 1000000000\ny 4\nbranch pad"
-                                         "\norder 0\n"), 1),
+@pytest.mark.parametrize("d, x, edit, code", [
+    (2, 2, lambda t: t.replace("\nsemiring-size 2\n", "\nsemiring-size 1000000000000\n"), 2),
+    (1, 3, lambda t: t.replace("\norder 8\n", "\norder 1000000000000\n"), 2),
+    (1, 3, lambda t: t.replace("\nd 1\nx 3\n", "\nd 1000000000\nx 1000000000\n"), 2),
+    (2, 2, lambda t: t.replace("\nd 2\nx 2\ny 4\nbranch pad\n",
+                               "\nd 1000000000\nx 1000000000\ny 4\nbranch pad\n"), 1),
 ], ids=["semiring-size", "order", "d-and-x", "d-and-x-no-order"])
-def test_verify_refuses_hostile_headers_cheaply(edit, code, tmp_path, capsys):
+def test_verify_refuses_hostile_headers_cheaply(d, x, edit, code, tmp_path, capsys):
     # no header field sizes a table, a list or a loop: the file's own
-    # lines run out, or a cheap check fails, first
+    # lines run out, or a cheap check fails, first; a pad file (2/2) has
+    # no order section, a construct one (1/3) has
     out = tmp_path / "cert.txt"
-    text = render_certificate(certify(boolean_semiring(), 2, 2))
+    text = render_certificate(certify(boolean_semiring(), d, x))
     assert edit(text) != text
     out.write_text(edit(text))
     start = time.perf_counter()
@@ -435,6 +431,74 @@ def test_verify_refuses_hostile_headers_cheaply(edit, code, tmp_path, capsys):
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert ("INVALID" in captured.out) if code == 1 else ("error:" in captured.err)
+
+
+def _pad_with_order(text):
+    """Boolean 1/1's pad file with the order section a format 2 file held."""
+    assert "\nbranch pad\nfactor 1 1 1\n" in text
+    return text.replace("\nbranch pad\n", "\nbranch pad\norder 2\nf 0\nf 1\n")
+
+
+def _format_2(text):
+    return text.replace(f"semimat-certificate {FORMAT_VERSION}\n", "semimat-certificate 2\n", 1)
+
+
+@pytest.mark.parametrize("x, edit, error", [
+    (3, _format_2, "error: line 1: unsupported certificate version '2'\n"),
+    (1, lambda t: _format_2(_pad_with_order(t)),
+     "error: line 1: unsupported certificate version '2'\n"),
+    (1, _pad_with_order, "error: line 8: expected 'factor', got 'order'\n"),
+], ids=["format-2-construct", "format-2-pad", "format-3-pad-with-order"])
+def test_verify_refuses_format_2_and_a_pad_order_section(x, edit, error, tmp_path, capsys):
+    # the files boolean 1/3 and 1/1 had in format 2 are refused, as
+    # format 1 files are, with no fallback reader; a format 3 pad file
+    # has no place for an order section
+    out = tmp_path / "cert.txt"
+    out.write_text(edit(render_certificate(certify(boolean_semiring(), 1, x))))
+    assert main(["verify", str(out), "--builtin", "boolean"]) == 2
+    assert capsys.readouterr() == ("", error)
+
+
+# the pad instances at |Hom(d, x)| = cap, and the SHA-256 of certify's
+# report on stdout (--out pad.cert), recorded while pad certificates
+# still held the order section: the report reads the same without it
+PAD_WIDE = {
+    "boolean-4-4": (["--builtin", "boolean"], 4, 4, 65536,
+                    "59054ce87a74cb135c4a2489ad6becd53399a70dd08d5c73e03e5b5b3ca06f73"),
+    "tropical1-2-4": (TROP1_ARGS, 2, 4, 6561,
+                      "476253e5c1a81236eaaf8a3d8029514b00f12944ad529d1f53867e651433be30"),
+}
+
+
+@pytest.mark.parametrize("args, d, x, cap, digest", PAD_WIDE.values(), ids=list(PAD_WIDE))
+def test_pad_certify_report_is_pinned(args, d, x, cap, digest, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["certify", *args, "-d", str(d), "-x", str(x), "--cap-hom", str(cap),
+                 "--out", "pad.cert"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+    assert f"hom-set size: {cap}   " in out
+    assert main(["verify", "pad.cert", *args, "--cap-hom", str(cap), "--quiet"]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
+@pytest.mark.parametrize("args, d, x, cap, digest", PAD_WIDE.values(), ids=list(PAD_WIDE))
+def test_pad_instances_above_the_hom_cap_exit_3(args, d, x, cap, digest, tmp_path, capsys):
+    # neither command enumerates Hom(d, x) in the pad branch, and both
+    # still refuse it past the cap, with the message they always gave
+    out = tmp_path / "pad.cert"
+    assert main(["certify", *args, "-d", str(d), "-x", str(x), "--cap-hom", str(cap),
+                 "--out", str(out), "--quiet"]) == 0
+    for argv in (["certify", *args, "-d", str(d), "-x", str(x), "--cap-hom", str(cap - 1),
+                  "--out", str(tmp_path / "never.cert")],
+                 ["verify", str(out), *args, "--cap-hom", str(cap - 1)]):
+        assert main(argv) == 3
+        error = f"error: |Hom({d},{x})| = {cap} exceeds cap {cap - 1}\n"
+        assert capsys.readouterr() == ("", error)
+    assert not (tmp_path / "never.cert").exists()
+    if cap > 4096:  # the default cap
+        assert main(["certify", *args, "-d", str(d), "-x", str(x), "--quiet"]) == 3
+        assert capsys.readouterr().err == f"error: |Hom({d},{x})| = {cap} exceeds cap 4096\n"
 
 
 @pytest.mark.parametrize("command", ["certify", "oracle"])
