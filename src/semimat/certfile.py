@@ -15,16 +15,15 @@ and a pad file with an ``order`` line is refused.  Its parsed
 A construct certificate has the order section, one ``f`` line per
 element of Hom(d, x), before its blocks.  Each line is the element's
 code (see ``matcat``) written as its d*x base-n digits, and the parsed
-order holds codes, never entry tuples.  It is written a run of lines
-with one high digit half per ``str.join``, and read a block at a time
-at C speed, a digit column at a time, in bases 2-10 with codes of at
-most 64 bits.  Any other line (a comment, a blank line, a defect, an
-out-of-range entry, another spelling, a base above 10, a wider code)
-is read line by line under the same rules as every other line, which
-raises the first bad line's error.  Entries there decode through a
-small table of the canonical spellings that falls back to ``int``, so
-every spelling ``int`` accepts (``01``, ``+1``, ``1_0``, other
-scripts' digits) still parses.
+order holds codes, never entry tuples.  It is written with one ``%``
+format per line.  A section whose lines are all as rendered, in a base
+from 2 to 10, is read at once, each line with one ``int(digits, n)``.
+Any other section (a comment, a blank line, a defect, an out-of-range
+entry, another spelling, a base above 10) is read line by line under
+the same rules as every other line, which raises the first bad line's
+error.  Entries there decode through a small table of the canonical
+spellings that falls back to ``int``, so every spelling ``int`` accepts
+(``01``, ``+1``, ``1_0``, other scripts' digits) still parses.
 
 The construct section after the order is read a section at a time in
 the same way: the m blocks at once, then the ``c`` lines, the ``diag``
@@ -54,13 +53,12 @@ the header's n, d and x.
 from __future__ import annotations
 
 import re
-import sys
 from fractions import Fraction
-from itertools import groupby, product, repeat
+from itertools import repeat
 
 from .certifier import CertBlock, Certificate, Factorization
 from .errors import ParseError
-from .matcat import ITEM_FORMATS, Morphism, field_size, morphisms_from_bytes, power_exceeds
+from .matcat import Morphism, morphisms_from_bytes, power_exceeds
 from .semiring import MAX_VERIFY_SIZE
 
 FORMAT_MAGIC = "semimat-certificate"
@@ -68,12 +66,6 @@ FORMAT_VERSION = 3
 _FRACTION = r"-?[0-9]+(/[0-9]+)?"  # p or p/q, as render_certificate writes them
 # str.splitlines breaks lines at these as well as at "\n"
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# order lines per rendered block, and characters per parsed block: both
-# bound the temporaries of one block
-_RENDER_BLOCK = 1024
-_PARSE_BLOCK = 65536
-# texts of low digit halves the renderer tabulates, at most
-_DIGIT_TABLE = 4096
 # what a parsed f line holds when it is no code of Hom(d, x)
 NO_CODE = -1
 _DIGITS = b"0123456789"
@@ -109,7 +101,8 @@ def render_certificate(cert: Certificate) -> str:
     """Canonical text form of a certificate.
 
     ValueError for a pad certificate that holds an order, which the text
-    has no place for.
+    has no place for, and for a certificate that lacks its branch's
+    data: a pad one its factor pair, a construct one det X.
     """
     head = [f"{FORMAT_MAGIC} {FORMAT_VERSION}",
             f"semiring-size {cert.semiring_size}",
@@ -119,15 +112,18 @@ def render_certificate(cert: Certificate) -> str:
             f"y {cert.y}",
             f"branch {cert.branch}"]
     out = []
-    order = []
+    order = ""
     if cert.branch == "pad":
-        assert cert.pad is not None
+        if cert.pad is None:
+            raise ValueError("a pad certificate needs a factor pair")
         if cert.order:
             raise ValueError("a pad certificate holds no order")
         _emit_factor(out, cert.pad)
     else:
+        if cert.det_x is None:
+            raise ValueError("a construct certificate needs det X")
         head.append(f"order {len(cert.order)}")
-        order = _order_blocks(cert)
+        order = _order_text(cert)
         for i, blk in enumerate(cert.blocks):
             out.append(f"block {i}")
             out.append(("s " + _matrix_text(blk.s)).rstrip())
@@ -141,44 +137,22 @@ def render_certificate(cert: Certificate) -> str:
     for name, ok in cert.checks:
         out.append(f"check {name} {'pass' if ok else 'fail'}")
     out.append("end\n")
-    return "".join(["\n".join([*head, ""]), *order, "\n".join(out)])
+    return "".join(["\n".join([*head, ""]), order, "\n".join(out)])
 
 
-def _order_blocks(cert: Certificate) -> list[str]:
-    """The ``f`` lines of ``cert.order``, joined about ``_RENDER_BLOCK`` lines per string.
+def _order_text(cert: Certificate) -> str:
+    """The ``f`` lines of ``cert.order``: each code's d*x base-n digits, most significant first.
 
-    Line i holds the d*x base-n digits of code i, most significant
-    first, in two halves; the low one, at most half the digits and
-    ``_DIGIT_TABLE`` texts, is tabulated with its break.  A run of codes
-    with one high half (in the canonical order, one height's run of low
-    halves) is one join of their low texts by ``f`` and the high half,
-    built once per distinct value.  ValueError for a code outside
-    range(n^(d*x)), whose digits would carry or run short.
+    ValueError for a code outside range(n^(d*x)), whose digits would
+    carry or run short.
     """
     codes, n, width = cert.order, cert.semiring_size, cert.d * cert.x
-    if n < 1 and codes:
+    if codes and (n < 1 or min(codes) < 0 or not power_exceeds(n, width, max(codes))):
         raise ValueError(f"order holds a code outside range({n}^{width})")
-    # n^k > _DIGIT_TABLE for every larger k unless n = 1, where any k serves
-    low = max((k for k in range(1, min((width + 1) // 2, _DIGIT_TABLE.bit_length()) + 1)
-               if n ** k <= _DIGIT_TABLE), default=0)
-    high_digits, base = width - low, n ** low
-    texts = [" %d" * low % chunk + "\n" for chunk in product(range(n), repeat=low)]
-    heads, blocks, pieces, lines = {}, [], [], 0  # heads: "f" and each high half's text
-    for high, group in groupby(codes, base.__rfloordiv__):
-        head = heads.get(high)
-        if head is None:
-            if high < 0 or not power_exceeds(n, high_digits, high):
-                raise ValueError(f"order holds a code outside range({n}^{width})")
-            head = heads[high] = "f" + " %d" * high_digits % tuple(
-                high // n ** i % n for i in reversed(range(high_digits)))
-        lows = list(map(base.__rmod__, group))
-        pieces += head, head.join(map(texts.__getitem__, lows))
-        lines += len(lows)
-        if lines >= _RENDER_BLOCK:
-            blocks.append("".join(pieces))
-            pieces.clear()
-            lines = 0
-    return [*blocks, "".join(pieces)]
+    powers = [n ** i for i in reversed(range(width))]
+    digits = [[code // p % n for code in codes] for p in powers]  # one list per digit
+    line = "f" + " %d" * width + "\n"
+    return "".join(map(line.__mod__, zip(*digits))) if width else line * len(codes)
 
 
 def _order_base(n: int, width: int, count: int) -> int | None:
@@ -388,82 +362,27 @@ class _Reader:
     def take_order(self, count: int, width: int, base: int | None) -> tuple[int, ...]:
         """``count`` lines ``f`` followed by ``width`` entries, as codes read in ``base``.
 
-        A block is the whole lines that end within about ``_PARSE_BLOCK``
-        characters, cut at the section's last line when the section ends
-        sooner.  One that is all order lines as rendered decodes at once
-        (see ``_block_codes``); any other, with a comment, a blank line,
-        a defect, an out-of-range entry or another spelling, in a base
-        above 10 or with codes past 64 bits, is taken line by line, which
-        skips blank and comment lines, raises the first bad line's error
-        and decodes each line alone (see ``_order_code``).
+        A section whose lines are all as rendered (see ``_rendered_text``)
+        with digits below ``base``, a base from 2 to 10, is read at once:
+        each line is one ``int`` of its digits, and a line of width 0 is
+        code 0.  Any other section, with a comment, a blank line, a defect,
+        an out-of-range entry or another spelling, or in a base above 10,
+        goes to the line reader from its first line, which skips blank and
+        comment lines, raises the first bad line's error and decodes each
+        line alone (see ``_order_code``).
         """
-        order: list[int] = []
-        text = self.text
-        while len(order) < count:
-            start, due = self.pos, count - len(order)
-            stop = text.find("\n", start + _PARSE_BLOCK)
-            if stop < 0:
-                stop = len(text)
-            block = text[start:stop]
-            lines = block.count("\n") + 1
-            if lines > due:
-                # the section ends in the block: cut it where its last line
-                # ends, found from a rendered line's length
-                stop = start + due * (2 * width + 2) - 1
-                lines = due
-                block = text[start:stop] if text[stop:stop + 1] in ("", "\n") else ""
-            codes = _block_codes(block, lines, width, base)
-            if codes is None:
-                for _ in range(lines):
-                    lineno, rest = self.take("f")
-                    order.append(_order_code(lineno, rest, width, base))
+        lines = self._lines(count)
+        if (lines is not None and base is not None and 2 <= base <= 10
+                and (lines == ["f"] * count if width == 0
+                     else _rendered_text("f", 1, width, lines) is not None)):
+            try:  # int refuses a digit past the base: that line is no code
+                codes = tuple([int(line[2::2] or "0", base) for line in lines])  # width 0: 0
+            except ValueError:
+                pass
             else:
-                order.extend(codes)
-                self.pos, self.lineno = stop + 1, self.lineno + lines
-        return tuple(order)
-
-
-def _block_codes(block: str, lines: int, width: int, base: int | None) -> list[int] | None:
-    """The codes of ``block`` if it is ``lines`` lines exactly as rendered, else None.
-
-    In a base from 2 to 10 such a line is ``f`` and ``width`` digits
-    below ``base``, each after one space: spaces and breaks at odd
-    offsets, ``f`` and the digits at even ones, which must be ASCII
-    (``isascii`` also keeps a lone surrogate from ``encode``) and, with
-    the digits below ``base`` deleted, just the lines' ``f``: no digit
-    carries, and no ``_`` or other script's digit is read.  Column j of
-    the digit values is one strided slice, an int with a byte per line.
-    Horner's rule joins each group of k columns, base^k <= 256, so no
-    byte carries, then the groups in lanes of the 1-, 2-, 4- or 8-byte
-    item that holds base^width, which one ``memoryview.cast`` reads.
-    None outright for a base outside 2..10, and for codes past 8 bytes,
-    which the line reader takes: a canonical order of such codes has
-    more than 2^64 lines, and in a base above 10 a construct file has
-    d = 0 and one line, or x > n^d >= 11 and at least 11^12 lines.
-    """
-    if base is None or not 2 <= base <= 10:
-        return None
-    size = field_size((base ** width - 1).bit_length())
-    even = block[::2]
-    if (size is None or len(block) != lines * (2 * width + 2) - 1
-            or block[1::2] != ((" " * width + "\n") * lines)[:-1]
-            or even[::width + 1] != "f" * lines or not even.isascii()):
-        return None
-    data = even.encode("ascii")
-    if data.translate(None, _DIGITS[:base]) != b"f" * lines:
-        return None
-    values, order, codes = data.translate(_VALUE), sys.byteorder, 0
-    k = max(k for k in range(1, 9) if base ** k <= 256)
-    # each lane's low byte, in the platform's order, which cast reads
-    wide, low = bytearray(lines * size), 0 if order == "little" else size - 1
-    for first in range(1, width + 1, k):
-        columns = range(first, min(first + k, width + 1))
-        group = 0
-        for j in columns:
-            group = group * base + int.from_bytes(values[j::width + 1], order)
-        wide[low::size] = group.to_bytes(lines, order)
-        codes = codes * base ** len(columns) + int.from_bytes(wide, order)
-    return memoryview(codes.to_bytes(lines * size, order)).cast(ITEM_FORMATS[size]).tolist()
+                self._skip(lines)
+                return codes
+        return tuple(_order_code(*self.take("f"), width, base) for _ in range(count))
 
 
 def _plain_int(token: str) -> int | None:
@@ -528,28 +447,42 @@ def _rendered_matrices(keyword: str, rows: int, cols: int,
                        lines: list[str]) -> list[Morphism] | None:
     """The ``rows``-by-``cols`` matrix of each of ``lines`` if all are as rendered, one digit each.
 
-    Such a line is ``keyword``, a space, and the rows joined by `` ; ``,
-    each its entries joined by a space, so it has a fixed length.  The
-    lines joined by breaks must have that length times their count
-    before any layout is built, so a hostile shape allocates nothing
-    beyond the text.  One ``bytes.translate`` that marks each digit
-    must then give exactly the shape's layout, one per line between
-    breaks, marks in place of entries; a line holds no break, so each
-    has the shape's length.  A second one reads each digit's value, and
-    ``morphisms_from_bytes`` cuts the values into matrices.  None for any
-    other line, and for a shape with no entries, which has no such
-    layout; the line reader reads them.
+    ``_rendered_text`` checks the layout, one ``bytes.translate`` reads
+    each digit's value, and ``morphisms_from_bytes`` cuts the values into
+    matrices.  None otherwise; the line reader reads such lines.
     """
-    text = "\n".join(lines)
-    length = len(keyword) + 2 * rows * (cols + 1) - 1  # with a break
-    if rows < 1 or cols < 1 or len(text) != len(lines) * length - 1 or not text.isascii():
-        return None
-    data = text.encode("ascii")
-    layout = keyword + " " + " ; ".join([" ".join("\0" * cols)] * rows)
-    if data.translate(_MARK) != "\n".join([layout] * len(lines)).encode("ascii"):
+    data = _rendered_text(keyword, rows, cols, lines)
+    if data is None:
         return None
     values = data.translate(_VALUE, keyword.encode("ascii") + b" ;\n")
     return morphisms_from_bytes(rows, cols, values)
+
+
+def _rendered_text(keyword: str, rows: int, cols: int, lines: list[str]) -> bytes | None:
+    """``lines``, each with its break, as ASCII, if each is a ``rows``-by-``cols`` line as rendered.
+
+    Such a line is ``keyword``, a space, and the rows joined by `` ; ``,
+    each its one-digit entries joined by a space, so it has a fixed
+    length.  The text must have that length times the count of lines
+    before any layout is built, so a hostile shape allocates nothing
+    beyond the text.  One ``bytes.translate`` that marks each digit
+    must then give exactly the shape's layout, one per line, marks in
+    place of entries; a line holds no break, so each has the shape's
+    length.  None for any other line (``encode`` refuses any character
+    past ASCII, a lone surrogate too), and for a shape with no entries,
+    which has no such layout.
+    """
+    try:
+        data = "\n".join([*lines, ""]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    length = len(keyword) + 2 * rows * (cols + 1) - 1  # with its break
+    if rows < 1 or cols < 1 or len(data) != len(lines) * length:
+        return None
+    layout = keyword + " " + " ; ".join([" ".join("\0" * cols)] * rows) + "\n"
+    if data.translate(_MARK) != layout.encode("ascii") * len(lines):
+        return None
+    return data
 
 
 def _parse_factor(reader: _Reader) -> Factorization:

@@ -8,8 +8,8 @@ Every operation is pure and every value immutable.
 Hom-sets are enumerated in a fixed total order (ascending entry-height sum,
 ties broken by the row-major entry vector).  Because a strictly dominated
 matrix has a strictly smaller height sum, this order is a linear extension
-of the entrywise dominance order.  ``enumerate_hom`` builds it one total
-height at a time from the two halves of a code's digits, with no sort.
+of the entrywise dominance order.  ``enumerate_hom`` sorts the codes by
+height sum, which a stable sort leaves in code order within a height.
 
 Hom(d, x) is every d-by-x matrix, so it is coded without a lookup table.
 A row is coded as the base-n integer of its entries, first column most
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import itertools
 import sys
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import lshift
@@ -226,9 +225,9 @@ class HomEnumeration:
 
     Elements are held as codes only (the entry vector read in base n).
     ``codes[i]`` is the code of rank i, so ``codes`` is the order, and
-    the only table ``enumerate_hom`` builds per hom-set; the construct
-    branch's ``order-canonical`` check reads it alone, and the pad
-    branch enumerates nothing.  The rest are built on first read:
+    the only table ``enumerate_hom`` builds, once per semiring and d*x;
+    the construct branch's ``order-canonical`` check reads it alone, and
+    the pad branch enumerates nothing.  The rest are built on first read:
     ``rank_of_code`` inverts ``codes`` (with int objects of its own),
     and ``morphisms`` decodes every code.  ``code_of_mask`` maps the
     packed mask of each row of width x (see ``row_images``) to its code;
@@ -287,61 +286,28 @@ def check_hom_cap(sr: Semiring, d: int, x: int, cap: int) -> None:
 def enumerate_hom(sr: Semiring, d: int, x: int, cap: int = DEFAULT_HOM_CAP) -> HomEnumeration:
     """Enumerate all |R|^(d*x) morphisms d -> x, sorted by (height sum, entry vector).
 
-    The order is built per height from two halves of each code's digits,
-    with no sort (see ``_order_plan``), and concatenated at C speed.
-
     Raises CapExceededError as ``check_hom_cap`` does.
     """
     if d < 0 or x < 0:
         raise ValueError(f"objects must be whole numbers, got d={d}, x={x}")
     check_hom_cap(sr, d, x, cap)
-    adders, runs = _order_plan(sr, d * x)
-    return HomEnumeration(d, x, sr, tuple(itertools.chain.from_iterable(map(map, adders, runs))))
+    return HomEnumeration(d, x, sr, _hom_order(sr, d * x))
 
 
 @lru_cache(maxsize=None)
-def _order_plan(sr: Semiring, width: int) -> tuple[tuple[Callable[[int], int], ...],
-                                                   tuple[tuple[int, ...], ...]]:
-    """The codes of ``width`` base-n digits in (height sum, code) order, as runs to concatenate.
+def _hom_order(sr: Semiring, width: int) -> tuple[int, ...]:
+    """The codes of ``width`` base-n digits in (height sum, code) order.
 
-    A code is its high digits times n^lo plus its ``lo`` low digits, so
-    its height sum is the sum of its two halves'.  For each total height
-    in turn, the walk goes through the high halves in ascending code
-    order, and each is followed by the low halves whose height sum makes
-    up the total, in ascending code order: that is ascending by (height
-    sum, code), and the code orders as the entry vector does.  Returns
-    the walk step by step: the adder (high * n^lo).__add__ and the run
-    of low halves it applies to.
-
-    With T + 1 totals (T is width times the greatest height), the walk
-    takes T + 1 steps per high half.  The low half takes digits while it
-    holds at most (T + 1)^2 times as many codes as the high half, so the
-    walk has about sqrt(n^width) steps and the low runs hold about
-    (T + 1) * sqrt(n^width) codes; a hom-set of at most (T + 1)^2
-    elements has no high digit.  Cached per semiring and width, as
-    ``row_table`` is, so a later call only concatenates.
+    The height sums of all codes are built one digit at a time, in code
+    order, and a stable sort by them breaks ties by code, which orders
+    as the entry vector does.  Cached per semiring and width, as
+    ``row_table`` is.
     """
-    n, height = sr.size, natural_order(sr).height
-    totals = max(height) * width + 1
-    lo = (width + 1) // 2
-    while lo < width and n ** (2 * lo + 2 - width) <= totals ** 2:
-        lo += 1
-    # sums[k]: the height sums of all codes of k digits, in code order,
-    # one digit at a time
-    sums = [[0]]
-    for _ in range(lo):
-        sums.append([t + h for t in sums[-1] for h in height])
-    groups: list[list[int]] = [[] for _ in range(max(height) * lo + 1)]
-    for code, h in enumerate(sums[lo]):
-        groups[h].append(code)
-    low_runs, span = tuple(map(tuple, groups)), n ** lo
-    adders, runs = [], []
-    for total in range(totals):
-        for high, h in enumerate(sums[width - lo]):
-            if 0 <= total - h < len(low_runs):
-                adders.append((high * span).__add__)
-                runs.append(low_runs[total - h])
-    return tuple(adders), tuple(runs)
+    height = natural_order(sr).height
+    sums = [0]
+    for _ in range(width):
+        sums = [t + h for t in sums for h in height]
+    return tuple(sorted(range(len(sums)), key=sums.__getitem__))
 
 
 def scaled_rows(sr: Semiring, rows) -> list[list[int]]:

@@ -11,6 +11,7 @@ vector with an entry outside range(n) has no code.
 
 import dataclasses
 import gc
+import hashlib
 import random
 import re
 import time
@@ -419,6 +420,64 @@ def test_block_codec_matches_the_reference_on_certify_output(sr, d, x):
     assert parse_certificate(text) == cert == parse_reference(text)
 
 
+# SHA-256 of the construct file certify writes at (d, x) = (0, 3) in
+# each base, and at (1, n + 1) where n^(n+1) <= 4096, pinned from the
+# files the block-at-a-time order codec wrote before the plain one
+CONSTRUCT_SHA256 = {
+    (2, 0, 3): "6b6498b2bec2fe01f597adb30936e347eb6bf6708a753466c94b59e32962b320",
+    (2, 1, 3): "d73fdd61375271f1ca3f37f1d1588722754e860713111ae6c86b02b6db2bed8f",
+    (3, 0, 3): "b91ef9ce9af14e78bdce175e6a63e006d9ac99a864cf2c7bf9b47f5ffb0a33cc",
+    (3, 1, 4): "e33409b1925c1487277461ea398b5e32071aa800ce8a3935c1014d72170837a8",
+    (4, 0, 3): "8092de0ddd40f73eec739e81a54c007e6b50786144b6e0d819fef82d9bba7b2c",
+    (4, 1, 5): "f5deff56e6f0d59c6d366e9d0f1742fa3ad5b3fc4cc664d216ba730e54e5133d",
+    (5, 0, 3): "b520bc908b339148f11321ae5a6fce5e7b92747a31ff4c521f369c29c4200e3f",
+    (6, 0, 3): "a93ed80c1396578ffc4f3340673db640ad2d21fe9273fa541f28e7e9f99079ec",
+    (7, 0, 3): "6fbcbec64485b1e348879f9437484f62530e90545423bb06fb8d4172bd62b167",
+    (8, 0, 3): "187ccdf635094d1df65924c7c9ae41ff83083db1b94bc7ab035ee79d5d754608",
+    (9, 0, 3): "f61964874c030e8fd5ff8154dce018c0ddcc844fb545e98e85867b4733a3313d",
+    (10, 0, 3): "9399641f4e8beb2193a179e929d592ebb37d9c9c6e3be0db455c459fd59e03cc",
+    (11, 0, 3): "791ee9b0c84c80d2ba02cd7b8a6f1c84a909b54816ff46b92f7478c4a3c5dd9a",
+    (12, 0, 3): "8c699d2465e5df45a2c0f26f4e2b7634204668cc4d21efb0dbf3f2b2007ed743",
+    (13, 0, 3): "69a354f549487a8f4559a758979a38d87d0d2841e01db84408fa5688a123e926",
+    (14, 0, 3): "3203479b203b61e7c0b677df7d9de2acb864fb9c0c20ab59058cae891be9a49c",
+    (15, 0, 3): "05472355432eeb001bb47a5c9d1215d2150e61792fcf1ae00db1546bf0189742",
+    (16, 0, 3): "54b88e17d4c4e4ddb1bd806a9418ddeb74f1c3f2cb9668f15b40dc7c2c6832a8",
+    (17, 0, 3): "7e7e8b1831c1d5899503958359007ca1a290c00adf7b92056ce9b5731c4a756a",
+    (18, 0, 3): "94ecb8cccb8194d30f5abd79e56fc4dba406f683e82ee23ba506214f465ba540",
+    (19, 0, 3): "17b161502153303d0fd4464663146f92acd4678d67849354780f1ac539fbac47",
+    (20, 0, 3): "e1faa12c6122252e843e4e8920785fbaef0ff67905d99f5bf3cad9049a52d56b",
+    (21, 0, 3): "19185bad4a54c6d3608b811d698ceeed4220b8fbb43696267fd53092f4e796d6",
+    (22, 0, 3): "1a9d807b9e0ec66b05dc2e2e203ea6d51eea1f73a537d6b141c9fcf0d15d8a69",
+    (23, 0, 3): "4bb8cb51b9d81771f5f00dd3fd94f31946e727aba10ee9745a6ab2b5a50abd79",
+    (24, 0, 3): "f4d354c591de3276f95165d5aa1614b05cccaa985cfc73345ddd56a6a18612c0",
+    (25, 0, 3): "5398d74e72f435982be9b06a89d7f659cdb16b6537d03b0b5f384e4d72198464",
+    (26, 0, 3): "9c1c86527f85dbe8011067ab273766e94be65c531cd3695366cdd9196ef04483",
+    (27, 0, 3): "a214388654d07b7882a665cf8577f4db8b79aaacd1fc3842116853dba156f03e",
+    (28, 0, 3): "baa8c298939a5aaa18c035f2d0cb4a6d62b5ada6aef97df22f7c57ba0d49bd8e",
+    (29, 0, 3): "2bc530e06f3454040a3b46cca5916d96cbb494e1e08e5ee1b23e169c1eedc885",
+    (30, 0, 3): "795df75086398c8ced5f0892bd70be9febc19b5fe865c0522296a6c8f6240b7b",
+    (31, 0, 3): "b1ce247c5b4080a20d09b89b9ae64fb4ce2f9f329be72c3c8731f24dfa55c90b",
+    (32, 0, 3): "a65aa8433d7190fbf561435e69735be55f48034c2e8cc50dc39ade0e4b323adf",
+    (33, 0, 3): "6eb2bf27cb244c2716321550bdf90860eb42263d17f247b408ea893a01983922",
+    (34, 0, 3): "3c69c80ee0b310a3d6c75b8b33ae5d1cb31b48f0302ceea172cad6bba290b271",
+    (35, 0, 3): "f7c97df8aa55420bf681bc699aa0bcaf691e2ec886a1f6b1916efd8cc01cc2db",
+    (36, 0, 3): "eef89af3b2396b8a9fc8489a42d0428a00546e5325531ddf0c61875441921af1",
+}
+
+
+@pytest.mark.parametrize("n, d, x", list(CONSTRUCT_SHA256),
+                         ids=[f"{n}-{d}-{x}" for n, d, x in CONSTRUCT_SHA256])
+def test_a_construct_file_in_every_base_keeps_its_bytes_and_verifies(n, d, x):
+    sr = BOOL if n == 2 else tropical_semiring(n - 2)
+    cert = certify(sr, d, x)
+    assert cert.branch == "construct"
+    text = render_certificate(cert)
+    assert hashlib.sha256(text.encode()).hexdigest() == CONSTRUCT_SHA256[n, d, x]
+    assert_same_text(text, render_reference(cert))
+    assert parse_certificate(text) == cert == parse_reference(text)
+    assert verify_certificate(sr, parse_certificate(text)).failures == ()
+
+
 # (semiring, d, x, number of mutants)
 MUTATED = [(BOOL, 0, 3, 40), (BOOL, 1, 3, 150), (BOOL, 1, 6, 150), (BOOL, 2, 2, 150),
            (TROP1, 1, 4, 150), (TROP9, 1, 2, 100)]
@@ -431,12 +490,7 @@ def _mutants(sr, d, x, count, seed):
         yield _mutate(text, rng, ("f",) if k % 2 == 1 else None)
 
 
-@pytest.mark.parametrize("block", [None, 1, 23])
-def test_block_parse_matches_the_reference_on_mutated_certificates(block, monkeypatch):
-    # blocks smaller than a line and than a few lines put block edges at
-    # every position the mutations reach
-    if block is not None:
-        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
+def test_block_parse_matches_the_reference_on_mutated_certificates():
     outcomes = set()
     for sr, d, x, count in MUTATED:
         for text in _mutants(sr, d, x, count, seed=f"{d}/{x}/{sr.size}"):
@@ -482,22 +536,22 @@ CRAFTED_TOKENS = ["01", "+1", "1_0", "\u0661", "\u00b9", "\uff11", "9", "10", "-
                   "x", "", "1\x1f"]
 
 
+@pytest.mark.parametrize("d", (0, 1))
 @pytest.mark.parametrize("keyword", CONSTRUCT_KEYWORDS + ("det",))
-def test_block_parse_matches_the_reference_on_crafted_construct_tokens(keyword):
+def test_block_parse_matches_the_reference_on_crafted_construct_tokens(keyword, d):
     # the first and the last token after the keyword, on the first and
     # the last such line of boolean 0/3 and 1/3
-    for d in (0, 1):
-        lines = render_certificate(corpus_certificate(BOOL, d, 3)).split("\n")
-        where = [i for i, line in enumerate(lines) if line.split(" ", 1)[0] == keyword]
-        for i in {where[0], where[-1]}:
-            tokens = lines[i].split(" ")
-            for j in {1, len(tokens) - 1}:
-                for token in CRAFTED_TOKENS:
-                    changed = list(lines)
-                    changed[i] = " ".join(tokens[:j] + [token] + tokens[j + 1:])
-                    mutant = "\n".join(changed)
-                    assert _outcome(parse_certificate, mutant) == _outcome(parse_reference,
-                                                                           mutant), changed[i]
+    lines = render_certificate(corpus_certificate(BOOL, d, 3)).split("\n")
+    where = [i for i, line in enumerate(lines) if line.split(" ", 1)[0] == keyword]
+    for i in {where[0], where[-1]}:
+        tokens = lines[i].split(" ")
+        for j in {1, len(tokens) - 1}:
+            for token in CRAFTED_TOKENS:
+                changed = list(lines)
+                changed[i] = " ".join(tokens[:j] + [token] + tokens[j + 1:])
+                mutant = "\n".join(changed)
+                assert _outcome(parse_certificate, mutant) == _outcome(parse_reference,
+                                                                       mutant), changed[i]
 
 
 def test_every_mutant_report_ends_at_its_first_failure():
@@ -515,24 +569,24 @@ def test_every_mutant_report_ends_at_its_first_failure():
     assert {"order-canonical", "layout", "factor-products"} <= failures
 
 
-def test_block_parse_matches_the_reference_on_large_orders():
-    # several blocks per order section, a mutation in one of them: the
-    # section alone, and a line after it
-    for sr, d, x, count in [(TROP1, 2, 4, 8), (BOOL, 4, 4, 2)]:
-        cert = order_certificate(sr, d, x)
-        section = "".join(certfile._order_blocks(cert)) + "block 0\n"
-        args = cert.semiring_size, d * x, len(cert.order)
-        rng = random.Random(f"large {d}/{x}/{sr.size}")
-        for k in range(count):
-            text = _mutate(section, rng, ("f",) if k % 2 == 1 else None)
-            assert (_outcome(take_order(*args), text)
-                    == _outcome(take_order_reference(*args), text))
+@pytest.mark.parametrize("sr, d, x, count", [(TROP1, 2, 4, 8), (BOOL, 4, 4, 2)],
+                         ids=["tropical1-2-4", "boolean-4-4"])
+def test_block_parse_matches_the_reference_on_large_orders(sr, d, x, count):
+    # a mutation in a large order section: the section alone, and a line
+    # after it
+    cert = order_certificate(sr, d, x)
+    section = certfile._order_text(cert) + "block 0\n"
+    args = cert.semiring_size, d * x, len(cert.order)
+    rng = random.Random(f"large {d}/{x}/{sr.size}")
+    for k in range(count):
+        text = _mutate(section, rng, ("f",) if k % 2 == 1 else None)
+        assert (_outcome(take_order(*args), text)
+                == _outcome(take_order_reference(*args), text))
 
 
 CANONICAL_ORDER = "f 0 0\nf 0 1\nf 1 0\nf 1 1\n"  # boolean 1/2
 
 
-@pytest.mark.parametrize("block", [1, 5, 12, None])
 @pytest.mark.parametrize("order", [
     " f 0 0\nf 0 1\n\tf 1 0\nf 1 1\n",
     "\nf 0 0 f 0 1\nf 1 0\nf 1 1\n",
@@ -558,11 +612,9 @@ CANONICAL_ORDER = "f 0 0\nf 0 1\nf 1 0\nf 1 1\n"  # boolean 1/2
     "f 0 0\nf 0 f\n1 1 0\nf 1 1\n",
     "f 0 0\nf 0 1\nf 1 0\nf 1 \n",
 ], ids=lambda order: repr(order))
-def test_block_parse_matches_the_reference_on_crafted_order_sections(order, block, monkeypatch):
-    # each breaks one premise of a block's shape check, alone or with a
-    # line that would restore the token count
-    if block is not None:
-        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
+def test_block_parse_matches_the_reference_on_crafted_order_sections(order):
+    # each breaks one premise of a section's layout check, alone or with
+    # a line that would restore the token count
     text = render_certificate(order_certificate(BOOL, 1, 2))
     assert CANONICAL_ORDER in text
     text = text.replace(CANONICAL_ORDER, order)
@@ -581,60 +633,54 @@ DIGIT_MUTANTS = {
 }
 
 
-@pytest.mark.parametrize("block", [1, 5, 12, None])
+@pytest.mark.parametrize("i", (0, 31, 63), ids=["first", "middle", "last"])
 @pytest.mark.parametrize("kind", list(DIGIT_MUTANTS))
-def test_block_parse_matches_the_reference_on_non_ascii_and_foreign_digits(kind, block,
-                                                                           monkeypatch):
+def test_block_parse_matches_the_reference_on_non_ascii_and_foreign_digits(kind, i):
     # characters a Unicode-aware digit check could let through, at the
     # first, a middle and the last line of the order section, on the f,
-    # the first, a middle and the last digit: with the default block the
-    # section is one block, with the smaller ones each line is its own
-    if block is not None:
-        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
+    # the first, a middle and the last digit
     replace, where = DIGIT_MUTANTS[kind]
     cert = corpus_certificate(BOOL, 1, 6)
     lines = render_certificate(cert).split("\n")
     first = lines.index("order " + str(len(cert.order))) + 1
     outcomes = set()
-    for i in (0, 31, 63):
-        for offset in ((0,) if where == "f" else (2, 8, 12)):
-            line = lines[first + i]
-            changed = list(lines)
-            changed[first + i] = line[:offset] + replace(line[offset]) + line[offset + 1:]
-            text = "\n".join(changed)
-            outcome = _outcome(parse_certificate, text)
-            assert outcome == _outcome(parse_reference, text), (i, offset)
-            if kind == "fullwidth":
-                assert outcome == cert
-            elif kind == "past-base":
-                assert outcome.order == cert.order[:i] + (NO_CODE,) + cert.order[i + 1:]
-            else:
-                outcomes.add(outcome.split(":", 2)[2].strip())
+    for offset in ((0,) if where == "f" else (2, 8, 12)):
+        line = lines[first + i]
+        changed = list(lines)
+        changed[first + i] = line[:offset] + replace(line[offset]) + line[offset + 1:]
+        text = "\n".join(changed)
+        outcome = _outcome(parse_certificate, text)
+        assert outcome == _outcome(parse_reference, text), offset
+        if kind == "fullwidth":
+            assert outcome == cert
+        elif kind == "past-base":
+            assert outcome.order == cert.order[:i] + (NO_CODE,) + cert.order[i + 1:]
+        else:
+            outcomes.add(outcome.split(":", 2)[2].strip())
     assert outcomes <= {"non-integer entry in order vector", "expected 'f', got 'F'"}
 
 
-@pytest.mark.parametrize("block", [None, 1, 23])
-def test_an_out_of_range_entry_reads_as_no_code_in_every_block(block, monkeypatch):
-    # one f line's last entry outside range(n), at a block's start, middle
-    # or end: that line alone holds no code, whichever path reads it; in
-    # a certificate certify wrote, only order-canonical then fails
-    if block is not None:
-        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
-    for sr, d, x, positions, entries in [(TROP1, 2, 4, (0, 1, 229, 230, 3000, 6560), "3 9 -1"),
-                                         (BOOL, 4, 4, (4095, 65535), "2"),
-                                         (TROP1, 1, 4, (0, 40, 80), "3 -1"),
-                                         (BOOL, 1, 6, (0, 63), "2")]:
-        cert = order_certificate(sr, d, x)
-        lines = render_certificate(cert).split("\n")
-        first = lines.index("order " + str(len(cert.order))) + 1
-        for i in positions:
-            for entry in entries.split():
-                changed = list(lines)
-                changed[first + i] = changed[first + i][:-1] + entry
-                parsed = parse_certificate("\n".join(changed))
-                assert parsed.order == cert.order[:i] + (NO_CODE,) + cert.order[i + 1:]
-                if cert is corpus_certificate(sr, d, x):
-                    assert verify_certificate(sr, parsed).failures == ("order-canonical",)
+@pytest.mark.parametrize("sr, d, x, positions, entries",
+                         [(TROP1, 2, 4, (0, 1, 229, 230, 3000, 6560), "3 9 -1"),
+                          (BOOL, 4, 4, (4095, 65535), "2"),
+                          (TROP1, 1, 4, (0, 40, 80), "3 -1"),
+                          (BOOL, 1, 6, (0, 63), "2")],
+                         ids=["tropical1-2-4", "boolean-4-4", "tropical1-1-4", "boolean-1-6"])
+def test_an_out_of_range_entry_reads_as_no_code_in_every_block(sr, d, x, positions, entries):
+    # one f line's last entry outside range(n), at the section's start,
+    # middle or end: that line alone holds no code; in a certificate
+    # certify wrote, only order-canonical then fails
+    cert = order_certificate(sr, d, x)
+    lines = render_certificate(cert).split("\n")
+    first = lines.index("order " + str(len(cert.order))) + 1
+    for i in positions:
+        for entry in entries.split():
+            changed = list(lines)
+            changed[first + i] = changed[first + i][:-1] + entry
+            parsed = parse_certificate("\n".join(changed))
+            assert parsed.order == cert.order[:i] + (NO_CODE,) + cert.order[i + 1:]
+            if cert is corpus_certificate(sr, d, x):
+                assert verify_certificate(sr, parsed).failures == ("order-canonical",)
 
 
 @pytest.mark.parametrize("old, new", [(" 1 ", " 01 "), (" 1 ", " +1 "), (" 1 ", " 1_0 "),
@@ -651,7 +697,7 @@ def test_every_line_takes_an_accepted_spelling_as_the_reference_does(old, new):
     assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
 
 
-def test_render_matches_the_reference_on_unusual_orders(monkeypatch):
+def test_render_matches_the_reference_on_unusual_orders():
     # a Certificate built by hand: any codes in range, in any number, and
     # shapes certify never pairs with them; each text also parses as the
     # reference parses it
@@ -659,39 +705,20 @@ def test_render_matches_the_reference_on_unusual_orders(monkeypatch):
     rng = random.Random(11)
     shapes = [(2, 1, 3), (2, 0, 3), (2, 3, 0), (2, 2, 2), (2, 3, 1), (3, 2, 1), (12, 1, 2),
               (1, 5, 3)]
-    for block in (None, 1, 3):
-        if block is not None:
-            monkeypatch.setattr(certfile, "_RENDER_BLOCK", block)
-        for n, d, x in shapes:
-            m = n ** (d * x)
-            orders = [(), (0,), (m - 1, 0), (m - 1,) * 5,
-                      tuple(rng.randrange(m) for _ in range(40))]
-            if m > 1:
-                orders.append((True, 0))
-            for order in orders:
-                cert = dataclasses.replace(base, semiring_size=n, d=d, x=x, order=order)
-                text = render_certificate(cert)
-                assert_same_text(text, render_reference(cert))
-                assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
-        for sr, d, x in CORPUS[:4]:
-            cert = corpus_certificate(sr, d, x)
-            assert_same_text(render_certificate(cert), render_reference(cert))
-
-
-def _item_widths(n):
-    """Widths 0 and 1, the widest whose base-n codes each item size holds, and the next.
-
-    The items are those of 1, 2, 4 and 8 bytes; no block is decoded at
-    the width after the widest of 8 bytes, whose lines the line reader
-    takes.
-    """
-    widths = {0, 1}
-    for size in (1, 2, 4, 8):
-        width = 0
-        while n ** (width + 1) <= 256 ** size:
-            width += 1
-        widths |= {width, width + 1}
-    return sorted(widths)
+    for n, d, x in shapes:
+        m = n ** (d * x)
+        orders = [(), (0,), (m - 1, 0), (m - 1,) * 5,
+                  tuple(rng.randrange(m) for _ in range(40))]
+        if m > 1:
+            orders.append((True, 0))
+        for order in orders:
+            cert = dataclasses.replace(base, semiring_size=n, d=d, x=x, order=order)
+            text = render_certificate(cert)
+            assert_same_text(text, render_reference(cert))
+            assert _outcome(parse_certificate, text) == _outcome(parse_reference, text)
+    for sr, d, x in CORPUS[:4]:
+        cert = corpus_certificate(sr, d, x)
+        assert_same_text(render_certificate(cert), render_reference(cert))
 
 
 def _scrambled_orders(rng, m, count):
@@ -701,15 +728,14 @@ def _scrambled_orders(rng, m, count):
             tuple(sorted((rng.randrange(m) for _ in range(count)), reverse=True))]
 
 
-@pytest.mark.parametrize("n", range(2, 11))
-def test_order_codec_matches_the_reference_at_every_item_size(n):
-    # hand-made orders at each width _item_widths gives: rendered as the
-    # reference renders them, and every run of lines as rendered, the
-    # first, one alone and the last among them, decodes to its codes, or
-    # past 8 bytes is left to the line reader
+@pytest.mark.parametrize("n", range(2, 37))
+def test_order_codec_round_trips_in_every_base(n):
+    # hand-made orders at widths from 0 to past 64 bits, rendered as the
+    # reference renders them, and every run of their lines, the first,
+    # one alone and the last among them, read back to its codes
     base = dataclasses.replace(corpus_certificate(BOOL, 1, 3), semiring_size=n, x=1)
-    rng = random.Random(f"items {n}")
-    for width in _item_widths(n):
+    rng = random.Random(f"round trip {n}")
+    for width in (0, 1, 2, 5, 16, 70):
         for order in _scrambled_orders(rng, n ** width, 40):
             cert = with_order(dataclasses.replace(base, d=width), order)
             text = render_certificate(cert)
@@ -717,72 +743,72 @@ def test_order_codec_matches_the_reference_at_every_item_size(n):
             lines = text.split("\n")
             first = lines.index("order 40") + 1
             for start, stop in [(0, 40), (0, 1), (13, 29), (39, 40)]:
-                block = "\n".join(lines[first + start:first + stop])
-                codes = certfile._block_codes(block, stop - start, width, n)
-                expected = list(order[start:stop]) if n ** width <= 256 ** 8 else None
-                assert codes == expected, (width, start)
+                section = "\n".join(lines[first + start:first + stop + 1])
+                reader = certfile._Reader(section)
+                codes = reader.take_order(stop - start, width, n)
+                assert codes == order[start:stop], (width, start)
+                assert reader.peek_keyword() == ("block" if stop == 40 else "f")
 
 
-@pytest.mark.parametrize("parse_block, render_block", [(None, None), (1, 1), (23, 3), (100, 7)])
-def test_scrambled_orders_of_the_full_count_parse_as_the_reference_parses_them(
-        parse_block, render_block, monkeypatch):
+@pytest.mark.parametrize("n, width", [(2, 0), (2, 1), (2, 7), (3, 5), (4, 4), (5, 3), (7, 3),
+                                      (9, 2), (10, 3)])
+def test_scrambled_orders_of_the_full_count_parse_as_the_reference_parses_them(n, width):
     # n^(d*x) codes, so each line is decoded: a random permutation, the
-    # codes descending, and one with repeats; blocks of either side cut
-    # the section inside a run of one high digit half and inside a line
-    if parse_block is not None:
-        monkeypatch.setattr(certfile, "_PARSE_BLOCK", parse_block)
-        monkeypatch.setattr(certfile, "_RENDER_BLOCK", render_block)
+    # codes descending, and one with repeats
     base = dataclasses.replace(corpus_certificate(BOOL, 1, 3), x=1)
-    rng = random.Random(f"scrambled {parse_block}")
-    for n, width in [(2, 0), (2, 1), (2, 7), (3, 5), (4, 4), (5, 3), (7, 3), (9, 2), (10, 3)]:
-        m = n ** width
-        orders = [tuple(rng.sample(range(m), m)), tuple(reversed(range(m))),
-                  tuple(rng.randrange(m) for _ in range(m))]
-        for order in orders:
-            cert = with_order(dataclasses.replace(base, semiring_size=n, d=width), order)
-            text = render_certificate(cert)
-            assert_same_text(text, render_reference(cert))
-            parsed = parse_certificate(text)
-            assert parsed == parse_reference(text)
-            assert parsed.order == order
+    rng = random.Random(f"scrambled {n} {width}")
+    m = n ** width
+    orders = [tuple(rng.sample(range(m), m)), tuple(reversed(range(m))),
+              tuple(rng.randrange(m) for _ in range(m))]
+    for order in orders:
+        cert = with_order(dataclasses.replace(base, semiring_size=n, d=width), order)
+        text = render_certificate(cert)
+        assert_same_text(text, render_reference(cert))
+        parsed = parse_certificate(text)
+        assert parsed == parse_reference(text)
+        assert parsed.order == order
 
 
 # tracemalloc peaks, in bytes, of render_certificate and parse_certificate
-# on the format 2 boolean 4/4 pad file (2,228,553 bytes, all but 329 of
-# them its order section) under the codec that wrote a block with one %
-# format and read each line with one int(digits, n)
-FORMER_PEAKS = {"render": 4_466_850, "parse": 2_916_379}
+# on the boolean 1/12 and 2/6 construct files (2,084,136 and 1,042,300
+# bytes) under the order codec that wrote a run of lines per high digit
+# half and read a digit column at a time
+FORMER_PEAKS = {(1, 12): {"render": 8_008_575, "parse": 19_937_267},
+                (2, 6): {"render": 4_883_067, "parse": 7_155_572}}
 
 
-def _take_order(cert, section):
-    return certfile._Reader(section).take_order(
-        len(cert.order), cert.d * cert.x,
-        certfile._order_base(cert.semiring_size, cert.d * cert.x, len(cert.order)))
+def _peak(call, arg):
+    """The tracemalloc peak, in bytes, of ``call(arg)``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call(arg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
-def test_the_order_codec_stays_within_a_tenth_of_its_former_peak_memory():
-    # the section is held as a few large strings, not one per group of
-    # lines, and a parsed block's temporaries stay small beside the text:
-    # the order section of boolean 4/4, written and read alone
+@pytest.mark.parametrize("d, x", list(FORMER_PEAKS), ids=["boolean-1-12", "boolean-2-6"])
+def test_render_and_parse_stay_within_a_tenth_of_their_former_peak_memory(d, x):
+    # the largest construct files the default caps admit at d >= 1
+    cert = corpus_certificate(BOOL, d, x)
+    text = render_certificate(cert)
+    assert parse_certificate(text) == cert
+    for name, call, arg in [("render", render_certificate, cert),
+                            ("parse", parse_certificate, text)]:
+        peak = _peak(call, arg)
+        assert peak <= 1.1 * FORMER_PEAKS[d, x][name], (name, peak)
+
+
+def test_a_wide_order_section_parses_in_no_more_memory_per_byte_than_a_whole_file():
+    # boolean 4/4's 65,536 f lines read alone, against the boolean 2/6
+    # construct file, whose block section sets its peak
+    whole = render_certificate(corpus_certificate(BOOL, 2, 6))
     cert = order_certificate(BOOL, 4, 4)
-    section = "".join(certfile._order_blocks(cert))
-    assert _take_order(cert, section) == cert.order
-    # kept as the ~4,600 strings of its groups, or joined only at the
-    # end, the section would raise the tracemalloc peak by only about 3%,
-    # so its strings are counted and measured in lines
-    blocks = certfile._order_blocks(cert)
-    assert len(blocks) <= len(cert.order) // certfile._RENDER_BLOCK + 1
-    assert max(block.count("\n") for block in blocks) < 2 * certfile._RENDER_BLOCK
-    for name, call, arg in [("render", lambda c: "".join(certfile._order_blocks(c)), cert),
-                            ("parse", lambda t: _take_order(cert, t), section)]:
-        gc.collect()
-        tracemalloc.start()
-        try:
-            call(arg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * FORMER_PEAKS[name], (name, peak)
+    wide = certfile._order_text(cert) + "block 0\n"
+    read = take_order(2, 16, len(cert.order))
+    assert read(wide)[0] == cert.order
+    assert _peak(read, wide) / len(wide) <= _peak(parse_certificate, whole) / len(whole)
 
 
 @pytest.mark.parametrize("n, d, x, order", [
@@ -800,6 +826,20 @@ def test_render_refuses_a_code_outside_the_hom_set(n, d, x, order):
     if d * x < 100:
         with pytest.raises(ValueError):
             render_reference(cert)
+
+
+def test_render_refuses_a_pad_certificate_without_its_factor_pair():
+    # a ValueError, not an assert that python -O would skip
+    cert = dataclasses.replace(corpus_certificate(BOOL, 2, 2), pad=None)
+    with pytest.raises(ValueError, match="^a pad certificate needs a factor pair$"):
+        render_certificate(cert)
+
+
+def test_render_refuses_a_construct_certificate_without_det_x():
+    # its text would read 'det None', which parse_certificate refuses
+    cert = dataclasses.replace(corpus_certificate(BOOL, 1, 3), det_x=None)
+    with pytest.raises(ValueError, match="^a construct certificate needs det X$"):
+        render_certificate(cert)
 
 
 def test_render_refuses_a_pad_certificate_that_holds_an_order():
@@ -839,7 +879,7 @@ def test_hostile_order_headers_parse_in_bounded_memory():
     hostile += [_wide_line(text, size, width, 0, size ** width)
                 for size, width in [(3, 4301), (9, 4500), (2, 14000), (1, 3000)]]
     # n^(d*x) far above the count, on boolean 4/4's wide order section
-    wide = "".join(certfile._order_blocks(order_certificate(BOOL, 4, 4))) + "block 0\n"
+    wide = certfile._order_text(order_certificate(BOOL, 4, 4)) + "block 0\n"
     for size in (3, 10 ** 400):
         start = time.perf_counter()
         outcome = _outcome(take_order(size, 16, 65536), wide)
@@ -870,39 +910,29 @@ def test_hostile_order_headers_parse_in_bounded_memory():
         assert outcome == _outcome(parse_reference, case)
 
 
-@pytest.mark.parametrize("block", [None, 1, 23, 100])
-def test_rendered_order_sections_never_parse_line_by_line(block, monkeypatch):
-    # every block of a rendered order section, its last one and the only
-    # block of a small one included, decodes at once in bases 2-10
-    if block is not None:
-        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
+# (n, d, x) of the order sections past the four small shapes of each base
+LARGER_ORDERS = [(2, 3, 3), (3, 3, 2), (5, 1, 4), (7, 2, 2), (10, 1, 3), (11, 1, 3), (16, 1, 3),
+                 (36, 1, 2)]
+
+
+@pytest.mark.parametrize("n", range(2, 37))
+def test_rendered_order_sections_never_parse_line_by_line(n, monkeypatch):
+    # every rendered order section, width 0 included, decodes at once in
+    # bases 2-10; bases 11-36, whose entries take one or two digits, are
+    # read line by line, to the same codes
     calls = []
     order_code = certfile._order_code
     monkeypatch.setattr(certfile, "_order_code",
                         lambda *args: calls.append(args) or order_code(*args))
-    certs = [order_certificate(sr, d, x) for sr, d, x in CORPUS if sr.size <= 10]
-    for n in range(2, 11):
-        sr = tropical_semiring(n - 2)
-        certs += [order_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
-    for n, d, x in [(2, 3, 3), (3, 3, 2), (5, 1, 4), (7, 2, 2), (10, 1, 3)]:
-        certs.append(order_certificate(tropical_semiring(n - 2), d, x))
+    sr = tropical_semiring(n - 2)
+    certs = [order_certificate(s, d, x) for s, d, x in CORPUS if s.size == n]
+    certs += [order_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
+    certs += [order_certificate(sr, d, x) for size, d, x in LARGER_ORDERS if size == n]
     for cert in certs:
         assert parse_certificate(render_certificate(cert)).order == cert.order
-    assert calls == []
-    # bases 11-36, whose entries take one or two digits, are read line by
-    # line, to the same codes
-    certs = [order_certificate(sr, d, x) for sr, d, x in CORPUS if sr.size > 10]
-    for n in range(11, 37):
-        sr = tropical_semiring(n - 2)
-        certs += [order_certificate(sr, d, x) for d, x in [(0, 2), (1, 1), (1, 2), (2, 1)]]
-    for n, d, x in [(11, 1, 3), (16, 1, 3), (36, 1, 2)]:
-        certs.append(order_certificate(tropical_semiring(n - 2), d, x))
-    for cert in certs:
-        assert parse_certificate(render_certificate(cert)).order == cert.order
-    assert len(calls) == sum(len(cert.order) for cert in certs)
+    assert len(calls) == (0 if n <= 10 else sum(len(cert.order) for cert in certs))
 
 
-@pytest.mark.parametrize("block", [1, 5, 12, None])
 @pytest.mark.parametrize("order", [
     "f 10 10 f\n9 10\nf 10 9\n",
     "f 10\n10 f 9 10\nf 10 9\n",
@@ -918,14 +948,12 @@ def test_rendered_order_sections_never_parse_line_by_line(block, monkeypatch):
     "f 10 10\n\nf 9 10\nf 10 9\n",
     "f 10 10\nf 9 ١٠\nf 10 9\n",
 ], ids=lambda order: repr(order))
-def test_spelled_order_blocks_match_the_reference_on_crafted_sections(order, block, monkeypatch):
+def test_spelled_order_blocks_match_the_reference_on_crafted_sections(order):
     # the first three lines of a base-11 order section, two-digit
     # spellings among them, each line breaking one premise of a rendered
     # line: a break or an f out of place, a spelling int reads but the
     # renderer never writes, an entry past the base, a stray space, tab,
     # comment or blank line
-    if block is not None:
-        monkeypatch.setattr(certfile, "_PARSE_BLOCK", block)
     cert = order_certificate(TROP9, 1, 2)
     text = render_certificate(cert)
     rendered = "f 10 10\nf 9 10\nf 10 9\n"
